@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "CommutatorInvariants",
     "ClosedForms",
     "ReconstructionError",
+    "EnclosureError",
     "cubic_form",
     "maximize_theta",
     "canonical_basis",
@@ -48,24 +50,6 @@ def cubic_form(h, u):
     return np.einsum("...kij,...k,...i,...j->...", h, u, u, u)
 
 
-@lru_cache(maxsize=None)
-def _sphere_grid(n_polar=64, n_azimuth=128):
-    theta = (np.arange(n_polar) + 0.5) * np.pi / n_polar
-    phi = np.arange(n_azimuth) * 2 * np.pi / n_azimuth
-    T, P = np.meshgrid(theta, phi, indexing="ij")
-    grid = np.stack(
-        [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
-    ).reshape(-1, 3)
-    return np.concatenate([grid, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
-
-
-@lru_cache(maxsize=None)
-def _grid_monomials(n_polar=64, n_azimuth=128):
-    # cubic monomials u_k u_i u_j per grid direction, for BLAS-friendly scans
-    U = _sphere_grid(n_polar, n_azimuth)
-    return np.einsum("pk,pi,pj->pkij", U, U, U).reshape(-1, 27)
-
-
 def _cross3(u, v):
     return np.stack(
         [
@@ -84,81 +68,310 @@ def _tangent_basis(u):
     return t1, _cross3(u, t1)
 
 
-def maximize_theta(sff_like, grid=(64, 128), max_newton=60, tol_grad=1e-12,
-                   n_candidates=8):
-    """Global maximum of the cubic form over the unit tangent sphere.
+# ---------------------------------------------------------------------------
+# Theta: seed on coarse cells, Newton polish, branch-and-bound enclosure
+# ---------------------------------------------------------------------------
 
-    Deterministic: a fixed spherical grid ranks basins (the form is odd, so
-    grid values are folded by sign), the top `n_candidates` starts are each
-    polished by a safeguarded Newton iteration on the sphere to gradient norm
-    below `tol_grad`, and the best polished value wins.  Refining several
-    starts resolves near-ties between distinct maxima that fall below the
-    grid's sampling error.  Returns (maximizer, theta); a vanishing form
-    yields (e1, 0).
+_SPLIT = 10            # level-0 cells per edge of each cube face
+_MAX_DEPTH = 12        # quadtree depth at which an open enclosure fails
+_MAX_OPEN = 512        # open cells per node at which an enclosure fails
+_POLISH_DEPTH = 3      # open cells this deep get a Newton polish of their own
+_MAX_NEWTON = 60
+_CHUNK = 512           # nodes per pass: bounds the level-0 and open-cell arrays
+_QUAD_I = np.array([0, 1, 2, 0, 0, 1])  # quadratic monomials u_i u_j, i <= j
+_QUAD_J = np.array([0, 1, 2, 1, 2, 2])
+
+
+class EnclosureError(RuntimeError):
+    """The branch-and-bound enclosure of Theta did not close, so the polished
+    maximum is not certified."""
+
+
+def _exponents(degree):
+    """Exponent triples of the monomials of one degree in three variables."""
+    return sorted({tuple(int(x) for x in np.bincount(t, minlength=3))
+                   for t in np.ndindex(*(3,) * degree)}, reverse=True)
+
+
+@lru_cache(maxsize=None)
+def _monomial_maps():
+    """Fixed linear maps from h to polynomial coefficients.
+
+    c = h.reshape(27) @ P (27, 10) holds the coefficients of f in the cubic
+    monomials _exponents(3).  c @ G (3, 6) gives the Euclidean gradient in
+    the quadratic monomials u[_QUAD_I] u[_QUAD_J], and c @ L (3, 15) the
+    tangential gradient |u|^2 grad f - 3 f u in the quartic monomials
+    _exponents(4); on the unit sphere that is grad f - 3 f u.
+    """
+    cubic, quartic = _exponents(3), _exponents(4)
+    quad = [tuple(np.bincount(ij, minlength=3)) for ij in zip(_QUAD_I, _QUAD_J)]
+    P = np.zeros((27, len(cubic)))
+    for flat, t in enumerate(np.ndindex(3, 3, 3)):
+        P[flat, cubic.index(tuple(np.bincount(t, minlength=3)))] = 1.0
+    G = np.zeros((len(cubic), 3, len(quad)))
+    L = np.zeros((len(cubic), 3, len(quartic)))
+    unit = np.eye(3, dtype=int)
+    for e, exps in enumerate(cubic):
+        for a in range(3):
+            L[e, a, quartic.index(tuple(exps + unit[a]))] -= 3.0
+            if exps[a]:
+                lower = tuple(exps - unit[a])
+                G[e, a, quad.index(lower)] = exps[a]
+                for b in range(3):
+                    L[e, a, quartic.index(tuple(lower + 2 * unit[b]))] += exps[a]
+    return P, G, L
+
+
+def _unit(v):
+    return v / np.sqrt(np.einsum("na,na->n", v, v))[:, None]
+
+
+def _monomials(u, degree):
+    return np.prod(u[:, None, :] ** np.array(_exponents(degree)), axis=-1)
+
+
+# offsets from a cell's gnomonic point to the points of its four quadrants,
+# per face, in units of the quadrants' planar half-side
+_AXES = np.eye(3)
+_QUADRANTS = np.array([[s * _AXES[(k + 1) % 3] + t * _AXES[(k + 2) % 3]
+                        for s in (-1, 1) for t in (-1, 1)] for k in range(3)])
+
+
+@lru_cache(maxsize=None)
+def _coarse_cells():
+    """Level-0 cells: the +x, +y and +z cube faces, each split _SPLIT x _SPLIT.
+
+    Together they cover the sphere modulo u -> -u.  Returns the face of each
+    cell, its centre as a gnomonic point (coordinate `face` equal to 1) and
+    as a unit vector, and the cubic and quartic monomials of the latter.
+    """
+    mid = -1.0 + (2 * np.arange(_SPLIT) + 1) / _SPLIT
+    face, a, b = (x.ravel() for x in np.meshgrid(np.arange(3), mid, mid, indexing="ij"))
+    point = _AXES[face] + a[:, None] * _AXES[(face + 1) % 3] + b[:, None] * _AXES[(face + 2) % 3]
+    u = _unit(point)
+    return face, point, u, _monomials(u, 3), _monomials(u, 4)
+
+
+def _level0(hs):
+    """Cubic coefficients c of each row, and f and the tangential gradient
+    norm at every level-0 cell centre: three matmuls for the whole batch."""
+    P, _, L = _monomial_maps()
+    *_, cubic, quartic = _coarse_cells()
+    coef = hs.reshape(-1, 27) @ P
+    F = coef @ cubic.T
+    grad = ((coef @ L.reshape(len(L), -1)).reshape(-1, quartic.shape[1]) @ quartic.T)
+    grad = grad.reshape(len(hs), 3, -1)
+    return coef, F, np.sqrt(np.einsum("nap,nap->np", grad, grad))
+
+
+def _contract(hs, u):
+    """h(u,.,.) as 3x3 matrices, h(u,u,.) and f(u) for symmetric rows hs."""
+    hu = (hs.reshape(len(u), 9, 3) @ u[:, :, None]).reshape(len(u), 3, 3)
+    v2 = (hu @ u[:, :, None])[..., 0]
+    return hu, v2, np.sum(v2 * u, axis=-1)
+
+
+def _tangent_model(hs, u):
+    """f(u), its tangential gradient, a tangent basis T (rows) and the 2x2
+    tangent Hessian T (6 h(u,.,.) - 3 f) T^T for symmetric rows hs."""
+    hu, v2, f = _contract(hs, u)
+    T = np.stack(_tangent_basis(u), axis=-2)
+    W = 6.0 * hu - 3.0 * f[:, None, None] * np.eye(3)
+    return f, 3.0 * (v2 - f[:, None] * u), T, T @ W @ np.swapaxes(T, -1, -2)
+
+
+def _critical(hs, u):
+    """f(u), the tangential gradient norm g and mu, minus the largest
+    eigenvalue of the tangent Hessian (positive at a strict maximum)."""
+    f, grad, _, H2 = _tangent_model(hs, u)
+    lam = 0.5 * (H2[:, 0, 0] + H2[:, 1, 1]) + np.hypot(
+        0.5 * (H2[:, 0, 0] - H2[:, 1, 1]), 0.5 * (H2[:, 0, 1] + H2[:, 1, 0]))
+    return f, np.linalg.norm(grad, axis=-1), -lam
+
+
+def _polish(hs, u, scale):
+    """Safeguarded Newton ascent on the sphere from each row of u.
+
+    A row stops once every component of its tangential gradient is at most
+    1e-13 max(1, |h|); only the rows still moving are iterated.  Returns the
+    polished points and their _critical data.  Rows still moving after
+    _MAX_NEWTON steps are returned as they are; the enclosure then refuses
+    to certify them.
+    """
+    u = u.copy()
+    active = np.arange(len(u))
+    for _ in range(_MAX_NEWTON):
+        h, x, sc = hs[active], u[active], scale[active]
+        f, grad, T, H2 = _tangent_model(h, x)
+        moving = np.max(np.abs(grad), axis=-1) > 1e-13 * np.maximum(sc, 1.0)
+        active = active[moving]
+        if not active.size:
+            break
+        h, x, sc, f, grad, T, H2 = (y[moving] for y in (h, x, sc, f, grad, T, H2))
+        g2 = (T @ grad[:, :, None])[..., 0]
+        det = H2[:, 0, 0] * H2[:, 1, 1] - H2[:, 0, 1] * H2[:, 1, 0]
+        safe = np.abs(det) > 1e-14 * np.maximum(sc, 1.0) ** 2
+        det = np.where(safe, det, 1.0)
+        s0 = (-g2[:, 0] * H2[:, 1, 1] + g2[:, 1] * H2[:, 0, 1]) / det
+        s1 = (-g2[:, 1] * H2[:, 0, 0] + g2[:, 0] * H2[:, 1, 0]) / det
+        step = s0[:, None] * T[:, 0] + s1[:, None] * T[:, 1]
+        # fall back to a short ascent step where the tangent Hessian degenerates
+        ascent = grad / np.maximum(sc, 1e-30)[:, None] * 0.05
+        step = np.where(safe[:, None], step, ascent)
+        norm = np.linalg.norm(step, axis=-1, keepdims=True)
+        step = np.where(norm > 0.2, step * (0.2 / np.maximum(norm, 1e-30)), step)
+        unew = x + step
+        unew /= np.linalg.norm(unew, axis=-1, keepdims=True)
+        fnew = _contract(h, unew)[2]
+        u[active] = np.where((fnew >= f - 1e-14 * np.maximum(sc, 1.0))[:, None], unew, x)
+    return (u, *_critical(hs, u))
+
+
+def _ball_radius(f, g, mu, scale, theta, tol):
+    """Radius of the ball around +-u, a Newton point with value f, gradient
+    norm g and curvature mu, on which |f| <= theta + tol; -1 where none.
+
+    Along a unit-speed great circle y from u, f'' = 6h(y,y',y') - 3f starts
+    at most -mu and |f'''| = |6h(y',y',y') - 21h(y,y,y')| <= 27|h|, so
+    f <= f(u) + g t - (mu/2 - (9/2)|h| t) t^2 <= f(u) + g r for
+    t <= r = mu/(9|h|).  As |f'| <= 3|h|, f >= -f(u) for t <= 2f(u)/(3|h|),
+    which covers -u by oddness.
+    """
+    r = np.minimum(mu, 6.0 * f) / (9.0 * np.maximum(scale, 1e-300))
+    return np.where((mu > 0) & (f > 0) & (f + g * r <= theta + tol), r, -1.0)
+
+
+def _covered(c, node, u, r, own_u, own_r, delta):
+    """Rows whose cell (centre c, angular radius delta) lies inside the ball
+    of radius r[node] around +-u[node] or of radius own_r around +-own_u."""
+    limit = np.where(r > delta, np.cos(r - delta), 2.0)
+    out = np.abs(np.einsum("na,na->n", c, u[node])) >= limit[node]
+    rows = np.nonzero(own_r > delta)[0]
+    dots = np.abs(np.einsum("na,na->n", c[rows], own_u[rows]))
+    out[rows] |= dots >= np.cos(own_r[rows] - delta)
+    return out
+
+
+def _enclose(hs, scale, u, theta, level0):
+    """Certify that theta is the maximum of f within 1e-12 max(1, |h|) per row.
+
+    `level0` is _level0(hs).  Branch and bound over the coarse cells: a cell
+    with centre c and angular radius delta holds |f| <= |f(c)| +
+    |grad f(c)| delta + (9/2)|h| delta^2, since |f''| = |6h(y,y',y') - 3f|
+    <= 9|h| along unit-speed great circles.  Cells whose bound is within
+    tolerance of theta are dropped, as are cells inside a ball of
+    _ball_radius around a polished maximum; the others are split in four.
+    A cell centre above theta is polished and raises theta.  Open cells from
+    _POLISH_DEPTH on are polished too, and their polished points give balls
+    of their own: maxima tied with theta can only be closed that way.
+    Returns the certified (u, theta); raises EnclosureError when cells stay
+    open at _MAX_DEPTH or more than _MAX_OPEN stay open on one row.
+    """
+    u, theta = u.copy(), theta.copy()
+    tol = 1e-12 * np.maximum(scale, 1.0)
+    coef, F, gnorm = level0
+    Q = np.einsum("ne,eaq->naq", coef, _monomial_maps()[1])
+    _, g, mu = _critical(hs, u)
+    main_r = _ball_radius(theta, g, mu, scale, theta, tol)
+
+    face0, point0, u0, _, _ = _coarse_cells()
+    half = 1.0 / _SPLIT  # planar half-side of the cells at the current depth
+    delta = np.sqrt(2.0) * half
+    node, cell = np.nonzero(np.abs(F) + gnorm * delta + 4.5 * scale[:, None] * delta**2
+                            > (theta + tol)[:, None])
+    face, point, c = face0[cell], point0[cell], u0[cell]
+    fc, gc = F[node, cell], gnorm[node, cell]
+    own_u, own_r = np.zeros_like(c), np.full(len(node), -1.0)
+
+    for depth in range(_MAX_DEPTH + 1):
+        delta = np.sqrt(2.0) * half  # the gnomonic map shrinks distances
+        polish = np.abs(fc) > theta[node]
+        if depth >= _POLISH_DEPTH:
+            polish |= ~_covered(c, node, u, main_r, own_u, own_r, delta)
+        if polish.any():
+            idx = np.nonzero(polish)[0]
+            start = c[idx] * np.where(fc[idx] < 0, -1.0, 1.0)[:, None]
+            pu, pf, pg, pmu = _polish(hs[node[idx]], start, scale[node[idx]])
+            # the best polished point of each row that beats its theta wins
+            order = np.lexsort((pf, node[idx]))
+            last = np.r_[node[idx][order][1:] != node[idx][order][:-1], True]
+            win = order[last]
+            win = win[pf[win] > theta[node[idx[win]]]]
+            rows = node[idx[win]]
+            u[rows], theta[rows] = pu[win], pf[win]
+            main_r[rows] = _ball_radius(pf[win], pg[win], pmu[win], scale[rows],
+                                        theta[rows], tol[rows])
+            own_u[idx] = pu
+            own_r[idx] = _ball_radius(pf, pg, pmu, scale[node[idx]],
+                                      theta[node[idx]], tol[node[idx]])
+        excess = np.abs(fc) + gc * delta + 4.5 * scale[node] * delta**2 - theta[node]
+        keep = excess > tol[node]
+        keep[keep] = ~_covered(c[keep], node[keep], u, main_r, own_u[keep], own_r[keep], delta)
+        if not keep.any():
+            return u, theta
+        node, face, point, own_u, own_r, excess = (
+            x[keep] for x in (node, face, point, own_u, own_r, excess))
+        if depth == _MAX_DEPTH or np.bincount(node).max() > _MAX_OPEN:
+            raise EnclosureError(
+                f"Theta enclosure did not close on {np.unique(node).size} of "
+                f"{len(hs)} node(s) by depth {depth} ({len(node)} open cells): the "
+                f"worst open bound exceeds the polished maximum by {excess.max():.3e}"
+            )
+        # split every open cell into its four quadrants
+        half /= 2.0
+        point = point[:, None, :] + half * _QUADRANTS[face]
+        c = _unit(point.reshape(-1, 3)).reshape(point.shape)
+        quad = c[..., _QUAD_I] * c[..., _QUAD_J]
+        grad = np.swapaxes(Q[node] @ np.swapaxes(quad, 1, 2), 1, 2).reshape(-1, 3)
+        point, c = point.reshape(-1, 3), c.reshape(-1, 3)
+        node, face, own_r = (np.repeat(x, 4) for x in (node, face, own_r))
+        own_u = np.repeat(own_u, 4, axis=0)
+        fc = np.einsum("na,na->n", grad, c) / 3.0
+        tangential = grad - 3.0 * fc[:, None] * c
+        gc = np.sqrt(np.einsum("na,na->n", tangential, tangential))
+
+
+def maximize_theta(sff_like):
+    """Certified global maximum of the cubic form over the unit tangent sphere.
+
+    Deterministic, in three steps on one fixed set of coarse cells (three
+    gnomonic cube faces split 10 x 10, which cover the sphere modulo u -> -u;
+    the form is odd, so that half suffices):
+
+    1. Seed: f is evaluated at every cell centre by matmuls against the
+       cubic monomials, and the best centre of each node is kept.
+    2. Polish: safeguarded Newton iterations on the sphere drive the
+       tangential gradient below 1e-13 max(1, |h|).
+    3. Enclose: branch and bound over the cells proves that no point beats
+       the polished value by more than 1e-12 max(1, |h|); any cell centre
+       that does beat it is polished in turn and raises it.
+
+    Returns (maximizer, theta) with f(maximizer) = theta; a vanishing form
+    yields (e1, 0).  Raises EnclosureError when the enclosure does not close
+    within its depth and cell caps, so no uncertified theta is returned.
     """
     h = _h_array(sff_like)
     batch = h.shape[:-3]
-    scale = np.sqrt(np.sum(h**2, axis=(-3, -2, -1)))
-    U = _sphere_grid(*grid)
-    mono = _grid_monomials(*grid)
-
-    k = min(n_candidates, mono.shape[0])
-    hflat = np.ascontiguousarray(h.reshape(batch + (27,)))
-    flat = hflat.reshape(-1, 27)
-    best = np.empty((flat.shape[0], k), dtype=int)
-    sign = np.empty((flat.shape[0], k))
-    chunk = max(1, int(2.5e7 // mono.shape[0]))
-    for lo in range(0, flat.shape[0], chunk):
-        fvals = flat[lo : lo + chunk] @ mono.T
-        idx = np.argpartition(-np.abs(fvals), k - 1, axis=-1)[:, :k]
-        idx.sort(axis=-1)  # deterministic candidate order
-        best[lo : lo + chunk] = idx
-        sign[lo : lo + chunk] = np.take_along_axis(fvals, idx, axis=-1)
-    # candidate axis joins the batch for the Newton polish
-    h = np.broadcast_to(h.reshape(batch + (1, 3, 3, 3)), batch + (k, 3, 3, 3))
-    scale_b = np.broadcast_to(scale.reshape(batch + (1,)), batch + (k,))
-    sign = np.sign(sign.reshape(batch + (k,)))
-    sign = np.where(sign == 0.0, 1.0, sign)
-    u = U[best.reshape(batch + (k,))] * sign[..., None]
-
-    for _ in range(max_newton):
-        v2 = np.einsum("...kij,...i,...j->...k", h, u, u)
-        f = np.sum(v2 * u, axis=-1)
-        grad = 3.0 * (v2 - f[..., None] * u)
-        if np.max(np.abs(grad)) <= 0.1 * tol_grad:
-            break
-        W = 6.0 * np.einsum("...kij,...j->...ki", h, u) - 3.0 * f[..., None, None] * np.eye(3)
-        t1, t2 = _tangent_basis(u)
-        T = np.stack([t1, t2], axis=-2)
-        H2 = np.einsum("...ac,...cd,...bd->...ab", T, W, T)
-        g2 = np.einsum("...ac,...c->...a", T, grad)
-        det = H2[..., 0, 0] * H2[..., 1, 1] - H2[..., 0, 1] * H2[..., 1, 0]
-        safe = np.abs(det) > 1e-14 * np.maximum(scale_b, 1.0) ** 2
-        det = np.where(safe, det, 1.0)
-        s0 = (-g2[..., 0] * H2[..., 1, 1] + g2[..., 1] * H2[..., 0, 1]) / det
-        s1 = (-g2[..., 1] * H2[..., 0, 0] + g2[..., 0] * H2[..., 1, 0]) / det
-        step = s0[..., None] * t1 + s1[..., None] * t2
-        # fall back to a short ascent step where the tangent Hessian degenerates
-        ascent = grad / np.maximum(scale_b, 1e-30)[..., None] * 0.05
-        step = np.where(safe[..., None], step, ascent)
-        norm = np.linalg.norm(step, axis=-1, keepdims=True)
-        step = np.where(norm > 0.2, step * (0.2 / np.maximum(norm, 1e-30)), step)
-        unew = u + step
-        unew /= np.linalg.norm(unew, axis=-1, keepdims=True)
-        fnew = cubic_form(h, unew)
-        u = np.where((fnew >= f - 1e-14 * np.maximum(scale_b, 1.0))[..., None], unew, u)
-
-    ffinal = cubic_form(h, u)
-    winner = np.argmax(ffinal, axis=-1)
-    u = np.take_along_axis(u, winner[..., None, None], axis=-2)[..., 0, :]
-    theta = np.take_along_axis(ffinal, winner[..., None], axis=-1)[..., 0]
-    zero = scale < 1e-15
-    if np.any(zero):
-        e1 = np.zeros(batch + (3,))
-        e1[..., 0] = 1.0
-        u = np.where(zero[..., None], e1, u)
-        theta = np.where(zero, 0.0, theta)
-    return u, theta
+    h = h.reshape(-1, 3, 3, 3)
+    hs = sum(np.transpose(h, (0, *(1 + p for p in perm))) for perm in permutations(range(3)))
+    hs = hs / 6.0
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+    u = np.zeros((len(hs), 3))
+    u[:, 0] = 1.0
+    theta = np.zeros(len(hs))
+    for lo in range(0, len(hs), _CHUNK):
+        rows = np.arange(lo, min(lo + _CHUNK, len(hs)))
+        rows = rows[scale[rows] >= 1e-15]
+        if not rows.size:
+            continue
+        part, sc = hs[rows], scale[rows]
+        level0 = _level0(part)
+        F = level0[1]
+        best = np.argmax(np.abs(F), axis=-1)
+        sign = np.where(F[np.arange(len(rows)), best] < 0, -1.0, 1.0)
+        seed, f = _polish(part, _coarse_cells()[2][best] * sign[:, None], sc)[:2]
+        u[rows], theta[rows] = _enclose(part, sc, seed, f, level0)
+    return u.reshape(batch + (3,)), theta.reshape(batch)
 
 
 # ---------------------------------------------------------------------------

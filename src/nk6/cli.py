@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, canonical, cayley, geometry, models, simons
-
-SCHEMA_VERSION = "1"
+from .simons import SCHEMA_VERSION
 
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-12,
@@ -490,7 +489,13 @@ def _provenance():
 
 
 def _emit(cfg: RunConfig, document, csv_blobs=None):
+    """Print the document, or its CSV blobs with --format csv, and write both
+    under --out.  `csv_blobs` maps file names to functions that build the
+    CSV text; they run only when the text is printed or written."""
     text = json.dumps(document, indent=2, sort_keys=True)
+    csv_blobs = csv_blobs or {}
+    if cfg.fmt == "csv" or cfg.out is not None:
+        csv_blobs = {name: build() for name, build in csv_blobs.items()}
     if cfg.fmt == "json" or not csv_blobs:
         print(text)
     else:
@@ -499,8 +504,15 @@ def _emit(cfg: RunConfig, document, csv_blobs=None):
     if cfg.out is not None:
         cfg.out.mkdir(parents=True, exist_ok=True)
         (cfg.out / f"{cfg.command}_report.json").write_text(text + "\n")
-        for name, blob in (csv_blobs or {}).items():
+        for name, blob in csv_blobs.items():
             (cfg.out / name).write_text(blob)
+
+
+def _samples_csv(report):
+    return _rows_to_csv(
+        [dict(zip(report.CSV_COLUMNS, row)) for row in report.samples.tolist()],
+        report.CSV_COLUMNS,
+    )
 
 
 def run(cfg: RunConfig) -> int:
@@ -514,11 +526,11 @@ def run(cfg: RunConfig) -> int:
             "provenance": _provenance(),
         }
         failed = not document["summary"]["passed"]
-        blob = _rows_to_csv(
+        blobs = {"verify_checks.csv": lambda: _rows_to_csv(
             [c for s in suites for c in s["checks"]],
             ("name", "formula", "max_residual", "tolerance", "passed"),
-        ) if cfg.fmt == "csv" else None
-        _emit(cfg, document, {"verify_checks.csv": blob} if blob else None)
+        )} if cfg.fmt == "csv" else None
+        _emit(cfg, document, blobs)
         return 1 if failed else 0
 
     if cfg.command == "analyze":
@@ -529,7 +541,7 @@ def run(cfg: RunConfig) -> int:
             "rows": rows,
             "provenance": _provenance(),
         }
-        _emit(cfg, document, {"analyze_points.csv": _rows_to_csv(rows, ANALYZE_COLUMNS)})
+        _emit(cfg, document, {"analyze_points.csv": lambda: _rows_to_csv(rows, ANALYZE_COLUMNS)})
         return 0
 
     if cfg.command == "integrate":
@@ -540,11 +552,7 @@ def run(cfg: RunConfig) -> int:
             "inequality": report.to_dict(),
             "provenance": _provenance(),
         }
-        blob = _rows_to_csv(
-            [dict(zip(report.CSV_COLUMNS, row)) for row in report.samples.tolist()],
-            report.CSV_COLUMNS,
-        )
-        _emit(cfg, document, {"integrand_samples.csv": blob})
+        _emit(cfg, document, {"integrand_samples.csv": lambda: _samples_csv(report)})
         return 0
 
     if cfg.command == "report":
@@ -561,13 +569,10 @@ def run(cfg: RunConfig) -> int:
         if not isinstance(model, models.SyntheticH):
             rows = cmd_analyze(cfg)
             document["rows"] = rows
-            csv_blobs["analyze_points.csv"] = _rows_to_csv(rows, ANALYZE_COLUMNS)
+            csv_blobs["analyze_points.csv"] = lambda: _rows_to_csv(rows, ANALYZE_COLUMNS)
             inequality = cmd_integrate(cfg)
             document["inequality"] = inequality.to_dict()
-            csv_blobs["integrand_samples.csv"] = _rows_to_csv(
-                [dict(zip(inequality.CSV_COLUMNS, row)) for row in inequality.samples.tolist()],
-                inequality.CSV_COLUMNS,
-            )
+            csv_blobs["integrand_samples.csv"] = lambda: _samples_csv(inequality)
         _emit(cfg, document, csv_blobs)
         return 1 if not document["summary"]["passed"] else 0
 
@@ -676,7 +681,7 @@ def main(argv=None) -> int:
     except (ConfigError, cayley.TableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (simons.ResolutionError, simons.IdentityViolation,
+    except (simons.ResolutionError, simons.IdentityViolation, canonical.EnclosureError,
             geometry.ChartDegeneracyError, models.ConstructionError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,14 +131,33 @@ def t_tensor(nh: NablaH, f_comp, sff: SFF, tol=1e-6) -> TTensorPacket:
     return packet
 
 
-def j_parallel_defect(nh: NablaH, grid=(64, 128)):
+@lru_cache(maxsize=None)
+def _half_sphere_quartics():
+    """Quartic monomials v_k v_i v_j v_m, flattened to 81 columns, of the
+    upper half of a 64 x 128 polar grid plus the three coordinate axes.
+
+    The full grid is symmetric under v -> -v and a quartic is even, so the
+    half holds every value the full grid would.
+    """
+    theta = (np.arange(32) + 0.5) * np.pi / 64
+    phi = np.arange(128) * 2 * np.pi / 128
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    grid = np.stack(
+        [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
+    ).reshape(-1, 3)
+    U = np.concatenate([grid, np.eye(3)])
+    return np.einsum("pk,pi,pj,pm->kijmp", U, U, U, U).reshape(81, -1)
+
+
+def j_parallel_defect(nh: NablaH):
     """max over unit directions v of |<(nabla h)(v,v,v), Jv>|.
 
     Zero exactly when T vanishes; bounded above by |T| for any data since the
-    F-part of the quartic contraction cancels identically.
+    F-part of the quartic contraction cancels identically.  The maximum runs
+    over a fixed grid of 4099 directions, one per antipodal pair.
     """
-    U = canonical._sphere_grid(*grid)
-    vals = np.einsum("...kijm,pk,pi,pj,pm->...p", nh.coeffs, U, U, U, U)
+    coeffs = np.asarray(nh.coeffs)
+    vals = coeffs.reshape(coeffs.shape[:-4] + (81,)) @ _half_sphere_quartics()
     return np.max(np.abs(vals), axis=-1)
 
 

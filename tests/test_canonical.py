@@ -1,5 +1,7 @@
 """Normal-form extraction and the matrix-invariant closed forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,55 @@ def brute_force_theta(h, n=1_000_000, seed=99):
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(n, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    vals = np.abs(u.reshape(n, 3, 1, 1) * 0)  # placeholder shape guard
     vals = np.einsum("kij,pk,pi,pj->p", h, u, u, u)
     idx = np.argmax(np.abs(vals))
     return abs(vals[idx]), u[idx] * np.sign(vals[idx])
+
+
+def grid_newton_theta(h):
+    """The earlier maximizer, kept as an oracle: the top |f| directions of a
+    fixed polar grid, each polished by safeguarded Newton steps on the
+    sphere, and the best polished value wins."""
+    t = (np.arange(64) + 0.5) * np.pi / 64
+    p = np.arange(128) * 2 * np.pi / 128
+    T, P = np.meshgrid(t, p, indexing="ij")
+    U = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], -1).reshape(-1, 3)
+    U = np.concatenate([U, np.eye(3)])
+    fvals = np.einsum("...kij,pk,pi,pj->...p", h, U, U, U)
+    idx = np.sort(np.argpartition(-np.abs(fvals), 7, axis=-1)[..., :8])
+    sign = np.sign(np.take_along_axis(fvals, idx, axis=-1))
+    u = U[idx] * np.where(sign == 0, 1.0, sign)[..., None]
+    h = np.broadcast_to(h[..., None, :, :, :], u.shape[:-1] + (3, 3, 3))
+    scale = np.sqrt(np.sum(h**2, axis=(-3, -2, -1)))
+    for _ in range(60):
+        v2 = np.einsum("...kij,...i,...j->...k", h, u, u)
+        f = np.sum(v2 * u, axis=-1)
+        grad = 3.0 * (v2 - f[..., None] * u)
+        if np.max(np.abs(grad)) <= 1e-13:
+            break
+        W = 6.0 * np.einsum("...kij,...j->...ki", h, u) - 3.0 * f[..., None, None] * np.eye(3)
+        helper = np.eye(3)[np.argmin(np.abs(u), axis=-1)]
+        t1 = helper - np.sum(helper * u, axis=-1, keepdims=True) * u
+        t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
+        t2 = np.cross(u, t1)
+        Tb = np.stack([t1, t2], axis=-2)
+        H2 = np.einsum("...ac,...cd,...bd->...ab", Tb, W, Tb)
+        g2 = np.einsum("...ac,...c->...a", Tb, grad)
+        det = H2[..., 0, 0] * H2[..., 1, 1] - H2[..., 0, 1] * H2[..., 1, 0]
+        safe = np.abs(det) > 1e-14 * np.maximum(scale, 1.0) ** 2
+        det = np.where(safe, det, 1.0)
+        s0 = (-g2[..., 0] * H2[..., 1, 1] + g2[..., 1] * H2[..., 0, 1]) / det
+        s1 = (-g2[..., 1] * H2[..., 0, 0] + g2[..., 0] * H2[..., 1, 0]) / det
+        step = s0[..., None] * t1 + s1[..., None] * t2
+        ascent = grad / np.maximum(scale, 1e-30)[..., None] * 0.05
+        step = np.where(safe[..., None], step, ascent)
+        norm = np.linalg.norm(step, axis=-1, keepdims=True)
+        step = np.where(norm > 0.2, step * (0.2 / np.maximum(norm, 1e-30)), step)
+        unew = u + step
+        unew /= np.linalg.norm(unew, axis=-1, keepdims=True)
+        fnew = nk6.cubic_form(h, unew)
+        u = np.where((fnew >= f - 1e-14 * np.maximum(scale, 1.0))[..., None], unew, u)
+    return np.max(nk6.cubic_form(h, u), axis=-1)
 
 
 def test_zero_form():
@@ -65,6 +112,72 @@ def test_maximize_theta_batched_matches_single(rng):
     for i in range(len(hs)):
         ui, ti = nk6.maximize_theta(hs[i])
         assert abs(float(ti) - float(tb[i])) < 1e-10
+
+
+def test_maximize_theta_matches_grid_newton_oracle():
+    rng = np.random.default_rng(7)
+    hs = []
+    for t in rng.normal(size=(200, 4)):
+        R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        hs.append(np.einsum("KIJ,Ka,Ib,Jc->abc", nk6.reconstruct_sff(tuple(t)), R, R, R))
+    hs = np.stack(hs)
+    _, theta = nk6.maximize_theta(hs)
+    oracle = grid_newton_theta(hs)
+    assert np.max(np.abs(theta - oracle)) < 1e-10
+    assert np.min(theta - oracle) >= -1e-12
+
+
+def test_enclosure_refuses_the_dvv_ring_point():
+    # f = (5 t^3 - 3 t) sqrt(5)/4 in t = u_1 on the equality-case form: every
+    # point of the circle t = -1/sqrt(5) is a critical point with f = 1/2,
+    # and Newton started there stays there
+    hs = nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0))[None]
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+    ring = np.array([[-1.0, 2.0, 0.0]]) / S5
+    u, f = canonical._polish(hs, ring, scale)[:2]
+    assert np.allclose(u, ring) and abs(float(f[0]) - 0.5) < 1e-15
+    u, theta = canonical._enclose(hs, scale, u, f, canonical._level0(hs))
+    assert abs(float(theta[0]) - S5 / 2) < 1e-12
+    assert abs(abs(float(u[0, 0])) - 1.0) < 1e-8
+
+
+def test_larger_of_two_close_maxima_wins():
+    # u1 u2 u3 has four equal maxima (+-1, +-1, +-1)/sqrt(3); a cubic bump at
+    # v lifts that one by about 1e-3, far below the level-0 sampling error,
+    # and the rotation puts one of the others closest to a cell centre
+    h = np.zeros((3, 3, 3))
+    for i, j, k in itertools.permutations(range(3)):
+        h[i, j, k] = 1.0 / 6.0
+    v = np.ones(3) / np.sqrt(3.0)
+    h += 1e-3 * np.einsum("k,i,j->kij", v, v, v)
+    R, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))
+    h = np.einsum("KIJ,Ka,Ib,Jc->abc", h, R, R, R)
+    v = R.T @ v
+
+    hs, scale = h[None], np.sqrt(np.sum(h**2))[None]
+    F = canonical._level0(hs)[1][0]
+    best = np.argmax(np.abs(F))
+    start = canonical._coarse_cells()[2][best] * np.sign(F[best])
+    seed_u, seed_f = canonical._polish(hs, start[None], scale)[:2]
+    assert abs(float(seed_u[0] @ v)) < 0.5  # the seed polishes to a smaller maximum
+
+    u, theta = nk6.maximize_theta(h)
+    brute, ubrute = brute_force_theta(h)
+    assert brute > float(seed_f[0]) + 5e-4
+    assert theta >= brute - 1e-12
+    assert float(u @ ubrute) > 0.99 and float(u @ v) > 1 - 1e-12
+
+
+def test_enclosure_fails_loudly(monkeypatch):
+    hs = np.broadcast_to(nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0)), (5, 3, 3, 3))
+    monkeypatch.setattr(canonical, "_MAX_DEPTH", 0)
+    with pytest.raises(canonical.EnclosureError, match="did not close on 5 of 5 node"):
+        nk6.maximize_theta(hs)
+    # Newton that stops short leaves no ball to close the enclosure with
+    monkeypatch.undo()
+    monkeypatch.setattr(canonical, "_MAX_NEWTON", 0)
+    with pytest.raises(canonical.EnclosureError, match=f"by depth {canonical._MAX_DEPTH}"):
+        nk6.maximize_theta(hs[0])
 
 
 def test_canonical_basis_reference_tuples(dvv):

@@ -2,7 +2,7 @@
 
 import json
 
-from nk6 import cli
+from nk6 import canonical, cli
 
 
 def run_cli(capsys, *argv):
@@ -158,3 +158,20 @@ def test_csv_format_stdout(capsys):
         "--format", "csv")
     assert code == 0
     assert out.startswith("eta,xi1,xi2")
+
+
+def test_integrate_csv_format_stdout(capsys):
+    code, out, _ = run_cli(
+        capsys, "integrate", "--model", "dvv", "--rule", "8,8,8", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "eta,xi1,xi2,hsq,theta,integrand,sqrt_det_g"
+    assert len(lines) == 8 * 8 * 8 + 1
+
+
+def test_open_theta_enclosure_is_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(canonical, "_MAX_DEPTH", 0)
+    code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "8,8,8")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("failure: Theta enclosure did not close on 512 of 512 node")

@@ -108,6 +108,30 @@ def test_j_parallel_defect_bounded_by_t_norm(dvv_point_data, rng):
         assert defect <= np.sqrt(float(packet.t_sq)) + 1e-10
 
 
+def j_parallel_defect_einsum(coeffs):
+    """The quartic contraction over the full 64 x 128 polar grid plus the
+    axes, one einsum, as j_parallel_defect computed it before."""
+    t = (np.arange(64) + 0.5) * np.pi / 64
+    p = np.arange(128) * 2 * np.pi / 128
+    T, P = np.meshgrid(t, p, indexing="ij")
+    U = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], -1).reshape(-1, 3)
+    U = np.concatenate([U, np.eye(3)])
+    vals = np.einsum("...kijm,pk,pi,pj,pm->...p", coeffs, U, U, U, U)
+    return np.max(np.abs(vals), axis=-1)
+
+
+def test_j_parallel_defect_matches_full_grid_einsum(dvv, rng):
+    pts = random_chart_points(dvv, 6, seed=36)
+    coeffs = [nk6.nabla_h(dvv, pts).coeffs, rng.normal(size=(4, 3, 3, 3, 3)),
+              10.0 * rng.normal(size=(3, 3, 3, 3))]
+    for c in coeffs:
+        ref = j_parallel_defect_einsum(c)
+        got = nk6.j_parallel_defect(nk6.NablaH(coeffs=c))
+        assert got.shape == ref.shape
+        tol = 1e-13 * max(1.0, float(np.sqrt(np.max(np.sum(c**2, axis=(-4, -3, -2, -1))))))
+        assert np.max(np.abs(got - ref)) <= tol
+
+
 def test_laplacian_identity_on_reference_model(dvv):
     rep = nk6.laplacian_identity_check(dvv, np.array([0.8, 0.25, 2.2]))
     assert abs(rep.half_laplacian_fd) < 1e-4          # constant field
