@@ -93,21 +93,29 @@ def _exponents(degree):
                    for t in np.ndindex(*(3,) * degree)}, reverse=True)
 
 
+def _fold(degree):
+    """0/1 map (3**degree, n) from the flattened index orders of a degree-d
+    coefficient tensor onto the monomials _exponents(degree)."""
+    exps = _exponents(degree)
+    F = np.zeros((3**degree, len(exps)))
+    for flat, t in enumerate(np.ndindex(*(3,) * degree)):
+        F[flat, exps.index(tuple(int(x) for x in np.bincount(t, minlength=3)))] = 1.0
+    return F
+
+
 @lru_cache(maxsize=None)
 def _monomial_maps():
     """Fixed linear maps from h to polynomial coefficients.
 
-    c = h.reshape(27) @ P (27, 10) holds the coefficients of f in the cubic
-    monomials _exponents(3).  c @ G (3, 6) gives the Euclidean gradient in
-    the quadratic monomials u[_QUAD_I] u[_QUAD_J], and c @ L (3, 15) the
+    c = h.reshape(27) @ P (27, 10), P = _fold(3), holds the coefficients of f
+    in the cubic monomials _exponents(3).  c @ G (3, 6) gives the Euclidean
+    gradient in the quadratic monomials u[_QUAD_I] u[_QUAD_J], and c @ L (3, 15) the
     tangential gradient |u|^2 grad f - 3 f u in the quartic monomials
     _exponents(4); on the unit sphere that is grad f - 3 f u.
     """
     cubic, quartic = _exponents(3), _exponents(4)
     quad = [tuple(np.bincount(ij, minlength=3)) for ij in zip(_QUAD_I, _QUAD_J)]
-    P = np.zeros((27, len(cubic)))
-    for flat, t in enumerate(np.ndindex(3, 3, 3)):
-        P[flat, cubic.index(tuple(np.bincount(t, minlength=3)))] = 1.0
+    P = _fold(3)
     G = np.zeros((len(cubic), 3, len(quad)))
     L = np.zeros((len(cubic), 3, len(quartic)))
     unit = np.eye(3, dtype=int)

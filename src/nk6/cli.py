@@ -345,8 +345,7 @@ def _synthetic_suite(model, cfg):
     return _suite("canonical_algebra", checks)
 
 
-def cmd_verify(cfg: RunConfig):
-    table = _resolve_table(cfg)
+def cmd_verify(cfg: RunConfig, table, model):
     suites = [
         _suite("multiplication_table", [_check(
             "table_axioms",
@@ -354,7 +353,6 @@ def cmd_verify(cfg: RunConfig):
             0.0, 1.0, table=table.describe())]),
         _structure_suite(table, cfg),
     ]
-    model = models.resolve_model(cfg.model, table)
     if isinstance(model, models.SyntheticH):
         suites.append(_synthetic_suite(model, cfg))
     else:
@@ -385,7 +383,6 @@ def analyze_point(imm, q, fd_step=None):
     pk = geometry.frame(imm, q)
     sff = geometry.second_fundamental_form(imm, q, frame_packet=pk)
     hsq = float(sff.norm_sq())
-    _, theta = canonical.maximize_theta(sff.h)
     cd = canonical.canonical_basis(sff.h)
     cp = geometry.curvature_from_sff(sff)
     ric_eigs = cp.ricci_eigenvalues()
@@ -395,7 +392,7 @@ def analyze_point(imm, q, fd_step=None):
     packet = simons.t_tensor(nh, simons.f_tensor(sff, pk), sff, tol=np.inf)
     return {
         "eta": float(q[0]), "xi1": float(q[1]), "xi2": float(q[2]),
-        "hsq": hsq, "theta": float(theta),
+        "hsq": hsq, "theta": float(cd.theta),
         "lambda1": cd.lambda1, "lambda2": cd.lambda2, "mu1": cd.mu1, "mu2": cd.mu2,
         "K_min": k_min, "K_max": k_max,
         "ric_min": float(ric_eigs[0]), "ric_max": float(ric_eigs[-1]),
@@ -410,9 +407,7 @@ def analyze_point(imm, q, fd_step=None):
     }
 
 
-def cmd_analyze(cfg: RunConfig):
-    table = _resolve_table(cfg)
-    model = models.resolve_model(cfg.model, table)
+def cmd_analyze(cfg: RunConfig, model):
     if isinstance(model, models.SyntheticH):
         raise ConfigError("analyze needs a model with chart jets; synthetic data has none")
     if cfg.points:
@@ -458,9 +453,7 @@ def _rows_to_csv(rows, columns):
 # integrate / report
 # ---------------------------------------------------------------------------
 
-def cmd_integrate(cfg: RunConfig):
-    table = _resolve_table(cfg)
-    model = models.resolve_model(cfg.model, table)
+def cmd_integrate(cfg: RunConfig, model):
     if isinstance(model, models.SyntheticH):
         raise ConfigError("integrate needs a compact immersed model")
     return simons.integrate_inequality(
@@ -488,12 +481,11 @@ def _provenance():
     }
 
 
-def _emit(cfg: RunConfig, document, csv_blobs=None):
+def _emit(cfg: RunConfig, document, csv_blobs):
     """Print the document, or its CSV blobs with --format csv, and write both
     under --out.  `csv_blobs` maps file names to functions that build the
     CSV text; they run only when the text is printed or written."""
     text = json.dumps(document, indent=2, sort_keys=True)
-    csv_blobs = csv_blobs or {}
     if cfg.fmt == "csv" or cfg.out is not None:
         csv_blobs = {name: build() for name, build in csv_blobs.items()}
     if cfg.fmt == "json" or not csv_blobs:
@@ -516,67 +508,37 @@ def _samples_csv(report):
 
 
 def run(cfg: RunConfig) -> int:
-    if cfg.command == "verify":
-        suites = cmd_verify(cfg)
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_dict(),
-            "suites": suites,
-            "summary": _summary(suites),
-            "provenance": _provenance(),
-        }
-        failed = not document["summary"]["passed"]
-        blobs = {"verify_checks.csv": lambda: _rows_to_csv(
-            [c for s in suites for c in s["checks"]],
-            ("name", "formula", "max_residual", "tolerance", "passed"),
-        )} if cfg.fmt == "csv" else None
-        _emit(cfg, document, blobs)
-        return 1 if failed else 0
-
-    if cfg.command == "analyze":
-        rows = cmd_analyze(cfg)
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_dict(),
-            "rows": rows,
-            "provenance": _provenance(),
-        }
-        _emit(cfg, document, {"analyze_points.csv": lambda: _rows_to_csv(rows, ANALYZE_COLUMNS)})
-        return 0
-
-    if cfg.command == "integrate":
-        report = cmd_integrate(cfg)
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_dict(),
-            "inequality": report.to_dict(),
-            "provenance": _provenance(),
-        }
-        _emit(cfg, document, {"integrand_samples.csv": lambda: _samples_csv(report)})
-        return 0
-
-    if cfg.command == "report":
-        suites = cmd_verify(cfg)
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_dict(),
-            "suites": suites,
-            "summary": _summary(suites),
-            "provenance": _provenance(),
-        }
-        csv_blobs = {}
-        model = models.resolve_model(cfg.model, _resolve_table(cfg))
-        if not isinstance(model, models.SyntheticH):
-            rows = cmd_analyze(cfg)
-            document["rows"] = rows
-            csv_blobs["analyze_points.csv"] = lambda: _rows_to_csv(rows, ANALYZE_COLUMNS)
-            inequality = cmd_integrate(cfg)
-            document["inequality"] = inequality.to_dict()
-            csv_blobs["integrand_samples.csv"] = lambda: _samples_csv(inequality)
-        _emit(cfg, document, csv_blobs)
-        return 1 if not document["summary"]["passed"] else 0
-
-    raise ConfigError(f"unknown command {cfg.command!r}")
+    """Run one command and emit its document; `report` is verify, then
+    analyze and integrate on models with chart jets."""
+    if cfg.command not in ("verify", "analyze", "integrate", "report"):
+        raise ConfigError(f"unknown command {cfg.command!r}")
+    table = _resolve_table(cfg)
+    model = models.resolve_model(cfg.model, table)
+    full_report = cfg.command == "report" and not isinstance(model, models.SyntheticH)
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "config": cfg.to_dict(),
+        "provenance": _provenance(),
+    }
+    csv_blobs = {}
+    if cfg.command in ("verify", "report"):
+        suites = cmd_verify(cfg, table, model)
+        document.update(suites=suites, summary=_summary(suites))
+        if cfg.command == "verify" and cfg.fmt == "csv":
+            csv_blobs["verify_checks.csv"] = lambda: _rows_to_csv(
+                [c for s in suites for c in s["checks"]],
+                ("name", "formula", "max_residual", "tolerance", "passed"),
+            )
+    if cfg.command == "analyze" or full_report:
+        rows = cmd_analyze(cfg, model)
+        document["rows"] = rows
+        csv_blobs["analyze_points.csv"] = lambda: _rows_to_csv(rows, ANALYZE_COLUMNS)
+    if cfg.command == "integrate" or full_report:
+        inequality = cmd_integrate(cfg, model)
+        document["inequality"] = inequality.to_dict()
+        csv_blobs["integrand_samples.csv"] = lambda: _samples_csv(inequality)
+    _emit(cfg, document, csv_blobs)
+    return 1 if "summary" in document and not document["summary"]["passed"] else 0
 
 
 # ---------------------------------------------------------------------------

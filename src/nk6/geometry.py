@@ -185,15 +185,16 @@ class FramePacket:
 
     e[..., i, :] spans the tangent space of the submanifold, estar_i = J e_i
     spans its normal space inside the sphere, and chart_comps expresses each
-    e_i in the chart-partial basis.
+    e_i in the chart-partial basis.  `jet` is the order-2 chart jet the frame
+    was built from, so the second fundamental form reuses it.
     """
 
     base: np.ndarray                  # (..., 7)
     e: np.ndarray                     # (..., 3, 7)
     estar: np.ndarray                 # (..., 3, 7)
     metric: np.ndarray                # (..., 3, 3) chart-basis induced metric
-    christoffel: np.ndarray           # (..., 3, 3, 3)  Gamma^c_ab in chart basis
     chart_comps: np.ndarray           # (..., 3, 3) rows: e_i in chart partials
+    jet: ImmersionJet = field(repr=False)
     table: MulTable = field(repr=False, default=None)
 
     def orthonormality_residual(self):
@@ -234,7 +235,7 @@ def _gram_schmidt(vectors, degeneracy_distance=None):
 
 def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
           tol=1e-10) -> FramePacket:
-    """Adapted frame, induced metric and Christoffel symbols at q.
+    """Adapted frame and induced metric at q, with the order-2 jet they come from.
 
     Prefers the model's global tangent fields (they stay smooth across the
     chart poles); otherwise orthonormalizes the chart partials, optionally
@@ -242,7 +243,7 @@ def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
     """
     q = np.asarray(q, dtype=float)
     jt = imm.jet(q, 2, check_domain=False)
-    x, d1, d2 = jt.value, jt.d1, jt.d2
+    x, d1 = jt.value, jt.d1
     metric = np.einsum("...ac,...bc->...ab", d1, d1)
     dist = imm.chart.degeneracy_distance(q)
     if np.any(np.abs(np.linalg.det(metric)) < 1e-12):
@@ -263,23 +264,16 @@ def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
         e = _gram_schmidt(basis, dist)
 
     estar = cross(x[..., None, :], e, imm.table)
-    christoffel = _christoffel(metric, d1, d2)
     comps_rhs = np.einsum("...ac,...ic->...ai", d1, e)
     chart_comps = np.swapaxes(np.linalg.solve(metric, comps_rhs), -1, -2)
 
     packet = FramePacket(
         base=x, e=e, estar=estar, metric=metric,
-        christoffel=christoffel, chart_comps=chart_comps, table=imm.table,
+        chart_comps=chart_comps, jet=jt, table=imm.table,
     )
     if validate:
         packet.validate(tol)
     return packet
-
-
-def _christoffel(metric, d1, d2):
-    # Gamma^c_ab: chart components of the tangential part of Psi_ab
-    inner = np.einsum("...abd,...cd->...abc", d2, d1)
-    return np.einsum("...dc,...abc->...dab", np.linalg.inv(metric), inner)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +315,7 @@ def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None,
     chart second partials contribute after projecting onto the J-frame.
     """
     pk = frame_packet if frame_packet is not None else frame(imm, q, **frame_kwargs)
-    jt = imm.jet(np.asarray(q, dtype=float), 2, check_domain=False)
-    proj = np.einsum("...abc,...kc->...abk", jt.d2, pk.estar)
+    proj = np.einsum("...abc,...kc->...abk", pk.jet.d2, pk.estar)
     h = np.einsum("...ia,...jb,...abk->...kij", pk.chart_comps, pk.chart_comps, proj)
     return SFF(h=h)
 
@@ -420,14 +413,11 @@ class CurvaturePacket:
     """Gauss-equation curvature data in the adapted frame.
 
     `ricci` contracts the Gauss equation directly (2 delta - sum H_p^2 for a
-    minimal Lagrangian).  The reference convention printing 3 delta in place
-    of 2 delta is inconsistent with tau = 6 - |h|^2 and is reported separately
-    as `ricci_reference_convention`, flagged, never used downstream.
+    minimal Lagrangian), consistent with tau = 6 - |h|^2.
     """
 
     R: np.ndarray                      # (..., 3, 3, 3, 3)
     ricci: np.ndarray                  # (..., 3, 3)
-    ricci_reference_convention: np.ndarray
     tau: np.ndarray                    # (...,) scalar curvature (= 2 sum_{i<j} K_ij)
     sectional_sum: np.ndarray          # (...,) sum_{i<j} K_ij = tau / 2
     tau_from_h: np.ndarray             # (...,) 6 - |h|^2
@@ -458,13 +448,11 @@ def curvature_from_sff(sff: SFF) -> CurvaturePacket:
     )
     square = np.einsum("...pik,...pkj->...ij", h, h)
     ricci = 2.0 * eye - square
-    ricci_ref = 3.0 * eye - square
     tau = np.einsum("...ii->...", ricci)
     hsq = sff.norm_sq()
     return CurvaturePacket(
         R=R,
         ricci=ricci,
-        ricci_reference_convention=ricci_ref,
         tau=tau,
         sectional_sum=tau / 2.0,
         tau_from_h=6.0 - hsq,
@@ -505,50 +493,44 @@ def laplace_beltrami(imm, scalar_field, q, step=None):
             "stencil would cross the chart-degeneracy locus", float(dist)
         )
 
-    def metric_density(points):
-        jt = imm.jet(points, 1, check_domain=False)
-        g = np.einsum("...ac,...bc->...ab", jt.d1, jt.d1)
-        ginv = np.linalg.inv(g)
-        dens = np.sqrt(np.linalg.det(g))
-        return dens[..., None, None] * ginv, dens
-
-    def shifted(base, axis, delta):
-        qq = np.array(base, copy=True)
-        qq[..., axis] = qq[..., axis] + delta
+    def shifted(*moves):
+        qq = np.array(q, copy=True)
+        for axis, delta in moves:
+            qq[..., axis] = qq[..., axis] + delta
         return qq
 
-    A0, dens0 = metric_density(q)
-    ginv0 = A0 / dens0[..., None, None]
+    # one batch: the centre, then the +/- shift along each axis
+    jt = imm.jet(np.stack(
+        [q] + [shifted((a, sgn * hm[a])) for a in range(3) for sgn in (1, -1)]
+    ), 1, check_domain=False)
+    g = np.einsum("...ac,...bc->...ab", jt.d1, jt.d1)
+    dens = np.sqrt(np.linalg.det(g))
+    A = dens[..., None, None] * np.linalg.inv(g)
+    ginv0 = A[0] / dens[0][..., None, None]
+    divergence = sum(
+        (A[1 + 2 * a][..., a, :] - A[2 + 2 * a][..., a, :]) / (2 * hm[a]) for a in range(3)
+    ) / dens[0][..., None]
 
-    divergence = np.zeros(q.shape[:-1] + (3,))
-    for a in range(3):
-        Ap, _ = metric_density(shifted(q, a, hm[a]))
-        Am, _ = metric_density(shifted(q, a, -hm[a]))
-        divergence += (Ap[..., a, :] - Am[..., a, :]) / (2 * hm[a])
-    divergence /= dens0[..., None]
-
-    f0 = np.asarray(scalar_field(q), dtype=float)
+    # one batch: the centre, the +/- shift along each axis, then the four
+    # diagonal shifts (++, +-, -+, --) of each axis pair a < b
+    pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
+    f = np.asarray(scalar_field(np.stack(
+        [q]
+        + [shifted((a, sgn * hf[a])) for a in range(3) for sgn in (1, -1)]
+        + [shifted((a, sa * hf[a]), (b, sb * hf[b]))
+           for a, b in pairs for sa in (1, -1) for sb in (1, -1)]
+    )), dtype=float)
     grad = np.zeros(q.shape[:-1] + (3,))
     hess = np.zeros(q.shape[:-1] + (3, 3))
-    fplus, fminus = [], []
     for a in range(3):
-        fp = np.asarray(scalar_field(shifted(q, a, hf[a])), dtype=float)
-        fm = np.asarray(scalar_field(shifted(q, a, -hf[a])), dtype=float)
-        fplus.append(fp)
-        fminus.append(fm)
+        fp, fm = f[1 + 2 * a], f[2 + 2 * a]
         grad[..., a] = (fp - fm) / (2 * hf[a])
-        hess[..., a, a] = (fp - 2 * f0 + fm) / hf[a] ** 2
-    for a in range(3):
-        for b in range(a + 1, 3):
-            fpp = scalar_field(shifted(shifted(q, a, hf[a]), b, hf[b]))
-            fpm = scalar_field(shifted(shifted(q, a, hf[a]), b, -hf[b]))
-            fmp = scalar_field(shifted(shifted(q, a, -hf[a]), b, hf[b]))
-            fmm = scalar_field(shifted(shifted(q, a, -hf[a]), b, -hf[b]))
-            mixed = (np.asarray(fpp) - np.asarray(fpm) - np.asarray(fmp) + np.asarray(fmm)) / (
-                4 * hf[a] * hf[b]
-            )
-            hess[..., a, b] = mixed
-            hess[..., b, a] = mixed
+        hess[..., a, a] = (fp - 2 * f[0] + fm) / hf[a] ** 2
+    for k, (a, b) in enumerate(pairs):
+        fpp, fpm, fmp, fmm = f[7 + 4 * k: 11 + 4 * k]
+        mixed = (fpp - fpm - fmp + fmm) / (4 * hf[a] * hf[b])
+        hess[..., a, b] = mixed
+        hess[..., b, a] = mixed
 
     return np.einsum("...ab,...ab->...", ginv0, hess) + np.einsum(
         "...b,...b->...", divergence, grad

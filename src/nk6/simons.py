@@ -133,8 +133,9 @@ def t_tensor(nh: NablaH, f_comp, sff: SFF, tol=1e-6) -> TTensorPacket:
 
 @lru_cache(maxsize=None)
 def _half_sphere_quartics():
-    """Quartic monomials v_k v_i v_j v_m, flattened to 81 columns, of the
-    upper half of a 64 x 128 polar grid plus the three coordinate axes.
+    """The fold (81, 15) of the index orders k, i, j, m onto the quartic
+    monomials, and those monomials (15, 4099) on the upper half of a 64 x 128
+    polar grid plus the three coordinate axes.
 
     The full grid is symmetric under v -> -v and a quartic is even, so the
     half holds every value the full grid would.
@@ -146,7 +147,7 @@ def _half_sphere_quartics():
         [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
     ).reshape(-1, 3)
     U = np.concatenate([grid, np.eye(3)])
-    return np.einsum("pk,pi,pj,pm->kijmp", U, U, U, U).reshape(81, -1)
+    return canonical._fold(4), canonical._monomials(U, 4).T
 
 
 def j_parallel_defect(nh: NablaH):
@@ -156,8 +157,9 @@ def j_parallel_defect(nh: NablaH):
     F-part of the quartic contraction cancels identically.  The maximum runs
     over a fixed grid of 4099 directions, one per antipodal pair.
     """
+    fold, quartics = _half_sphere_quartics()
     coeffs = np.asarray(nh.coeffs)
-    vals = coeffs.reshape(coeffs.shape[:-4] + (81,)) @ _half_sphere_quartics()
+    vals = (coeffs.reshape(coeffs.shape[:-4] + (81,)) @ fold) @ quartics
     return np.max(np.abs(vals), axis=-1)
 
 
@@ -348,11 +350,12 @@ def _classify(hsq_sup, integrand_sup, tol_equality, tol_indeterminate):
 
 
 def _volume(imm, rule: QuadratureRule):
+    """Chart volume on `rule` from order-1 jets, and the density at its nodes."""
     points, weights = rule.nodes_weights()
     jt = imm.jet(points, 1)
     metric = np.einsum("...ac,...bc->...ab", jt.d1, jt.d1)
     dens = np.sqrt(np.linalg.det(metric))
-    return float(np.sum(weights * dens)), dens, points, weights
+    return float(np.sum(weights * dens)), dens
 
 
 def integrate_inequality(
@@ -366,12 +369,15 @@ def integrate_inequality(
 
     The integrand |h|^2 (|h|^2 - 5/4 - (3/2) Theta^2) is evaluated at every
     node with Theta recomputed pointwise by the cubic-form maximizer, then
-    summed against the chart volume density.  The volume is recomputed on a
-    coarser rule; disagreement beyond `refine_tol` (relative) raises
-    ResolutionError.
+    summed against the chart volume density.  One frame on the nodes gives
+    the density and h.  The volume is recomputed on a coarser rule;
+    disagreement beyond `refine_tol` (relative) raises ResolutionError.
     """
-    volume, dens, points, weights = _volume(imm, rule)
-    volume_coarse, *_ = _volume(imm, rule.coarser())
+    points, weights = rule.nodes_weights()
+    pk = geometry.frame(imm, points)
+    dens = np.sqrt(np.linalg.det(pk.metric))
+    volume = float(np.sum(weights * dens))
+    volume_coarse = _volume(imm, rule.coarser())[0]
     delta = abs(volume - volume_coarse) / max(abs(volume), 1e-300)
     if delta > refine_tol:
         raise ResolutionError(
@@ -379,7 +385,7 @@ def integrate_inequality(
             "increase the rule"
         )
 
-    sff = geometry.second_fundamental_form(imm, points)
+    sff = geometry.second_fundamental_form(imm, points, frame_packet=pk)
     hsq = sff.norm_sq()
     _, theta = canonical.maximize_theta(sff.h)
     integrand = hsq * (hsq - 1.25 - 1.5 * theta**2)

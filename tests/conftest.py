@@ -20,6 +20,22 @@ def geodesic(table):
 
 
 @pytest.fixture()
+def counted_dvv(table):
+    """A fresh DVV immersion that logs (order, rows) of each jet call in
+    `jet_calls`."""
+    imm = nk6.dvv_immersion(table)
+    inner = imm.jet
+    imm.jet_calls = []
+
+    def jet(q, order, check_domain=True):
+        imm.jet_calls.append((order, int(np.prod(np.shape(q)[:-1]))))
+        return inner(q, order, check_domain=check_domain)
+
+    imm.jet = jet
+    return imm
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
 

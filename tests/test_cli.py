@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 from nk6 import canonical, cli
 
 
@@ -96,6 +98,20 @@ def test_analyze_flags_degenerate_point(capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["error"] != ""
+
+
+def test_analyze_point_maximizes_theta_once(dvv, monkeypatch):
+    calls = []
+    inner = canonical.maximize_theta
+
+    def counting(sff_like):
+        calls.append(sff_like)
+        return inner(sff_like)
+
+    monkeypatch.setattr(canonical, "maximize_theta", counting)
+    row = cli.analyze_point(dvv, np.array([0.7, 0.9, 1.7]))
+    assert len(calls) == 1
+    assert abs(row["theta"] - np.sqrt(5.0) / 2) < 1e-12
 
 
 def test_analyze_rejects_synthetic(capsys):

@@ -183,8 +183,6 @@ def test_curvature_reference_values(dvv):
     assert np.max(np.abs(cp.tau - 23 / 8)) < 1e-8
     assert np.max(np.abs(cp.sectional_sum - 23 / 16)) < 1e-8
     assert cp.gauss_scalar_residual() < 1e-8
-    # contracted-Gauss Ricci against the flagged reference convention
-    assert np.max(np.abs(cp.ricci_reference_convention - cp.ricci - np.eye(3))) < 1e-12
     ric1 = cp.ricci[..., 0, 0]
     assert np.max(np.abs(ric1 - 1 / 8)) < 1e-8
 
@@ -257,6 +255,28 @@ def test_laplace_beltrami_round_sphere_eigenfunction(geodesic):
         lap = nk6.laplace_beltrami(geodesic, field, pts)
         target = -3.0 * geodesic.chart.to_y(pts)[..., a]
         assert np.max(np.abs(lap - target)) < 1e-5
+
+
+def test_sff_reuses_the_frame_jet(counted_dvv):
+    q = random_chart_points(counted_dvv, 5, seed=3)
+    pk = nk6.frame(counted_dvv, q)
+    assert counted_dvv.jet_calls == [(2, 5)]
+    sff = nk6.second_fundamental_form(counted_dvv, q, frame_packet=pk)
+    assert counted_dvv.jet_calls == [(2, 5)]
+    assert np.array_equal(sff.h, nk6.second_fundamental_form(counted_dvv, q).h)
+
+
+def test_laplace_beltrami_evaluates_one_stacked_stencil(counted_dvv):
+    q = random_chart_points(counted_dvv, 4, seed=5, margin=0.2)
+    shapes = []
+
+    def field(qq):
+        shapes.append(np.shape(qq))
+        return np.sum(qq**2, axis=-1)
+
+    nk6.laplace_beltrami(counted_dvv, field, q)
+    assert shapes == [(19, 4, 3)]
+    assert counted_dvv.jet_calls == [(1, 28)]
 
 
 def test_laplace_beltrami_near_pole_raises(geodesic):

@@ -193,6 +193,12 @@ def test_integrate_inequality_reference_model(dvv):
     assert abs(report.theta_min - S5 / 2) < 1e-9
 
 
+def test_integrate_inequality_evaluates_each_rule_once(counted_dvv):
+    # fine nodes at order 2 for frame, density and h; coarse at order 1
+    nk6.integrate_inequality(counted_dvv, nk6.QuadratureRule(8, 8, 8))
+    assert counted_dvv.jet_calls == [(2, 8**3), (1, 6**3)]
+
+
 def test_integrate_inequality_totally_geodesic(geodesic):
     report = nk6.integrate_inequality(geodesic, nk6.QuadratureRule(12, 12, 12))
     assert report.integral == 0.0
