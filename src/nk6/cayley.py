@@ -30,6 +30,7 @@ __all__ = [
     "table_catalog",
     "load_table",
     "cross",
+    "frame_products",
     "almost_complex",
     "g_tensor",
     "tangent_project",
@@ -225,8 +226,30 @@ def load_table(path) -> MulTable:
 # ---------------------------------------------------------------------------
 
 def cross(u, v, table: MulTable):
-    """Cross product of batched 7-vectors, u x v."""
-    return np.einsum("ijk,...i,...j->...k", table.f, u, v)
+    """Cross product of batched 7-vectors, u x v.
+
+    u x . is built as a 7 x 7 matrix per row of u (one matmul of u against
+    the table flattened to 7 x 49), and v is applied to it by a second
+    matmul; both broadcast over the leading axes.  This is BLAS work in
+    place of a dense 343-term einsum per row, and no (..., 49) outer product
+    of u and v is formed.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    L = (u @ table.f.reshape(7, 49)).reshape(u.shape[:-1] + (7, 7))
+    return (v[..., None, :] @ L)[..., 0, :]
+
+
+def frame_products(table: MulTable, a, b, c):
+    """<a_i x b_j, c_k> for frames a, b, c of shape (..., n, 7); (..., i, j, k).
+
+    One `cross` on every pair (a_i, b_j), then a matmul with the transpose
+    of c.  On a Lagrangian frame e, frame_products(table, e, e, J e) is
+    <G(e_i, e_j), J e_k>, since G is the tangential part of the product.
+    """
+    c = np.asarray(c, dtype=float)
+    pairs = cross(np.asarray(a)[..., :, None, :], np.asarray(b)[..., None, :, :], table)
+    return pairs @ np.swapaxes(c, -1, -2)[..., None, :, :]
 
 
 def tangent_project(x, v):
@@ -459,10 +482,7 @@ def verify_nk_identities(
     eye = np.eye(3)
     for p in range(n_frames):
         e = lagrangian_frame(x[p], table, rng)
-        Ge = np.stack([
-            [g_tensor(x[p], e[i], e[j], table, check=False) for j in range(3)]
-            for i in range(3)
-        ])
+        Ge = g_tensor(x[p], e[:, None, :], e[None, :, :], table, check=False)
         prod = np.einsum("ijc,klc->ijkl", Ge, Ge)
         target = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
         worst = max(worst, float(np.max(np.abs(prod - target))))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cayley import MulTable, cross
+from .cayley import MulTable, cross, frame_products
 
 __all__ = [
     "ChartDegeneracyError",
@@ -116,18 +116,12 @@ def fd_jet(imm, q, order: int, step=None) -> ImmersionJet:
         step = EPS ** (1.0 / 7.0)
     steps = step * np.asarray(imm.chart.extents)
 
-    def value(points):
-        return imm.jet(points, 0, check_domain=False).value
-
-    blocks = {0: value(q)}
     from ._series import multi_indices
 
-    partials = {}
-    for alpha in multi_indices(order):
-        total = sum(alpha)
-        if total == 0:
-            partials[alpha] = blocks[0]
-            continue
+    # every stencil point of every multi-index, after the centre, in one batch
+    stencils = []
+    shifted = [q]
+    for alpha in multi_indices(order)[1:]:
         axis_stencils = []
         for ax, m in enumerate(alpha):
             pts = _STENCIL_POINTS[m]
@@ -139,16 +133,21 @@ def fd_jet(imm, q, order: int, step=None) -> ImmersionJet:
                 for shift, w in combos
                 for o, wt in zip(pts, wts)
             ]
-        shifted = []
         for shift, _ in combos:
             qq = np.array(q, copy=True)
             for ax, o in shift:
                 qq[..., ax] = qq[..., ax] + o * steps[ax]
             shifted.append(qq)
-        vals = value(np.stack(shifted))
-        weights = np.array([w for _, w in combos])
+        stencils.append((alpha, np.array([w for _, w in combos])))
+    vals = imm.jet(np.stack(shifted), 0, check_domain=False).value
+
+    partials = {(0, 0, 0): vals[0]}
+    start = 1
+    for alpha, weights in stencils:
         scale = np.prod([steps[ax] ** m for ax, m in enumerate(alpha)])
-        partials[alpha] = np.tensordot(weights, vals, axes=(0, 0)) / scale
+        block = vals[start:start + len(weights)]
+        partials[alpha] = np.tensordot(weights, block, axes=(0, 0)) / scale
+        start += len(weights)
 
     batch = q.shape[:-1]
     d1 = d2 = d3 = None
@@ -172,7 +171,7 @@ def fd_jet(imm, q, order: int, step=None) -> ImmersionJet:
                     alpha[b] += 1
                     alpha[c] += 1
                     d3[..., a, b, c, :] = partials[tuple(alpha)]
-    return ImmersionJet(order=order, value=blocks[0], d1=d1, d2=d2, d3=d3)
+    return ImmersionJet(order=order, value=vals[0], d1=d1, d2=d2, d3=d3)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +314,12 @@ def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None,
     chart second partials contribute after projecting onto the J-frame.
     """
     pk = frame_packet if frame_packet is not None else frame(imm, q, **frame_kwargs)
-    proj = np.einsum("...abc,...kc->...abk", pk.jet.d2, pk.estar)
-    h = np.einsum("...ia,...jb,...abk->...kij", pk.chart_comps, pk.chart_comps, proj)
-    return SFF(h=h)
+    batch = pk.jet.d2.shape[:-3]
+    # proj[..., k, a, b] = <d_a d_b Psi, J e_k>, then h_k = C proj_k C^T
+    d2 = pk.jet.d2.reshape(batch + (9, 7))
+    proj = (pk.estar @ np.swapaxes(d2, -1, -2)).reshape(batch + (3, 3, 3))
+    C = pk.chart_comps[..., None, :, :]
+    return SFF(h=C @ proj @ np.swapaxes(C, -1, -2))
 
 
 def shape_operator(sff: SFF, k: int):
@@ -388,10 +390,7 @@ def nabla_h(imm, q, fd_step=None, **frame_kwargs) -> NablaH:
     dframe = np.einsum("...ma,...aic->...mic", c, de)
     omega = np.einsum("...mic,...jc->...mij", dframe, pk.e)
 
-    gframe = np.einsum(
-        "pqc,...mp,...lq,...kc->...mlk",
-        imm.table.f, pk.e, pk.e, pk.estar,
-    )
+    gframe = frame_products(imm.table, pk.e, pk.e, pk.estar)
     omega_perp = gframe + omega
 
     h = sff.h

@@ -115,6 +115,21 @@ FIELD_MATS = np.array(
 )
 
 
+def _monomial(expo, y, cache):
+    """Jet of prod_a y_a^expo_a, built on the lower powers memoized in `cache`.
+
+    A module-level function rather than a closure: a recursive closure is a
+    reference cycle, and it would keep every cached jet (a few MB per
+    monomial on a large batch) alive until the cyclic garbage collector ran.
+    """
+    if expo not in cache:
+        a = next(a for a in range(4) if expo[a] > 0)
+        prev = list(expo)
+        prev[a] -= 1
+        cache[expo] = _monomial(tuple(prev), y, cache) * y[a]
+    return cache[expo]
+
+
 class PolynomialSphereImmersion:
     """Polynomial map R^4 -> R^7 restricted to S^3, addressed in a Hopf chart.
 
@@ -172,24 +187,12 @@ class PolynomialSphereImmersion:
         one = Jet3.constant(np.ones(q.shape[:-1]), order)
         cache = {(0, 0, 0, 0): one}
 
-        def monomial(expo):
-            if expo in cache:
-                return cache[expo]
-            for a in range(4):
-                if expo[a] > 0:
-                    prev = list(expo)
-                    prev[a] -= 1
-                    result = monomial(tuple(prev)) * y[a]
-                    cache[expo] = result
-                    return result
-            raise AssertionError
-
         comps = []
         for j in range(7):
             total = Jet3.constant(np.zeros(q.shape[:-1]), order)
             for c, ex, co in self.terms:
                 if c == j:
-                    total = total + monomial(ex) * co
+                    total = total + _monomial(ex, y, cache) * co
             comps.append(total)
 
         batch = q.shape[:-1]

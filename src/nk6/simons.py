@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import canonical, geometry
+from .cayley import frame_products
 from .geometry import FramePacket, NablaH, SFF
 
 __all__ = [
@@ -64,9 +65,7 @@ def f_tensor(sff: SFF, pk: FramePacket):
     F(X,Y,Z) = (1/4)[G(X, A_{JZ} Y) + G(Y, A_{JX} Z) + G(Z, A_{JY} X)] with
     the shape operators expanded through A_{J e_p} e_q = sum_k h[k,p,q] e_k.
     """
-    gj = np.einsum(
-        "pqc,...ap,...bq,...lc->...abl", pk.table.f, pk.e, pk.e, pk.estar
-    )  # <G(e_a, e_b), J e_l>
+    gj = frame_products(pk.table, pk.e, pk.e, pk.estar)  # <G(e_a, e_b), J e_l>
     h = sff.h
     F = (
         np.einsum("...pjk,...ipl->...lijk", h, gj)

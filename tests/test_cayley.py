@@ -144,3 +144,42 @@ def test_lagrangian_frame_properties(rng):
         je = cayley.cross(np.broadcast_to(x, (3, 7)), e, table)
         assert np.max(np.abs(je @ e.T)) < 1e-12
         assert np.max(np.abs(e @ x)) < 1e-12
+
+
+# The dense einsums that `cross` and `frame_products` replace, kept as oracles.
+def einsum_cross(u, v, table):
+    return np.einsum("ijk,...i,...j->...k", table.f, u, v)
+
+
+def einsum_frame_products(table, a, b, c):
+    return np.einsum("pqc,...ip,...jq,...kc->...ijk", table.f, a, b, c)
+
+
+@pytest.mark.parametrize("index", [0, 1, 97, 240, 479])
+def test_cross_matches_the_einsum_oracle(index, rng):
+    table = cayley.table_catalog()[index]
+    u, v = rng.normal(size=(2, 50, 3, 7))
+    x = rng.normal(size=(50, 7))
+    cases = [
+        (u, v),                         # batch against batch
+        (x[:, None, :], v),             # x broadcast over a frame
+        (u[:1, 0], v[:1, 0]),           # a batch of one
+        (u[0, 0], v[0, 0]),             # plain (7,) vectors
+        (u[0, 0], v),                   # one vector against a batch
+    ]
+    for a, b in cases:
+        got = cayley.cross(a, b, table)
+        want = einsum_cross(a, b, table)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("index", [0, 5, 333, 479])
+def test_frame_products_match_the_einsum_oracle(index, rng):
+    table = cayley.table_catalog()[index]
+    a, b, c = rng.normal(size=(3, 40, 3, 7))
+    for args in ((a, b, c), (a[:1], b[:1], c[:1]), (a[0], b[0], c[0]), (a, a, c[0])):
+        got = cayley.frame_products(table, *args)
+        want = einsum_frame_products(table, *args)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))

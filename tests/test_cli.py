@@ -114,6 +114,19 @@ def test_analyze_point_maximizes_theta_once(dvv, monkeypatch):
     assert abs(row["theta"] - np.sqrt(5.0) / 2) < 1e-12
 
 
+def test_immersion_suite_evaluates_each_node_set_once(counted_dvv):
+    suite = cli._immersion_suite(counted_dvv, cli.RunConfig(command="verify"))
+    assert all(check["passed"] for check in suite["checks"])
+    calls = counted_dvv.jet_calls
+    # fd_jet stacks its 4 centres and their 277 stencil points each into
+    # one value-only call
+    assert [c for c in calls if c[0] == 0] == [(0, 4 * 278)]
+    # the 200 points and the 24 F/T points are each framed once; nabla_h
+    # still frames its 24 centres itself
+    assert calls.count((2, 200)) == 1
+    assert calls.count((2, 24)) == 1
+
+
 def test_analyze_rejects_synthetic(capsys):
     code, _, err = run_cli(capsys, "analyze", "--model", "synthetic:b")
     assert code == 2

@@ -284,3 +284,12 @@ def test_laplace_beltrami_near_pole_raises(geodesic):
         nk6.laplace_beltrami(
             geodesic, lambda qq: np.zeros(np.shape(qq)[:-1]), np.array([1e-9, 0.1, 0.1])
         )
+
+
+def test_sff_matches_the_einsum_form(dvv):
+    q = random_chart_points(dvv, 64, seed=11)
+    pk = nk6.frame(dvv, q)
+    proj = np.einsum("...abc,...kc->...abk", pk.jet.d2, pk.estar)
+    want = np.einsum("...ia,...jb,...abk->...kij", pk.chart_comps, pk.chart_comps, proj)
+    got = nk6.second_fundamental_form(dvv, q, frame_packet=pk).h
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))

@@ -1,5 +1,7 @@
 """Built-in models: embedding data, table selection, Berger curvature."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,16 @@ def test_resolve_model_names(table):
     assert nk6.resolve_model("synthetic:b", table).tag == "b"
     with pytest.raises(ValueError):
         nk6.resolve_model("nope", table)
+
+
+def test_jet_leaves_no_reference_cycles(dvv):
+    # a cycle would keep every intermediate monomial jet of the batch alive
+    # until the cyclic collector ran, raising peak memory on large batches
+    q = random_chart_points(dvv, 50, seed=4)
+    gc.collect()
+    gc.disable()
+    try:
+        dvv.jet(q, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
