@@ -397,6 +397,7 @@ def analyze_point(imm, q, fd_step=None):
     ric_eigs = cp.ricci_eigenvalues()
     tau = float(cp.tau)
     k_min, k_max = (float(v) for v in cp.sectional_range())
+    k_tol = DEFAULT_TOLERANCES["sectional_values"]
     nh = geometry.nabla_h(imm, q, fd_step=fd_step)
     packet = simons.t_tensor(nh, simons.f_tensor(sff, pk), sff, tol=np.inf)
     return {
@@ -408,8 +409,8 @@ def analyze_point(imm, q, fd_step=None):
         "tau": tau,
         "nabla_h_sq": float(packet.nabla_h_sq), "t_sq": float(packet.t_sq),
         "j_parallel_defect": float(simons.j_parallel_defect(nh)),
-        "flag_K_above_1_16": bool(k_min > 1 / 16),
-        "flag_K_below_21_16": bool(k_max < 21 / 16),
+        "flag_K_above_1_16": bool(k_min > 1 / 16 + k_tol),
+        "flag_K_below_21_16": bool(k_max < 21 / 16 - k_tol),
         "flag_ric_ge_3_4": bool(ric_eigs[0] >= 3 / 4),
         "flag_hsq_lt_5_2": bool(hsq < 5 / 2),
         "error": "",

@@ -100,6 +100,12 @@ def _fd_weights(offsets: tuple, deriv: int) -> tuple:
     return tuple(np.linalg.solve(A, b))
 
 
+def _multi_indices(order):
+    """Exponent triples of total degree <= order, graded lexicographic."""
+    return [(i, j, t - i - j)
+            for t in range(order + 1) for i in range(t, -1, -1) for j in range(t - i, -1, -1)]
+
+
 _STENCIL_POINTS = {0: (0,), 1: (-2, -1, 1, 2), 2: (-2, -1, 0, 1, 2), 3: (-3, -2, -1, 1, 2, 3)}
 
 
@@ -116,12 +122,10 @@ def fd_jet(imm, q, order: int, step=None) -> ImmersionJet:
         step = EPS ** (1.0 / 7.0)
     steps = step * np.asarray(imm.chart.extents)
 
-    from ._series import multi_indices
-
     # every stencil point of every multi-index, after the centre, in one batch
     stencils = []
     shifted = [q]
-    for alpha in multi_indices(order)[1:]:
+    for alpha in _multi_indices(order)[1:]:
         axis_stencils = []
         for ax, m in enumerate(alpha):
             pts = _STENCIL_POINTS[m]

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from ._series import Jet3, multi_indices, trig_jets
 from .cayley import MulTable, cayley_dickson_table, cross, load_table, table_catalog, tangent_project
 from .geometry import ImmersionJet
 
@@ -62,24 +61,31 @@ class HopfChart:
     extents: tuple = (np.pi / 2, 2 * np.pi, 2 * np.pi)
 
     def to_y(self, q):
-        q = np.asarray(q, dtype=float)
-        eta, xi1, xi2 = q[..., 0], q[..., 1], q[..., 2]
-        return np.stack(
-            [
-                np.cos(eta) * np.cos(xi1),
-                np.cos(eta) * np.sin(xi1),
-                np.sin(eta) * np.cos(xi2),
-                np.sin(eta) * np.sin(xi2),
-            ],
-            axis=-1,
-        )
+        return self.y_derivs(q, 0)[0]
 
-    def y_jets(self, q, order):
+    def y_derivs(self, q, order):
+        """[D^0 y, ..., D^order y], the k-th of shape (..., 3 k times, 4).
+
+        Each y_a is f(eta) g(xi) with f, g in {cos, sin}, so a partial is a
+        product of two entries of the cos/sin derivative cycle, or zero when
+        it differentiates the idle angle.
+        """
         q = np.asarray(q, dtype=float)
-        ce, se = trig_jets(q[..., 0], 0, order)
-        c1, s1 = trig_jets(q[..., 1], 1, order)
-        c2, s2 = trig_jets(q[..., 2], 2, order)
-        return (ce * c1, ce * s1, se * c2, se * s2)
+        c, s = np.cos(q), np.sin(q)
+        cycle = (c, -s, -c, s)  # d^m cos = cycle[m % 4], d^m sin = cycle[(m - 1) % 4]
+        # per y_a: (chart axis of its xi, f is sin, g is sin)
+        factors = ((1, 0, 0), (1, 0, 1), (2, 1, 0), (2, 1, 1))
+        out = []
+        for k in range(order + 1):
+            dk = np.zeros(q.shape[:-1] + (3,) * k + (4,))
+            for axes in itertools.product(range(3), repeat=k):
+                m = [axes.count(ax) for ax in range(3)]
+                for a, (xi, sin_eta, sin_xi) in enumerate(factors):
+                    if m[3 - xi] == 0:
+                        dk[(...,) + axes + (a,)] = (cycle[(m[0] - sin_eta) % 4][..., 0]
+                                                    * cycle[(m[xi] - sin_xi) % 4][..., xi])
+            out.append(dk)
+        return out
 
     def degeneracy_distance(self, q):
         eta = np.asarray(q, dtype=float)[..., 0]
@@ -115,19 +121,50 @@ FIELD_MATS = np.array(
 )
 
 
-def _monomial(expo, y, cache):
-    """Jet of prod_a y_a^expo_a, built on the lower powers memoized in `cache`.
+# the chain rule runs on this many nodes at a time, to bound its temporaries
+_NODE_BLOCK = 4096
 
-    A module-level function rather than a closure: a recursive closure is a
-    reference cycle, and it would keep every cached jet (a few MB per
-    monomial on a large batch) alive until the cyclic garbage collector ran.
-    """
-    if expo not in cache:
-        a = next(a for a in range(4) if expo[a] > 0)
-        prev = list(expo)
-        prev[a] -= 1
-        cache[expo] = _monomial(tuple(prev), y, cache) * y[a]
-    return cache[expo]
+
+def _derivative_table(terms):
+    """Exponents (M, 4) and, for k = 0..3, coefficients (M, 4^k * 7) with
+    D^k P(y) = y^expo @ coef[k], flattened from (4, ..., 4, 7)."""
+    rows, entries = {}, []
+    for k in range(4):
+        for flat, axes in enumerate(itertools.product(range(4), repeat=k)):
+            for c, ex, co in terms:
+                ex, w = list(ex), co
+                for a in axes:
+                    w *= ex[a]
+                    ex[a] -= 1
+                if w != 0.0:
+                    entries.append((k, rows.setdefault(tuple(ex), len(rows)), 7 * flat + c, w))
+    coef = [np.zeros((len(rows), 7 * 4**k)) for k in range(4)]
+    for k, row, col, w in entries:
+        coef[k][row, col] += w
+    return np.array(list(rows), dtype=int).reshape(-1, 4), coef
+
+
+def _chain_rule(ys, ps):
+    """Chart partials of P(y(q)) up to order 3 (Faa di Bruno), from the
+    D^k y (n, 3.., 4) and D^k P (n, 4.., 7) of one node block."""
+    n, order = len(ys[0]), len(ys) - 1
+    if order == 0:
+        return []
+    y1, p1 = ys[1], ps[1]
+    out = [y1 @ p1]
+    if order >= 2:
+        y2 = ys[2].reshape(n, 9, 4)
+        p2 = ps[2].reshape(n, 4, 28)
+        y1p2 = (y1 @ p2).reshape(n, 3, 4, 7)
+        out.append(y1[:, None] @ y1p2 + (y2 @ p1).reshape(n, 3, 3, 7))
+    if order >= 3:
+        y1y1p3 = y1[:, None] @ (y1 @ ps[3].reshape(n, 4, 112)).reshape(n, 3, 4, 28)
+        pure = y1[:, None, None] @ y1y1p3.reshape(n, 3, 3, 4, 7)
+        # mixed[i, j, k] = D^2y[i, j] Dy[k] D^2P, in its three index placements
+        mixed = (y1[:, None] @ (y2 @ p2).reshape(n, 9, 4, 7)).reshape(n, 3, 3, 3, 7)
+        out.append(pure + mixed + mixed.transpose(0, 1, 3, 2, 4) + mixed.transpose(0, 3, 1, 2, 4)
+                   + (ys[3].reshape(n, 27, 4) @ p1).reshape(n, 3, 3, 3, 7))
+    return out
 
 
 class PolynomialSphereImmersion:
@@ -135,8 +172,8 @@ class PolynomialSphereImmersion:
 
     `terms` is a sequence of (component, exponents, coefficient) with
     component in 0..6 and exponents a 4-tuple over (y1..y4).  Jets are exact:
-    the chart trigonometric expansions are composed with the polynomial in
-    truncated Taylor arithmetic.
+    the dense partials of the polynomial, read from a derivative table built
+    once per immersion, are composed with those of the chart by the chain rule.
     """
 
     def __init__(self, name, terms, table: MulTable, field_scales=None, chart=HOPF):
@@ -145,79 +182,42 @@ class PolynomialSphereImmersion:
         self.chart = chart
         self.terms = tuple((int(c), tuple(int(e) for e in ex), float(co)) for c, ex, co in terms)
         self.field_scales = None if field_scales is None else tuple(field_scales)
-        self._comp = np.array([t[0] for t in self.terms])
-        self._expo = np.array([t[1] for t in self.terms])
-        self._coef = np.array([t[2] for t in self.terms])
+        self._expo, self._coef = _derivative_table(self.terms)
 
     # -- pointwise evaluation in y ------------------------------------------------
+    def _poly_derivs(self, y, order):
+        """[D^0 P, ..., D^order P] at y (n, 4), the k-th of shape (n, 4 k times, 7)."""
+        top = int(self._expo.max(initial=0))
+        powers = np.ones(y.shape + (top + 1,))
+        np.cumprod(np.broadcast_to(y[..., None], y.shape + (top,)), axis=-1, out=powers[..., 1:])
+        mono = np.prod(powers[:, np.arange(4), self._expo], axis=-1)
+        return [(mono @ self._coef[k]).reshape((len(y),) + (4,) * k + (7,)) for k in range(order + 1)]
+
     def embed(self, y):
         y = np.asarray(y, dtype=float)
-        mono = np.prod(y[..., None, :] ** self._expo, axis=-1)
-        out = np.zeros(y.shape[:-1] + (7,))
-        for j in range(7):
-            mask = self._comp == j
-            if np.any(mask):
-                out[..., j] = mono[..., mask] @ self._coef[mask]
-        return out
+        return self._poly_derivs(y.reshape(-1, 4), 0)[0].reshape(y.shape[:-1] + (7,))
 
     def jacobian_y(self, y):
         y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape[:-1] + (7, 4))
-        for a in range(4):
-            active = self._expo[:, a] > 0
-            if not np.any(active):
-                continue
-            expo = self._expo[active].copy()
-            coef = self._coef[active] * expo[:, a]
-            expo[:, a] -= 1
-            mono = np.prod(y[..., None, :] ** expo, axis=-1)
-            comp = self._comp[active]
-            for j in range(7):
-                mask = comp == j
-                if np.any(mask):
-                    out[..., j, a] = mono[..., mask] @ coef[mask]
-        return out
+        dp = self._poly_derivs(y.reshape(-1, 4), 1)[1]
+        return np.swapaxes(dp, -1, -2).reshape(y.shape[:-1] + (7, 4))
 
     # -- chart jets ---------------------------------------------------------------
     def jet(self, q, order, check_domain=True):
+        if not 0 <= order <= 3:
+            raise ValueError("jet order must be in 0..3")
         q = np.asarray(q, dtype=float)
         if check_domain:
             self.chart.check_domain(q)
-        y = self.chart.y_jets(q, order)
-        one = Jet3.constant(np.ones(q.shape[:-1]), order)
-        cache = {(0, 0, 0, 0): one}
-
-        comps = []
-        for j in range(7):
-            total = Jet3.constant(np.zeros(q.shape[:-1]), order)
-            for c, ex, co in self.terms:
-                if c == j:
-                    total = total + _monomial(ex, y, cache) * co
-            comps.append(total)
-
-        batch = q.shape[:-1]
-        value = np.stack([c.partial((0, 0, 0), batch) for c in comps], axis=-1)
-        d1 = d2 = d3 = None
-        if order >= 1:
-            d1 = np.empty(batch + (3, 7))
-        if order >= 2:
-            d2 = np.empty(batch + (3, 3, 7))
-        if order >= 3:
-            d3 = np.empty(batch + (3, 3, 3, 7))
-        for alpha in multi_indices(order):
-            tot = sum(alpha)
-            if tot == 0:
-                continue
-            block = np.stack([c.partial(alpha, batch) for c in comps], axis=-1)
-            axes = [a for a, m in enumerate(alpha) for _ in range(m)]
-            for perm in set(itertools.permutations(axes)):
-                if tot == 1:
-                    d1[..., perm[0], :] = block
-                elif tot == 2:
-                    d2[..., perm[0], perm[1], :] = block
-                else:
-                    d3[..., perm[0], perm[1], perm[2], :] = block
-        return ImmersionJet(order=order, value=value, d1=d1, d2=d2, d3=d3)
+        flat = q.reshape(-1, 3)
+        out = [np.empty((len(flat),) + (3,) * k + (7,)) for k in range(order + 1)]
+        for lo in range(0, len(flat), _NODE_BLOCK):
+            ys = self.chart.y_derivs(flat[lo:lo + _NODE_BLOCK], order)
+            ps = self._poly_derivs(ys[0], order)
+            for dst, block in zip(out, ps[:1] + _chain_rule(ys, ps)):
+                dst[lo:lo + _NODE_BLOCK] = block
+        out = [d.reshape(q.shape[:-1] + d.shape[1:]) for d in out] + [None] * (3 - order)
+        return ImmersionJet(order, *out)
 
     # -- global tangent fields ------------------------------------------------------
     def tangent_fields(self, q):

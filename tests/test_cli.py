@@ -5,6 +5,7 @@ import json
 import numpy as np
 
 from nk6 import canonical, cli
+from conftest import random_chart_points
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +113,17 @@ def test_analyze_point_maximizes_theta_once(dvv, monkeypatch):
     row = cli.analyze_point(dvv, np.array([0.7, 0.9, 1.7]))
     assert len(calls) == 1
     assert abs(row["theta"] - np.sqrt(5.0) / 2) < 1e-12
+
+
+def test_pinching_flags_ignore_roundoff(dvv, geodesic):
+    # DVV attains K = 1/16 and K = 21/16 exactly, so neither strict flag may
+    # fire on last-bit noise; the great sphere has K = 1 and passes both
+    for q in random_chart_points(dvv, 200, seed=9):
+        row = cli.analyze_point(dvv, q)
+        assert not row["flag_K_above_1_16"] and not row["flag_K_below_21_16"]
+    for q in random_chart_points(geodesic, 5, seed=9):
+        row = cli.analyze_point(geodesic, q)
+        assert row["flag_K_above_1_16"] and row["flag_K_below_21_16"]
 
 
 def test_immersion_suite_evaluates_each_node_set_once(counted_dvv):

@@ -21,6 +21,8 @@ def test_jet_order_bounds(dvv):
     with pytest.raises(ValueError):
         nk6.jet(dvv, np.array([0.5, 0.0, 0.0]), 4)
     with pytest.raises(ValueError):
+        dvv.jet(np.array([0.5, 0.0, 0.0]), 4)
+    with pytest.raises(ValueError):
         nk6.jet(dvv, np.array([2.0, 0.0, 0.0]), 1)  # eta outside [0, pi/2]
 
 
@@ -39,6 +41,40 @@ def test_analytic_jets_match_fd_oracle(dvv):
     assert np.max(np.abs(exact.d1 - approx.d1)) < 1e-6
     assert np.max(np.abs(exact.d2 - approx.d2)) < 1e-6
     assert np.max(np.abs(exact.d3 - approx.d3)) < 1e-6
+
+
+def random_polynomial(table, seed=6):
+    """12 seeded terms of degree 3 to 6; not on the sphere, but its jets
+    reach the D^3 P and mixed D^2 P terms that a quadratic model cannot."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(12):
+        expo = np.bincount(rng.integers(0, 4, size=rng.integers(3, 7)), minlength=4)
+        terms.append((rng.integers(0, 7), expo, rng.normal()))
+    return nk6.PolynomialSphereImmersion("degree-6", terms, table)
+
+
+def test_degree6_jets_match_fd_oracle(table):
+    poly = random_polynomial(table)
+    pts = random_chart_points(poly, 50, seed=7, margin=0.15)
+    exact = nk6.jet(poly, pts, 3)
+    # half the default step: the oracle's h^4 truncation error grows with the
+    # degree, and at the default step it reaches 9e-5 of d3 on this polynomial
+    approx = nk6.fd_jet(poly, pts, 3, step=geometry.EPS ** (1 / 7) / 2)
+    for name in ("value", "d1", "d2", "d3"):
+        a, b = getattr(exact, name), getattr(approx, name)
+        assert np.max(np.abs(a - b)) < 1e-4 * np.max(np.abs(a)), name
+
+
+def test_jet_node_blocks(table):
+    poly = random_polynomial(table)
+    pts = random_chart_points(poly, 4100, seed=8)
+    whole, tail = poly.jet(pts, 3), poly.jet(pts[-4:], 3)
+    shaped, flat = poly.jet(pts[:10].reshape(2, 5, 3), 3), poly.jet(pts[:10], 3)
+    for name in ("value", "d1", "d2", "d3"):
+        assert np.array_equal(getattr(whole, name)[-4:], getattr(tail, name))
+        assert np.array_equal(getattr(shaped, name).reshape(getattr(flat, name).shape),
+                              getattr(flat, name))
 
 
 def test_jet_partial_accessor(dvv):
