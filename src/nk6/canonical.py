@@ -169,7 +169,7 @@ def _level0(hs):
     F = coef @ cubic.T
     grad = ((coef @ L.reshape(len(L), -1)).reshape(-1, quartic.shape[1]) @ quartic.T)
     grad = grad.reshape(len(hs), 3, -1)
-    return coef, F, np.sqrt(np.einsum("nap,nap->np", grad, grad))
+    return coef, F, np.sqrt(np.sum(grad * grad, axis=1))
 
 
 def _contract(hs, u):
@@ -179,50 +179,55 @@ def _contract(hs, u):
     return hu, v2, np.sum(v2 * u, axis=-1)
 
 
-def _tangent_model(hs, u):
-    """f(u), its tangential gradient, a tangent basis T (rows) and the 2x2
-    tangent Hessian T (6 h(u,.,.) - 3 f) T^T for symmetric rows hs."""
-    hu, v2, f = _contract(hs, u)
-    T = np.stack(_tangent_basis(u), axis=-2)
-    W = 6.0 * hu - 3.0 * f[:, None, None] * np.eye(3)
-    return f, 3.0 * (v2 - f[:, None] * u), T, T @ W @ np.swapaxes(T, -1, -2)
+def _tangent_hessian(hu, f, u):
+    """A tangent basis t1, t2 at u and the tangent Hessian entries
+    (H11, H12, H22), H_ij = 6 t_i A t_j - 3 f delta_ij with A = h(u,.,.)."""
+    t1, t2 = _tangent_basis(u)
+    a1 = (hu @ t1[:, :, None])[..., 0]
+    a2 = (hu @ t2[:, :, None])[..., 0]
+    return t1, t2, (6.0 * np.einsum("na,na->n", t1, a1) - 3.0 * f,
+                    6.0 * np.einsum("na,na->n", t1, a2),
+                    6.0 * np.einsum("na,na->n", t2, a2) - 3.0 * f)
 
 
 def _critical(hs, u):
     """f(u), the tangential gradient norm g and mu, minus the largest
     eigenvalue of the tangent Hessian (positive at a strict maximum)."""
-    f, grad, _, H2 = _tangent_model(hs, u)
-    lam = 0.5 * (H2[:, 0, 0] + H2[:, 1, 1]) + np.hypot(
-        0.5 * (H2[:, 0, 0] - H2[:, 1, 1]), 0.5 * (H2[:, 0, 1] + H2[:, 1, 0]))
-    return f, np.linalg.norm(grad, axis=-1), -lam
+    hu, v2, f = _contract(hs, u)
+    _, _, (h11, h12, h22) = _tangent_hessian(hu, f, u)
+    lam = 0.5 * (h11 + h22) + np.hypot(0.5 * (h11 - h22), h12)
+    return f, np.linalg.norm(3.0 * (v2 - f[:, None] * u), axis=-1), -lam
 
 
 def _polish(hs, u, scale):
     """Safeguarded Newton ascent on the sphere from each row of u.
 
     A row stops once every component of its tangential gradient is at most
-    1e-13 max(1, |h|); only the rows still moving are iterated.  Returns the
-    polished points and their _critical data.  Rows still moving after
-    _MAX_NEWTON steps are returned as they are; the enclosure then refuses
-    to certify them.
+    1e-13 max(1, |h|); only the rows still moving are iterated, and each
+    keeps h(u,.,.) from the step that moved it.  Returns the polished points
+    and f there.  Rows still moving after _MAX_NEWTON steps are returned as
+    they are; the enclosure then refuses to certify them.
     """
     u = u.copy()
-    active = np.arange(len(u))
+    hu, v2, f = _contract(hs, u)
+    f_out = f.copy()
+    active, h, x, sc = np.arange(len(u)), hs, u, scale
     for _ in range(_MAX_NEWTON):
-        h, x, sc = hs[active], u[active], scale[active]
-        f, grad, T, H2 = _tangent_model(h, x)
+        grad = 3.0 * (v2 - f[:, None] * x)
         moving = np.max(np.abs(grad), axis=-1) > 1e-13 * np.maximum(sc, 1.0)
-        active = active[moving]
+        if not moving.all():
+            active, h, x, sc, hu, v2, f, grad = (
+                y[moving] for y in (active, h, x, sc, hu, v2, f, grad))
         if not active.size:
             break
-        h, x, sc, f, grad, T, H2 = (y[moving] for y in (h, x, sc, f, grad, T, H2))
-        g2 = (T @ grad[:, :, None])[..., 0]
-        det = H2[:, 0, 0] * H2[:, 1, 1] - H2[:, 0, 1] * H2[:, 1, 0]
+        t1, t2, (h11, h12, h22) = _tangent_hessian(hu, f, x)
+        g1, g2 = np.einsum("na,na->n", t1, grad), np.einsum("na,na->n", t2, grad)
+        det = h11 * h22 - h12 * h12
         safe = np.abs(det) > 1e-14 * np.maximum(sc, 1.0) ** 2
         det = np.where(safe, det, 1.0)
-        s0 = (-g2[:, 0] * H2[:, 1, 1] + g2[:, 1] * H2[:, 0, 1]) / det
-        s1 = (-g2[:, 1] * H2[:, 0, 0] + g2[:, 0] * H2[:, 1, 0]) / det
-        step = s0[:, None] * T[:, 0] + s1[:, None] * T[:, 1]
+        s1 = (h12 * g2 - h22 * g1) / det
+        s2 = (h12 * g1 - h11 * g2) / det
+        step = s1[:, None] * t1 + s2[:, None] * t2
         # fall back to a short ascent step where the tangent Hessian degenerates
         ascent = grad / np.maximum(sc, 1e-30)[:, None] * 0.05
         step = np.where(safe[:, None], step, ascent)
@@ -230,22 +235,29 @@ def _polish(hs, u, scale):
         step = np.where(norm > 0.2, step * (0.2 / np.maximum(norm, 1e-30)), step)
         unew = x + step
         unew /= np.linalg.norm(unew, axis=-1, keepdims=True)
-        fnew = _contract(h, unew)[2]
-        u[active] = np.where((fnew >= f - 1e-14 * np.maximum(sc, 1.0))[:, None], unew, x)
-    return (u, *_critical(hs, u))
+        hu_new, v2_new, f_new = _contract(h, unew)
+        up = f_new >= f - 1e-14 * np.maximum(sc, 1.0)
+        x = np.where(up[:, None], unew, x)
+        hu = np.where(up[:, None, None], hu_new, hu)
+        v2 = np.where(up[:, None], v2_new, v2)
+        f = np.where(up, f_new, f)
+        u[active], f_out[active] = x, f
+    return u, f_out
 
 
-def _ball_radius(f, g, mu, scale, theta, tol):
+def _ball_radius(f, g, mu, sigma, theta, tol):
     """Radius of the ball around +-u, a Newton point with value f, gradient
     norm g and curvature mu, on which |f| <= theta + tol; -1 where none.
 
-    Along a unit-speed great circle y from u, f'' = 6h(y,y',y') - 3f starts
-    at most -mu and |f'''| = |6h(y',y',y') - 21h(y,y,y')| <= 27|h|, so
-    f <= f(u) + g t - (mu/2 - (9/2)|h| t) t^2 <= f(u) + g r for
-    t <= r = mu/(9|h|).  As |f'| <= 3|h|, f >= -f(u) for t <= 2f(u)/(3|h|),
-    which covers -u by oddness.
+    sigma bounds the spectral norm max |h(a,b,c)| over unit a, b, c (see
+    _enclose).  Along a unit-speed great circle y from u,
+    f'' = 6h(y,y',y') - 3f starts at most -mu and
+    |f'''| = |6h(y',y',y') - 21h(y,y,y')| <= 27 sigma, so
+    f <= f(u) + g t - (mu/2 - (9/2) sigma t) t^2 <= f(u) + g r for
+    t <= r = mu/(9 sigma).  As |f'| <= 3 sigma, f >= -f(u) for
+    t <= 2f(u)/(3 sigma), which covers -u by oddness.
     """
-    r = np.minimum(mu, 6.0 * f) / (9.0 * np.maximum(scale, 1e-300))
+    r = np.minimum(mu, 6.0 * f) / (9.0 * np.maximum(sigma, 1e-300))
     return np.where((mu > 0) & (f > 0) & (f + g * r <= theta + tol), r, -1.0)
 
 
@@ -260,13 +272,31 @@ def _covered(c, node, u, r, own_u, own_r, delta):
     return out
 
 
+def _spectral_bound(scale, F, gnorm):
+    """The level-0 cell bounds B = |f(c)| + |grad f(c)| delta0 and the
+    spectral-norm bound min(|h|, max_cells B / (1 - (9/2) delta0^2)) of
+    each row, from the _level0 values F and gnorm; see _enclose."""
+    delta = np.sqrt(2.0) / _SPLIT
+    bound = np.abs(F) + gnorm * delta
+    return bound, np.minimum(scale, bound.max(axis=-1) / (1.0 - 4.5 * delta**2))
+
+
 def _enclose(hs, scale, u, theta, level0):
     """Certify that theta is the maximum of f within 1e-12 max(1, |h|) per row.
 
-    `level0` is _level0(hs).  Branch and bound over the coarse cells: a cell
-    with centre c and angular radius delta holds |f| <= |f(c)| +
-    |grad f(c)| delta + (9/2)|h| delta^2, since |f''| = |6h(y,y',y') - 3f|
-    <= 9|h| along unit-speed great circles.  Cells whose bound is within
+    `level0` is _level0(hs).  Let sigma = max |h(a,b,c)| over unit vectors
+    a, b, c, the spectral norm of h; for a symmetric form it equals max |f|
+    (S. Banach, Studia Math. 7, 1938).  Along unit-speed great circles
+    |f''| = |6h(y,y',y') - 3f| <= 9 sigma, so a cell with centre c and
+    angular radius delta holds
+    |f| <= |f(c)| + |grad f(c)| delta + (9/2) sigma delta^2.
+    On the level-0 cells (radius delta0) this reads
+    sigma = max |f| <= max_cells B + (9/2) sigma delta0^2 with
+    B = |f(c)| + |grad f(c)| delta0, so sigma is at most
+    sigma^ = min(|h|, max_cells B / (1 - (9/2) delta0^2)) (_spectral_bound),
+    and sigma^ stands in for sigma in every cell bound and in _ball_radius.
+
+    Branch and bound over the coarse cells: cells whose bound is within
     tolerance of theta are dropped, as are cells inside a ball of
     _ball_radius around a polished maximum; the others are split in four.
     A cell centre above theta is polished and raises theta.  Open cells from
@@ -279,16 +309,19 @@ def _enclose(hs, scale, u, theta, level0):
     tol = 1e-12 * np.maximum(scale, 1.0)
     coef, F, gnorm = level0
     Q = np.einsum("ne,eaq->naq", coef, _monomial_maps()[1])
+    bound, sigma = _spectral_bound(scale, F, gnorm)
     _, g, mu = _critical(hs, u)
-    main_r = _ball_radius(theta, g, mu, scale, theta, tol)
+    main_r = _ball_radius(theta, g, mu, sigma, theta, tol)
 
     face0, point0, u0, _, _ = _coarse_cells()
     half = 1.0 / _SPLIT  # planar half-side of the cells at the current depth
     delta = np.sqrt(2.0) * half
-    node, cell = np.nonzero(np.abs(F) + gnorm * delta + 4.5 * scale[:, None] * delta**2
-                            > (theta + tol)[:, None])
-    face, point, c = face0[cell], point0[cell], u0[cell]
-    fc, gc = F[node, cell], gnorm[node, cell]
+    # flat indices and np.take gather the open cells several times faster
+    # than 2-D np.nonzero and fancy indexing
+    flat = np.flatnonzero(bound > (theta + tol - 4.5 * sigma * delta**2)[:, None])
+    node, cell = np.divmod(flat, bound.shape[1])
+    face, point, c = (np.take(x, cell, axis=0) for x in (face0, point0, u0))
+    fc, gc = np.take(F, flat), np.take(gnorm, flat)
     own_u, own_r = np.zeros_like(c), np.full(len(node), -1.0)
 
     for depth in range(_MAX_DEPTH + 1):
@@ -299,7 +332,9 @@ def _enclose(hs, scale, u, theta, level0):
         if polish.any():
             idx = np.nonzero(polish)[0]
             start = c[idx] * np.where(fc[idx] < 0, -1.0, 1.0)[:, None]
-            pu, pf, pg, pmu = _polish(hs[node[idx]], start, scale[node[idx]])
+            hp = hs[node[idx]]
+            pu, _ = _polish(hp, start, scale[node[idx]])
+            pf, pg, pmu = _critical(hp, pu)
             # the best polished point of each row that beats its theta wins
             order = np.lexsort((pf, node[idx]))
             last = np.r_[node[idx][order][1:] != node[idx][order][:-1], True]
@@ -307,12 +342,12 @@ def _enclose(hs, scale, u, theta, level0):
             win = win[pf[win] > theta[node[idx[win]]]]
             rows = node[idx[win]]
             u[rows], theta[rows] = pu[win], pf[win]
-            main_r[rows] = _ball_radius(pf[win], pg[win], pmu[win], scale[rows],
+            main_r[rows] = _ball_radius(pf[win], pg[win], pmu[win], sigma[rows],
                                         theta[rows], tol[rows])
             own_u[idx] = pu
-            own_r[idx] = _ball_radius(pf, pg, pmu, scale[node[idx]],
+            own_r[idx] = _ball_radius(pf, pg, pmu, sigma[node[idx]],
                                       theta[node[idx]], tol[node[idx]])
-        excess = np.abs(fc) + gc * delta + 4.5 * scale[node] * delta**2 - theta[node]
+        excess = np.abs(fc) + gc * delta + 4.5 * sigma[node] * delta**2 - theta[node]
         keep = excess > tol[node]
         keep[keep] = ~_covered(c[keep], node[keep], u, main_r, own_u[keep], own_r[keep], delta)
         if not keep.any():
@@ -329,7 +364,9 @@ def _enclose(hs, scale, u, theta, level0):
         half /= 2.0
         point = point[:, None, :] + half * _QUADRANTS[face]
         c = _unit(point.reshape(-1, 3)).reshape(point.shape)
-        quad = c[..., _QUAD_I] * c[..., _QUAD_J]
+        # the quadratic monomials in _QUAD_I, _QUAD_J order, by slices
+        quad = np.concatenate([c * c, c[..., 0:1] * c[..., 1:], c[..., 1:2] * c[..., 2:]],
+                              axis=-1)
         grad = np.swapaxes(Q[node] @ np.swapaxes(quad, 1, 2), 1, 2).reshape(-1, 3)
         point, c = point.reshape(-1, 3), c.reshape(-1, 3)
         node, face, own_r = (np.repeat(x, 4) for x in (node, face, own_r))
@@ -352,7 +389,10 @@ def maximize_theta(sff_like):
        tangential gradient below 1e-13 max(1, |h|).
     3. Enclose: branch and bound over the cells proves that no point beats
        the polished value by more than 1e-12 max(1, |h|); any cell centre
-       that does beat it is polished in turn and raises it.
+       that does beat it is polished in turn and raises it.  The cell bounds
+       and the balls around polished maxima use a bound on the spectral
+       norm max |h(a,b,c)| read off the level-0 cells, which by Banach's
+       theorem (Studia Math. 7, 1938) is max |f| itself; see _enclose.
 
     Returns (maximizer, theta) with f(maximizer) = theta; a vanishing form
     yields (e1, 0).  Raises EnclosureError when the enclosure does not close
@@ -377,7 +417,7 @@ def maximize_theta(sff_like):
         F = level0[1]
         best = np.argmax(np.abs(F), axis=-1)
         sign = np.where(F[np.arange(len(rows)), best] < 0, -1.0, 1.0)
-        seed, f = _polish(part, _coarse_cells()[2][best] * sign[:, None], sc)[:2]
+        seed, f = _polish(part, _coarse_cells()[2][best] * sign[:, None], sc)
         u[rows], theta[rows] = _enclose(part, sc, seed, f, level0)
     return u.reshape(batch + (3,)), theta.reshape(batch)
 

@@ -204,12 +204,12 @@ def _immersion_suite(imm, cfg):
         cp.gauss_scalar_residual(), cfg.tol("gauss_scalar")))
 
     n_few = min(24, len(pts))
-    nh = geometry.nabla_h(imm, pts[:n_few], fd_step=cfg.fd_step)
+    pk_few, sff_few = _first_rows(pk, n_few), _first_rows(sff, n_few)
+    nh = geometry.nabla_h(imm, pts[:n_few], fd_step=cfg.fd_step, frame_packet=pk_few)
     checks.append(_check(
         "codazzi", "h^{k*}_{ij,l} = h^{k*}_{il,j}",
         nh.codazzi_residual(), cfg.tol("codazzi")))
 
-    pk_few, sff_few = _first_rows(pk, n_few), _first_rows(sff, n_few)
     gj = cayley.frame_products(imm.table, pk_few.e, pk_few.e, pk_few.estar)
     # residual of g((nabla h)(W,X,Z),JY) - g((nabla h)(W,X,Y),JZ) = g(h(W,X),G(Y,Z))
     rhs = np.einsum("...pmi,...kjp->...kijm", sff_few.h, gj)
@@ -295,7 +295,8 @@ def _dvv_suite(imm, cfg):
         "laplacian", "(1/2) Lap |h|^2 = |nabla h|^2 + 3 |h|^2 - Q",
         lap.residual_pipeline, cfg.tol("laplacian")))
 
-    nh = geometry.nabla_h(imm, pts[:16], fd_step=cfg.fd_step)
+    nh = geometry.nabla_h(imm, pts[:16], fd_step=cfg.fd_step,
+                          frame_packet=_first_rows(pk, 16))
     checks.append(_check(
         "t_norm", "|T|^2 = 0 on the Berger sphere",
         float(np.max(np.abs(

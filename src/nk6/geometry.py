@@ -355,21 +355,20 @@ class NablaH:
         return r
 
 
-def _frame_and_h(imm, q, frame_kwargs):
-    pk = frame(imm, q, validate=False, **frame_kwargs)
-    return pk, second_fundamental_form(imm, q, frame_packet=pk)
-
-
-def nabla_h(imm, q, fd_step=None, **frame_kwargs) -> NablaH:
+def nabla_h(imm, q, fd_step=None, frame_packet: FramePacket | None = None,
+            **frame_kwargs) -> NablaH:
     """Covariant derivative of h from frame-field derivatives plus connection terms.
 
     The h-coefficient and frame fields are differentiated along the chart by
     central differences of exact jets; tangential connection coefficients come
     from the frame-field derivative and the normal connection from the
-    structure tensor G.
+    structure tensor G.  `frame_packet`, when given, is the frame at q built
+    with the same `frame_kwargs`, as for second_fundamental_form.
     """
     q = np.asarray(q, dtype=float)
-    pk, sff = _frame_and_h(imm, q, frame_kwargs)
+    pk = frame_packet if frame_packet is not None else frame(
+        imm, q, validate=False, **frame_kwargs)
+    sff = second_fundamental_form(imm, q, frame_packet=pk)
     step = (fd_step if fd_step is not None else FD_STEP_ORDER1) * np.asarray(
         imm.chart.extents
     )
@@ -380,7 +379,9 @@ def nabla_h(imm, q, fd_step=None, **frame_kwargs) -> NablaH:
             qq = np.array(q, copy=True)
             qq[..., a] = qq[..., a] + sgn * step[a]
             shifts.append(qq)
-    pk_s, h_s = _frame_and_h(imm, np.stack(shifts), frame_kwargs)
+    shifts = np.stack(shifts)
+    pk_s = frame(imm, shifts, validate=False, **frame_kwargs)
+    h_s = second_fundamental_form(imm, shifts, frame_packet=pk_s)
 
     dh = np.empty(q.shape[:-1] + (3, 3, 3, 3))     # (..., a, k, i, j)
     de = np.empty(q.shape[:-1] + (3, 3, 7))        # (..., a, i, c)

@@ -193,7 +193,7 @@ def laplacian_identity_check(imm, q, fd_step=None) -> LaplacianIdentityReport:
         raise ValueError("laplacian_identity_check expects a single chart point")
     pk = geometry.frame(imm, q)
     sff = geometry.second_fundamental_form(imm, q, frame_packet=pk)
-    nh = geometry.nabla_h(imm, q, fd_step=fd_step)
+    nh = geometry.nabla_h(imm, q, fd_step=fd_step, frame_packet=pk)
     packet = t_tensor(nh, f_tensor(sff, pk), sff)
 
     field = lambda qq: geometry.second_fundamental_form(imm, qq).norm_sq()  # noqa: E731

@@ -127,6 +127,34 @@ def test_maximize_theta_matches_grid_newton_oracle():
     assert np.min(theta - oracle) >= -1e-12
 
 
+def test_spectral_bound_lies_between_theta_and_the_frobenius_norm():
+    # 300 rotated normal forms and 100 generic symmetric forms
+    rng = np.random.default_rng(11)
+    R = np.linalg.qr(rng.normal(size=(300, 3, 3)))[0]
+    normal = nk6.reconstruct_sff(rng.uniform(-1.0, 1.0, size=(300, 4)), R)
+    generic = rng.normal(size=(100, 3, 3, 3))
+    generic = sum(np.transpose(generic, (0, *(1 + p for p in perm)))
+                  for perm in itertools.permutations(range(3))) / 6.0
+    hs = np.concatenate([normal, generic])
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+    _, sigma = canonical._spectral_bound(scale, *canonical._level0(hs)[1:])
+    _, theta = nk6.maximize_theta(hs)
+    assert np.all(sigma >= theta) and np.all(sigma <= scale)
+    # sigma bounds the trilinear form itself, not just the cubic one
+    abc = rng.normal(size=(3, len(hs), 500, 3))
+    abc /= np.linalg.norm(abc, axis=-1, keepdims=True)
+    values = np.einsum("nkij,npk,npi,npj->np", hs, *abc)
+    assert np.all(np.max(np.abs(values), axis=-1) <= sigma)
+
+
+def test_dvv_enclosure_closes_on_the_coarse_cells(dvv, monkeypatch):
+    pts = dvv.chart.random_points(64, np.random.default_rng(5))
+    h = nk6.second_fundamental_form(dvv, pts).h
+    monkeypatch.setattr(canonical, "_MAX_DEPTH", 0)
+    _, theta = nk6.maximize_theta(h)
+    assert np.max(np.abs(theta - S5 / 2)) < 1e-12
+
+
 def test_enclosure_refuses_the_dvv_ring_point():
     # f = (5 t^3 - 3 t) sqrt(5)/4 in t = u_1 on the equality-case form: every
     # point of the circle t = -1/sqrt(5) is a critical point with f = 1/2,
@@ -169,15 +197,19 @@ def test_larger_of_two_close_maxima_wins():
 
 
 def test_enclosure_fails_loudly(monkeypatch):
-    hs = np.broadcast_to(nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0)), (5, 3, 3, 3))
+    # u1 u2 u3 has four tied maxima, which only the own balls of open cells
+    # polished from _POLISH_DEPTH on can close
+    tied = np.zeros((3, 3, 3))
+    for i, j, k in itertools.permutations(range(3)):
+        tied[i, j, k] = 1.0 / 6.0
     monkeypatch.setattr(canonical, "_MAX_DEPTH", 0)
     with pytest.raises(canonical.EnclosureError, match="did not close on 5 of 5 node"):
-        nk6.maximize_theta(hs)
+        nk6.maximize_theta(np.broadcast_to(tied, (5, 3, 3, 3)))
     # Newton that stops short leaves no ball to close the enclosure with
     monkeypatch.undo()
     monkeypatch.setattr(canonical, "_MAX_NEWTON", 0)
     with pytest.raises(canonical.EnclosureError, match=f"by depth {canonical._MAX_DEPTH}"):
-        nk6.maximize_theta(hs[0])
+        nk6.maximize_theta(nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0)))
 
 
 def test_canonical_basis_reference_tuples(dvv):

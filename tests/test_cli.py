@@ -133,10 +133,10 @@ def test_immersion_suite_evaluates_each_node_set_once(counted_dvv):
     # fd_jet stacks its 4 centres and their 277 stencil points each into
     # one value-only call
     assert [c for c in calls if c[0] == 0] == [(0, 4 * 278)]
-    # the 200 points and the 24 F/T points are each framed once; nabla_h
-    # still frames its 24 centres itself
+    # the 200 points are framed once, and nabla_h and the F/T checks read
+    # the frame of the first 24 from them
     assert calls.count((2, 200)) == 1
-    assert calls.count((2, 24)) == 1
+    assert calls.count((2, 24)) == 0
 
 
 def test_analyze_rejects_synthetic(capsys):
@@ -211,7 +211,8 @@ def test_integrate_csv_format_stdout(capsys):
 
 
 def test_open_theta_enclosure_is_a_failure(capsys, monkeypatch):
-    monkeypatch.setattr(canonical, "_MAX_DEPTH", 0)
+    # Newton that stops short leaves no ball to close the enclosure with
+    monkeypatch.setattr(canonical, "_MAX_NEWTON", 0)
     code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "8,8,8")
     assert code == 1
     assert out == ""
