@@ -67,7 +67,6 @@ class RunConfig:
     table: str = "auto"
     seed: int = 0
     samples: int = 1000
-    fd_step: float | None = None
     rule: simons.QuadratureRule = dc_field(default_factory=simons.QuadratureRule)
     tolerances: dict = dc_field(default_factory=dict)
     out: Path | None = None
@@ -85,7 +84,6 @@ class RunConfig:
             "table": self.table,
             "seed": self.seed,
             "samples": self.samples,
-            "fd_step": self.fd_step,
             "rule": list(self.rule.counts()),
             "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
             "format": self.fmt,
@@ -205,7 +203,7 @@ def _immersion_suite(imm, cfg):
 
     n_few = min(24, len(pts))
     pk_few, sff_few = _first_rows(pk, n_few), _first_rows(sff, n_few)
-    nh = geometry.nabla_h(imm, pts[:n_few], fd_step=cfg.fd_step, frame_packet=pk_few)
+    nh = geometry.nabla_h(imm, pts[:n_few], frame_packet=pk_few)
     checks.append(_check(
         "codazzi", "h^{k*}_{ij,l} = h^{k*}_{il,j}",
         nh.codazzi_residual(), cfg.tol("codazzi")))
@@ -290,13 +288,12 @@ def _dvv_suite(imm, cfg):
         float(np.max(np.abs(cp.tau - 23 / 8))), cfg.tol("gauss_scalar")))
 
     point = pts[0]
-    lap = simons.laplacian_identity_check(imm, point, fd_step=cfg.fd_step)
+    lap = simons.laplacian_identity_check(imm, point)
     checks.append(_check(
         "laplacian", "(1/2) Lap |h|^2 = |nabla h|^2 + 3 |h|^2 - Q",
         lap.residual_pipeline, cfg.tol("laplacian")))
 
-    nh = geometry.nabla_h(imm, pts[:16], fd_step=cfg.fd_step,
-                          frame_packet=_first_rows(pk, 16))
+    nh = geometry.nabla_h(imm, pts[:16], frame_packet=_first_rows(pk, 16))
     checks.append(_check(
         "t_norm", "|T|^2 = 0 on the Berger sphere",
         float(np.max(np.abs(
@@ -387,7 +384,7 @@ ANALYZE_COLUMNS = (
 )
 
 
-def analyze_point(imm, q, fd_step=None):
+def analyze_point(imm, q):
     """One analysis row; pinching-threshold flags are annotations only."""
     q = np.asarray(q, dtype=float)
     pk = geometry.frame(imm, q)
@@ -399,7 +396,7 @@ def analyze_point(imm, q, fd_step=None):
     tau = float(cp.tau)
     k_min, k_max = (float(v) for v in cp.sectional_range())
     k_tol = DEFAULT_TOLERANCES["sectional_values"]
-    nh = geometry.nabla_h(imm, q, fd_step=fd_step)
+    nh = geometry.nabla_h(imm, q)
     packet = simons.t_tensor(nh, simons.f_tensor(sff, pk), sff, tol=np.inf)
     return {
         "eta": float(q[0]), "xi1": float(q[1]), "xi2": float(q[2]),
@@ -429,7 +426,7 @@ def cmd_analyze(cfg: RunConfig, model):
     rows = []
     for q in pts:
         try:
-            rows.append(analyze_point(model, q, fd_step=cfg.fd_step))
+            rows.append(analyze_point(model, q))
         except geometry.ChartDegeneracyError as exc:
             row = {k: float("nan") for k in ANALYZE_COLUMNS if not k.startswith("flag")}
             row.update({
@@ -602,8 +599,6 @@ def build_parser():
                        "honors NK6_TABLE_PATH)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--fd-step", type=float, default=None,
-                       help="relative step for field finite differences")
         p.add_argument("--tol", action="append", metavar="KEY=VAL",
                        help="override a named tolerance (repeatable)")
         p.add_argument("--out", type=Path, default=None, help="output directory")
@@ -640,7 +635,6 @@ def main(argv=None) -> int:
             table=args.table if args.table is not None else "auto",
             seed=args.seed,
             samples=args.samples,
-            fd_step=args.fd_step,
             rule=simons.QuadratureRule.parse(getattr(args, "rule", "32,32,32")),
             tolerances=_parse_tol(args.tol),
             out=args.out,

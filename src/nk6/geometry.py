@@ -2,10 +2,11 @@
 
 Everything here is pointwise and batched: chart points have shape (..., 3)
 and every derived quantity carries the same leading batch shape.  Immersion
-handles (see `models`) supply exact chart jets; first derivatives of frame
-and form fields are taken by central differences of those exact jets, which
-keeps field-differentiation error near 1e-10 while all pointwise tensors are
-exact to roundoff.
+handles (see `models`) supply exact chart jets up to order 3.  Covariant
+derivatives come from one jet at the points themselves, through the
+Christoffel symbols of the induced metric, so h, nabla h and the metric
+terms of the Laplacian are exact to roundoff; only `fd_jet` and the scalar
+field handed to `laplace_beltrami` are differentiated by finite differences.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cayley import MulTable, cross, frame_products
+from .cayley import MulTable, cross
 
 __all__ = [
     "ChartDegeneracyError",
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 EPS = np.finfo(float).eps
-FD_STEP_ORDER1 = EPS ** (1.0 / 3.0)
 FD_STEP_ORDER2 = EPS ** 0.25
 
 
@@ -196,6 +196,7 @@ class FramePacket:
     e: np.ndarray                     # (..., 3, 7)
     estar: np.ndarray                 # (..., 3, 7)
     metric: np.ndarray                # (..., 3, 3) chart-basis induced metric
+    metric_det: np.ndarray            # (...,) det of the metric
     chart_comps: np.ndarray           # (..., 3, 3) rows: e_i in chart partials
     jet: ImmersionJet = field(repr=False)
     table: MulTable = field(repr=False, default=None)
@@ -248,8 +249,9 @@ def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
     jt = imm.jet(q, 2, check_domain=False)
     x, d1 = jt.value, jt.d1
     metric = np.einsum("...ac,...bc->...ab", d1, d1)
+    metric_det = np.linalg.det(metric)
     dist = imm.chart.degeneracy_distance(q)
-    if np.any(np.abs(np.linalg.det(metric)) < 1e-12):
+    if np.any(np.abs(metric_det) < 1e-12):
         # the frame vectors may survive a chart pole but the chart-component
         # decomposition used downstream does not
         raise ChartDegeneracyError(
@@ -271,7 +273,7 @@ def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
     chart_comps = np.swapaxes(np.linalg.solve(metric, comps_rhs), -1, -2)
 
     packet = FramePacket(
-        base=x, e=e, estar=estar, metric=metric,
+        base=x, e=e, estar=estar, metric=metric, metric_det=metric_det,
         chart_comps=chart_comps, jet=jt, table=imm.table,
     )
     if validate:
@@ -355,57 +357,53 @@ class NablaH:
         return r
 
 
-def nabla_h(imm, q, fd_step=None, frame_packet: FramePacket | None = None,
-            **frame_kwargs) -> NablaH:
-    """Covariant derivative of h from frame-field derivatives plus connection terms.
+def _christoffel(jt: ImmersionJet):
+    """Inverse induced metric g^{ab} and Christoffel symbols
+    gamma[..., a, b, d] = Gamma^d_ab = g^{de} <d_a d_b Psi, d_e Psi>
+    of a chart jet of order >= 2."""
+    d1t = np.swapaxes(jt.d1, -1, -2)
+    ginv = np.linalg.inv(jt.d1 @ d1t)
+    gamma = (jt.d2 @ d1t[..., None, :, :]) @ ginv[..., None, :, :]
+    return ginv, gamma
 
-    The h-coefficient and frame fields are differentiated along the chart by
-    central differences of exact jets; tangential connection coefficients come
-    from the frame-field derivative and the normal connection from the
-    structure tensor G.  `frame_packet`, when given, is the frame at q built
-    with the same `frame_kwargs`, as for second_fundamental_form.
+
+def nabla_h(imm, q, frame_packet: FramePacket | None = None,
+            **frame_kwargs) -> NablaH:
+    """Covariant derivative of h from one order-3 jet at q.
+
+    In chart indices, with sigma_ab,k = <d_a d_b Psi, J e_k>,
+
+        (nabla sigma)_abc,k = <d_a d_b d_c Psi, J e_k> - Gamma^d_ab sigma_cd,k
+                              - Gamma^d_bc sigma_ad,k - Gamma^d_ca sigma_bd,k,
+
+    which the chart components C of the frame carry to
+    nh[k, i, j, m] = C_ia C_jb C_mc (nabla sigma)_abc,k.  The pairing with
+    J e_k is taken at q after differentiating the R^7-valued field
+    h(d_a, d_b) = d_a d_b Psi - Gamma^d_ab d_d Psi + g_ab Psi, so neither the
+    frame's derivative nor the normal connection enters.  `frame_packet`,
+    when given, is the frame at q built with the same `frame_kwargs`, as for
+    second_fundamental_form.
     """
     q = np.asarray(q, dtype=float)
     pk = frame_packet if frame_packet is not None else frame(
         imm, q, validate=False, **frame_kwargs)
-    sff = second_fundamental_form(imm, q, frame_packet=pk)
-    step = (fd_step if fd_step is not None else FD_STEP_ORDER1) * np.asarray(
-        imm.chart.extents
-    )
-
-    shifts = []
-    for a in range(3):
-        for sgn in (1.0, -1.0):
-            qq = np.array(q, copy=True)
-            qq[..., a] = qq[..., a] + sgn * step[a]
-            shifts.append(qq)
-    shifts = np.stack(shifts)
-    pk_s = frame(imm, shifts, validate=False, **frame_kwargs)
-    h_s = second_fundamental_form(imm, shifts, frame_packet=pk_s)
-
-    dh = np.empty(q.shape[:-1] + (3, 3, 3, 3))     # (..., a, k, i, j)
-    de = np.empty(q.shape[:-1] + (3, 3, 7))        # (..., a, i, c)
-    for a in range(3):
-        plus, minus = 2 * a, 2 * a + 1
-        dh[..., a, :, :, :] = (h_s.h[plus] - h_s.h[minus]) / (2 * step[a])
-        de[..., a, :, :] = (pk_s.e[plus] - pk_s.e[minus]) / (2 * step[a])
-
-    c = pk.chart_comps
-    hgrad = np.einsum("...ma,...akij->...mkij", c, dh)
-    dframe = np.einsum("...ma,...aic->...mic", c, de)
-    omega = np.einsum("...mic,...jc->...mij", dframe, pk.e)
-
-    gframe = frame_products(imm.table, pk.e, pk.e, pk.estar)
-    omega_perp = gframe + omega
-
-    h = sff.h
-    coeffs = (
-        np.moveaxis(hgrad, -4, -1)
-        + np.einsum("...kil,...mlj->...kijm", h, omega)
-        + np.einsum("...klj,...mli->...kijm", h, omega)
-        + np.einsum("...lij,...mlk->...kijm", h, omega_perp)
-    )
-    return NablaH(coeffs=coeffs)
+    jt = imm.jet(q, 3, check_domain=False)
+    _, gamma = _christoffel(jt)
+    batch = q.shape[:-1]
+    # third[k, a, b, c] = <d_a d_b d_c Psi, J e_k>, sigma[k, c, d] likewise
+    third = pk.estar @ np.swapaxes(jt.d3.reshape(batch + (27, 7)), -1, -2)
+    sigma = pk.estar @ np.swapaxes(jt.d2.reshape(batch + (9, 7)), -1, -2)
+    # x[k, a, b, c] = Gamma^d_ab sigma_cd,k; the other two connection terms
+    # are its cyclic permutations in (a, b, c)
+    x = (gamma.reshape(batch + (1, 9, 3))
+         @ np.swapaxes(sigma.reshape(batch + (3, 3, 3)), -1, -2)).reshape(batch + (3, 3, 3, 3))
+    nsigma = (third.reshape(batch + (3, 3, 3, 3)) - x
+              - np.einsum("...kbca->...kabc", x) - np.einsum("...kcab->...kabc", x))
+    # nh[k, i, j, m] = C_ia C_jb C_mc nsigma[k, a, b, c]
+    C = pk.chart_comps
+    inner = C[..., None, None, :, :] @ nsigma @ np.swapaxes(C, -1, -2)[..., None, None, :, :]
+    outer = C[..., None, :, :] @ inner.reshape(batch + (3, 3, 9))
+    return NablaH(coeffs=outer.reshape(batch + (3, 3, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,38 +480,26 @@ def sectional_curvature(packet: CurvaturePacket, u, v):
 # ---------------------------------------------------------------------------
 
 def laplace_beltrami(imm, scalar_field, q, step=None):
-    """Laplacian of a chart scalar field at q by central differences.
+    """Laplacian of a chart scalar field at q.
 
-    Uses the divergence form with analytic metric coefficients from the jets:
-    Lap f = g^{ab} d2f_ab + (d_a(sqrt(det g) g^{ab}) / sqrt(det g)) d_b f.
+    Lap f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f), with the metric terms from
+    one order-2 jet at q and the partials of f, which is a black box, from
+    central differences on a 19-point stencil.
     """
     q = np.asarray(q, dtype=float)
-    extents = np.asarray(imm.chart.extents)
-    hf = (step if step is not None else FD_STEP_ORDER2) * extents
-    hm = FD_STEP_ORDER1 * extents
+    hf = (step if step is not None else FD_STEP_ORDER2) * np.asarray(imm.chart.extents)
     dist = np.min(imm.chart.degeneracy_distance(q))
-    if dist < 4 * max(hf.max(), hm.max()):
+    if dist < 4 * hf.max():
         raise ChartDegeneracyError(
             "stencil would cross the chart-degeneracy locus", float(dist)
         )
+    ginv, gamma = _christoffel(imm.jet(q, 2, check_domain=False))
 
     def shifted(*moves):
         qq = np.array(q, copy=True)
         for axis, delta in moves:
             qq[..., axis] = qq[..., axis] + delta
         return qq
-
-    # one batch: the centre, then the +/- shift along each axis
-    jt = imm.jet(np.stack(
-        [q] + [shifted((a, sgn * hm[a])) for a in range(3) for sgn in (1, -1)]
-    ), 1, check_domain=False)
-    g = np.einsum("...ac,...bc->...ab", jt.d1, jt.d1)
-    dens = np.sqrt(np.linalg.det(g))
-    A = dens[..., None, None] * np.linalg.inv(g)
-    ginv0 = A[0] / dens[0][..., None, None]
-    divergence = sum(
-        (A[1 + 2 * a][..., a, :] - A[2 + 2 * a][..., a, :]) / (2 * hm[a]) for a in range(3)
-    ) / dens[0][..., None]
 
     # one batch: the centre, the +/- shift along each axis, then the four
     # diagonal shifts (++, +-, -+, --) of each axis pair a < b
@@ -536,6 +522,5 @@ def laplace_beltrami(imm, scalar_field, q, step=None):
         hess[..., a, b] = mixed
         hess[..., b, a] = mixed
 
-    return np.einsum("...ab,...ab->...", ginv0, hess) + np.einsum(
-        "...b,...b->...", divergence, grad
-    )
+    return np.einsum("...ab,...ab->...", ginv,
+                     hess - np.einsum("...abc,...c->...ab", gamma, grad))

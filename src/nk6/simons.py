@@ -19,8 +19,6 @@ chart.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -187,13 +185,13 @@ class LaplacianIdentityReport:
     t_sq: float
 
 
-def laplacian_identity_check(imm, q, fd_step=None) -> LaplacianIdentityReport:
+def laplacian_identity_check(imm, q) -> LaplacianIdentityReport:
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise ValueError("laplacian_identity_check expects a single chart point")
     pk = geometry.frame(imm, q)
     sff = geometry.second_fundamental_form(imm, q, frame_packet=pk)
-    nh = geometry.nabla_h(imm, q, fd_step=fd_step, frame_packet=pk)
+    nh = geometry.nabla_h(imm, q, frame_packet=pk)
     packet = t_tensor(nh, f_tensor(sff, pk), sff)
 
     field = lambda qq: geometry.second_fundamental_form(imm, qq).norm_sq()  # noqa: E731
@@ -325,18 +323,6 @@ class InequalityReport:
             "volume_refinement_delta": self.volume_refinement_delta,
         }
 
-    def to_json(self, **kwargs):
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for row in self.samples:
-                writer.writerow([f"{v:.17g}" for v in row])
-
 
 def _classify(hsq_sup, integrand_sup, tol_equality, tol_indeterminate):
     if hsq_sup < tol_equality:
@@ -374,7 +360,7 @@ def integrate_inequality(
     """
     points, weights = rule.nodes_weights()
     pk = geometry.frame(imm, points)
-    dens = np.sqrt(np.linalg.det(pk.metric))
+    dens = np.sqrt(pk.metric_det)
     volume = float(np.sum(weights * dens))
     volume_coarse = _volume(imm, rule.coarser())[0]
     delta = abs(volume - volume_coarse) / max(abs(volume), 1e-300)

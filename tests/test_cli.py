@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from nk6 import canonical, cli
 from conftest import random_chart_points
@@ -26,6 +27,14 @@ def test_verify_reference_model(capsys):
     for suite in doc["suites"]:
         for check in suite["checks"]:
             assert "formula" in check and "max_residual" in check
+
+
+def test_fd_step_option_is_gone(capsys):
+    # nabla_h and the Laplacian's metric terms take no finite-difference step
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--fd-step", "1e-5"])
+    assert exc.value.code == 2
+    assert "--fd-step" in capsys.readouterr().err
 
 
 def test_verify_synthetic_runs_matrix_suite_only(capsys):

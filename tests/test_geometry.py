@@ -162,6 +162,25 @@ def test_nabla_h_codazzi_and_exchange(dvv, table):
     assert np.max(np.abs(residual)) < 1e-7
 
 
+def test_nabla_h_is_exact_to_roundoff(dvv):
+    # one order-3 jet and the Christoffel symbols leave no truncation error:
+    # Codazzi holds and |nabla h|^2 = (3/4)|h|^2 on DVV to roundoff
+    pts = random_chart_points(dvv, 20, seed=8)
+    nh = nk6.nabla_h(dvv, pts)
+    hsq = nk6.second_fundamental_form(dvv, pts).norm_sq()
+    assert nh.codazzi_residual() <= 1e-13
+    assert np.max(np.abs(nh.norm_sq() - 0.75 * hsq)) <= 1e-12
+
+
+def test_nabla_h_with_a_frame_reads_one_jet(counted_dvv):
+    q = random_chart_points(counted_dvv, 6, seed=4)
+    pk = nk6.frame(counted_dvv, q, validate=False)
+    counted_dvv.jet_calls.clear()
+    nh = nk6.nabla_h(counted_dvv, q, frame_packet=pk)
+    assert counted_dvv.jet_calls == [(3, 6)]
+    assert np.array_equal(nh.coeffs, nk6.nabla_h(counted_dvv, q).coeffs)
+
+
 def test_nabla_h_norm_value(dvv):
     pts = random_chart_points(dvv, 20, seed=9)
     nh = nk6.nabla_h(dvv, pts)
@@ -312,7 +331,7 @@ def test_laplace_beltrami_evaluates_one_stacked_stencil(counted_dvv):
 
     nk6.laplace_beltrami(counted_dvv, field, q)
     assert shapes == [(19, 4, 3)]
-    assert counted_dvv.jet_calls == [(1, 28)]
+    assert counted_dvv.jet_calls == [(2, 4)]
 
 
 def test_laplace_beltrami_near_pole_raises(geodesic):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nk6
-from nk6 import simons
+from nk6 import cli, simons
 from conftest import random_chart_points
 
 S5 = np.sqrt(5.0)
@@ -207,14 +207,12 @@ def test_integrate_inequality_totally_geodesic(geodesic):
     assert abs(report.volume - 2 * np.pi**2) / report.volume < 1e-12
 
 
-def test_integrate_report_serialization(tmp_path, dvv):
+def test_integrate_report_serialization(dvv):
     report = nk6.integrate_inequality(dvv, nk6.QuadratureRule(8, 8, 8))
     doc = report.to_dict()
     assert doc["schema_version"] == "1"
     assert doc["classification"] == "DVV-type"
-    path = tmp_path / "samples.csv"
-    report.write_csv(path)
-    rows = path.read_text().splitlines()
+    rows = cli._samples_csv(report).splitlines()
     assert rows[0] == ",".join(report.CSV_COLUMNS)
     assert len(rows) == 8 * 8 * 8 + 1
 
