@@ -190,37 +190,35 @@ def _tangent_hessian(hu, f, u):
                     6.0 * np.einsum("na,na->n", t2, a2) - 3.0 * f)
 
 
-def _critical(hs, u):
-    """f(u), the tangential gradient norm g and mu, minus the largest
-    eigenvalue of the tangent Hessian (positive at a strict maximum)."""
-    hu, v2, f = _contract(hs, u)
-    _, _, (h11, h12, h22) = _tangent_hessian(hu, f, u)
-    lam = 0.5 * (h11 + h22) + np.hypot(0.5 * (h11 - h22), h12)
-    return f, np.linalg.norm(3.0 * (v2 - f[:, None] * u), axis=-1), -lam
-
-
 def _polish(hs, u, scale):
     """Safeguarded Newton ascent on the sphere from each row of u.
 
     A row stops once every component of its tangential gradient is at most
     1e-13 max(1, |h|); only the rows still moving are iterated, and each
-    keeps h(u,.,.) from the step that moved it.  Returns the polished points
-    and f there.  Rows still moving after _MAX_NEWTON steps are returned as
-    they are; the enclosure then refuses to certify them.
+    keeps h(u,.,.) from the step that moved it.  Returns the polished points,
+    f there, the tangential gradient norm g and mu, minus the largest
+    eigenvalue of the tangent Hessian (positive at a strict maximum), each
+    read where the row stopped.  Rows still moving after _MAX_NEWTON steps
+    are returned as they are; the enclosure then refuses to certify them.
     """
     u = u.copy()
     hu, v2, f = _contract(hs, u)
-    f_out = f.copy()
+    f_out, g_out, mu_out = f.copy(), np.empty_like(f), np.empty_like(f)
     active, h, x, sc = np.arange(len(u)), hs, u, scale
-    for _ in range(_MAX_NEWTON):
+    for it in range(_MAX_NEWTON + 1):
         grad = 3.0 * (v2 - f[:, None] * x)
-        moving = np.max(np.abs(grad), axis=-1) > 1e-13 * np.maximum(sc, 1.0)
-        if not moving.all():
-            active, h, x, sc, hu, v2, f, grad = (
-                y[moving] for y in (active, h, x, sc, hu, v2, f, grad))
-        if not active.size:
-            break
         t1, t2, (h11, h12, h22) = _tangent_hessian(hu, f, x)
+        moving = np.max(np.abs(grad), axis=-1) > 1e-13 * np.maximum(sc, 1.0)
+        moving &= it < _MAX_NEWTON  # the pass after the last step only reads g and mu
+        if not moving.all():
+            done = ~moving
+            g_out[active[done]] = np.linalg.norm(grad[done], axis=-1)
+            mu_out[active[done]] = -(0.5 * (h11[done] + h22[done])
+                                     + np.hypot(0.5 * (h11[done] - h22[done]), h12[done]))
+            if not moving.any():
+                break
+            active, h, x, sc, hu, v2, f, grad, t1, t2, h11, h12, h22 = (
+                y[moving] for y in (active, h, x, sc, hu, v2, f, grad, t1, t2, h11, h12, h22))
         g1, g2 = np.einsum("na,na->n", t1, grad), np.einsum("na,na->n", t2, grad)
         det = h11 * h22 - h12 * h12
         safe = np.abs(det) > 1e-14 * np.maximum(sc, 1.0) ** 2
@@ -242,7 +240,7 @@ def _polish(hs, u, scale):
         v2 = np.where(up[:, None], v2_new, v2)
         f = np.where(up, f_new, f)
         u[active], f_out[active] = x, f
-    return u, f_out
+    return u, f_out, g_out, mu_out
 
 
 def _ball_radius(f, g, mu, sigma, theta, tol):
@@ -281,10 +279,11 @@ def _spectral_bound(scale, F, gnorm):
     return bound, np.minimum(scale, bound.max(axis=-1) / (1.0 - 4.5 * delta**2))
 
 
-def _enclose(hs, scale, u, theta, level0):
+def _enclose(hs, scale, seed, level0):
     """Certify that theta is the maximum of f within 1e-12 max(1, |h|) per row.
 
-    `level0` is _level0(hs).  Let sigma = max |h(a,b,c)| over unit vectors
+    `seed` is _polish's (u, f, g, mu) at one start per row and `level0` is
+    _level0(hs).  Let sigma = max |h(a,b,c)| over unit vectors
     a, b, c, the spectral norm of h; for a symmetric form it equals max |f|
     (S. Banach, Studia Math. 7, 1938).  Along unit-speed great circles
     |f''| = |6h(y,y',y') - 3f| <= 9 sigma, so a cell with centre c and
@@ -305,12 +304,12 @@ def _enclose(hs, scale, u, theta, level0):
     Returns the certified (u, theta); raises EnclosureError when cells stay
     open at _MAX_DEPTH or more than _MAX_OPEN stay open on one row.
     """
+    u, theta, g, mu = seed
     u, theta = u.copy(), theta.copy()
     tol = 1e-12 * np.maximum(scale, 1.0)
     coef, F, gnorm = level0
     Q = np.einsum("ne,eaq->naq", coef, _monomial_maps()[1])
     bound, sigma = _spectral_bound(scale, F, gnorm)
-    _, g, mu = _critical(hs, u)
     main_r = _ball_radius(theta, g, mu, sigma, theta, tol)
 
     face0, point0, u0, _, _ = _coarse_cells()
@@ -333,8 +332,7 @@ def _enclose(hs, scale, u, theta, level0):
             idx = np.nonzero(polish)[0]
             start = c[idx] * np.where(fc[idx] < 0, -1.0, 1.0)[:, None]
             hp = hs[node[idx]]
-            pu, _ = _polish(hp, start, scale[node[idx]])
-            pf, pg, pmu = _critical(hp, pu)
+            pu, pf, pg, pmu = _polish(hp, start, scale[node[idx]])
             # the best polished point of each row that beats its theta wins
             order = np.lexsort((pf, node[idx]))
             last = np.r_[node[idx][order][1:] != node[idx][order][:-1], True]
@@ -417,8 +415,8 @@ def maximize_theta(sff_like):
         F = level0[1]
         best = np.argmax(np.abs(F), axis=-1)
         sign = np.where(F[np.arange(len(rows)), best] < 0, -1.0, 1.0)
-        seed, f = _polish(part, _coarse_cells()[2][best] * sign[:, None], sc)
-        u[rows], theta[rows] = _enclose(part, sc, seed, f, level0)
+        seed = _polish(part, _coarse_cells()[2][best] * sign[:, None], sc)
+        u[rows], theta[rows] = _enclose(part, sc, seed, level0)
     return u.reshape(batch + (3,)), theta.reshape(batch)
 
 

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 TOL_UNIT = 1e-12
+# step of the parallel-transport difference quotients along unit geodesics
+FD_STEP = 1e-5
 
 # One oriented Fano line per row; the sign fixes e_i x e_j = +-e_k.
 # This is the Cayley-Dickson doubling of the quaternions: units 1..3 are
@@ -323,7 +325,7 @@ def _geodesic_data(x, X_dir, step):
     return Xu, n[..., 0], geodesic(x, Xu, step), geodesic(x, Xu, -step)
 
 
-def g_tensor_fd(x, X, Y, table: MulTable, step=1e-5):
+def g_tensor_fd(x, X, Y, table: MulTable, step=FD_STEP):
     """Difference-quotient evaluation of (covariant derivative of J)(Y) along X.
 
     Y is parallel-transported along the geodesic with velocity X, so the
@@ -337,7 +339,7 @@ def g_tensor_fd(x, X, Y, table: MulTable, step=1e-5):
     return tangent_project(x, dJY) * speed[..., None]
 
 
-def nabla_g_fd(x, X, Y, Z, table: MulTable, step=1e-5):
+def nabla_g_fd(x, X, Y, Z, table: MulTable, step=FD_STEP):
     """Central difference of the covariant derivative of G along X.
 
     Transports Y and Z in parallel, differentiates t -> G(Y(t), Z(t)) along
@@ -409,7 +411,6 @@ class IdentityReport:
     tolerances: dict
     n_samples: int
     seed: int
-    fd_step: float
 
     @property
     def passed(self) -> bool:
@@ -435,15 +436,14 @@ def verify_nk_identities(
     table: MulTable,
     n_samples: int = 1000,
     seed: int = 0,
-    fd_step: float = 1e-5,
     tol_algebraic: float = 1e-12,
     tol_fd: float = 1e-6,
 ) -> IdentityReport:
     """Check the nearly Kahler identity suite at random points and vectors.
 
     Algebraic identities are sampled in batch; the covariant-derivative
-    identity uses the parallel-transport difference quotient.  Residuals are
-    reported, never raised.
+    identity uses the parallel-transport difference quotient with step
+    FD_STEP.  Residuals are reported, never raised.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -468,7 +468,7 @@ def verify_nk_identities(
     )
     res["product_expansion"] = float(np.max(np.abs(g(G(X, Y), G(Z, W)) - expansion)))
 
-    nabla = nabla_g_fd(x, X, Y, Z, table, step=fd_step)
+    nabla = nabla_g_fd(x, X, Y, Z, table)
     rhs = (
         g(Y, J(Z))[..., None] * X
         + g(X, Z)[..., None] * J(Y)
@@ -490,6 +490,4 @@ def verify_nk_identities(
 
     tol = {name: tol_algebraic for name in res}
     tol["covariant_derivative"] = tol_fd
-    return IdentityReport(
-        residuals=res, tolerances=tol, n_samples=n_samples, seed=seed, fd_step=fd_step
-    )
+    return IdentityReport(residuals=res, tolerances=tol, n_samples=n_samples, seed=seed)

@@ -167,7 +167,7 @@ def _immersion_suite(imm, cfg):
         float(np.max(np.abs(exact.d3 - approx.d3))),
     )
     checks.append(_check(
-        "jet_fd_agreement", "analytic jets match value-only finite differences",
+        "jet_fd_agreement", "analytic jets match value-only Cauchy-integral jets",
         dev, cfg.tol("jet_fd_agreement")))
 
     checks.append(_check(

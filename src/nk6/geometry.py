@@ -5,8 +5,10 @@ and every derived quantity carries the same leading batch shape.  Immersion
 handles (see `models`) supply exact chart jets up to order 3.  Covariant
 derivatives come from one jet at the points themselves, through the
 Christoffel symbols of the induced metric, so h, nabla h and the metric
-terms of the Laplacian are exact to roundoff; only `fd_jet` and the scalar
-field handed to `laplace_beltrami` are differentiated by finite differences.
+terms of the Laplacian are exact to roundoff.  `fd_jet` recomputes jets from
+immersion values alone, by Cauchy's integral formula on complex circles, as
+an independent oracle; only the scalar field handed to `laplace_beltrami` is
+differentiated by finite differences.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import canonical
 from .cayley import MulTable, cross
 
 __all__ = [
@@ -90,92 +93,66 @@ def jet(imm, q, order: int) -> ImmersionJet:
     return imm.jet(q, order)
 
 
+# fd_jet samples circles of radius _CAUCHY_RADIUS at _CAUCHY_NODES roots of
+# unity around each point, along the unit directions e_i, e_i +- e_j (i < j)
+# and e_1 + e_2 + e_3
+_CAUCHY_NODES = 24
+_CAUCHY_RADIUS = 0.5
+_CAUCHY_DIRECTIONS = np.array(
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1],
+     [0, 1, 1], [0, 1, -1], [1, 1, 1]], dtype=float)
+_CAUCHY_DIRECTIONS /= np.linalg.norm(_CAUCHY_DIRECTIONS, axis=1, keepdims=True)
+
+
 @lru_cache(maxsize=None)
-def _fd_weights(offsets: tuple, deriv: int) -> tuple:
-    """Finite-difference weights on integer offsets for one derivative order."""
-    n = len(offsets)
-    A = np.array([[o**p / math.factorial(p) for o in offsets] for p in range(n)])
-    b = np.zeros(n)
-    b[deriv] = 1.0
-    return tuple(np.linalg.solve(A, b))
+def _cauchy_maps():
+    """Per order k = 1..3, the fixed map (3**k, 10) from the circle
+    coefficients D^kP[v^k]/k! of the ten directions v to the flattened
+    chart partials d_k.
+
+    Each direction gives one equation sum_{|alpha|=k} v^alpha/alpha!
+    d^alpha P = D^kP[v^k]/k! in the symmetric partials, which the
+    pseudo-inverse solves (condition numbers 1.2, 1.6 and 3.4) and
+    canonical._fold fans out to every index order.
+    """
+    maps = []
+    for k in (1, 2, 3):
+        exps = np.array(canonical._exponents(k))
+        factorials = np.prod([[math.factorial(e) for e in row] for row in exps], axis=-1)
+        system = canonical._monomials(_CAUCHY_DIRECTIONS, k) / factorials
+        maps.append(canonical._fold(k) @ np.linalg.pinv(system))
+    return maps
 
 
-def _multi_indices(order):
-    """Exponent triples of total degree <= order, graded lexicographic."""
-    return [(i, j, t - i - j)
-            for t in range(order + 1) for i in range(t, -1, -1) for j in range(t - i, -1, -1)]
+def fd_jet(imm, q, order: int) -> ImmersionJet:
+    """Jet from immersion *values* only, by Cauchy's integral formula.
 
-
-_STENCIL_POINTS = {0: (0,), 1: (-2, -1, 1, 2), 2: (-2, -1, 0, 1, 2), 3: (-3, -2, -1, 1, 2, 3)}
-
-
-def fd_jet(imm, q, order: int, step=None) -> ImmersionJet:
-    """Jet from immersion *values* only, by high-order central differences.
-
-    Independent oracle for the analytic jets; fourth-order stencils keep the
-    roundoff/truncation balance below 1e-6 for third derivatives.
+    Independent oracle for the analytic jets.  The chart map is entire, so
+    on each of ten fixed unit directions v, z -> P(q + z v) is sampled on a
+    circle of roots of unity in the complex z-plane, and one FFT along the
+    circle returns its Taylor coefficients D^kP[v^k]/k! with no truncation
+    term, only aliasing from orders >= _CAUCHY_NODES and roundoff of about
+    eps max|P| k!/r^k times the condition number of _cauchy_maps (Lyness and
+    Moler, SIAM J. Numer. Anal. 4, 1967).  The centres and every circle go
+    through one order-0 jet call, so the oracle never reads the analytic
+    derivative blocks.
     """
     if not 0 <= order <= 3:
         raise ValueError("jet order must be in 0..3")
     q = np.asarray(q, dtype=float)
-    if step is None:
-        step = EPS ** (1.0 / 7.0)
-    steps = step * np.asarray(imm.chart.extents)
-
-    # every stencil point of every multi-index, after the centre, in one batch
-    stencils = []
-    shifted = [q]
-    for alpha in _multi_indices(order)[1:]:
-        axis_stencils = []
-        for ax, m in enumerate(alpha):
-            pts = _STENCIL_POINTS[m]
-            axis_stencils.append((ax, pts, _fd_weights(pts, m)))
-        combos = [((), 1.0)]
-        for ax, pts, wts in axis_stencils:
-            combos = [
-                (shift + ((ax, o),), w * wt)
-                for shift, w in combos
-                for o, wt in zip(pts, wts)
-            ]
-        for shift, _ in combos:
-            qq = np.array(q, copy=True)
-            for ax, o in shift:
-                qq[..., ax] = qq[..., ax] + o * steps[ax]
-            shifted.append(qq)
-        stencils.append((alpha, np.array([w for _, w in combos])))
-    vals = imm.jet(np.stack(shifted), 0, check_domain=False).value
-
-    partials = {(0, 0, 0): vals[0]}
-    start = 1
-    for alpha, weights in stencils:
-        scale = np.prod([steps[ax] ** m for ax, m in enumerate(alpha)])
-        block = vals[start:start + len(weights)]
-        partials[alpha] = np.tensordot(weights, block, axes=(0, 0)) / scale
-        start += len(weights)
-
-    batch = q.shape[:-1]
-    d1 = d2 = d3 = None
-    if order >= 1:
-        d1 = np.stack([partials[tuple(np.eye(3, dtype=int)[a])] for a in range(3)], axis=-2)
-    if order >= 2:
-        d2 = np.empty(batch + (3, 3, 7))
-        for a in range(3):
-            for b in range(3):
-                alpha = [0, 0, 0]
-                alpha[a] += 1
-                alpha[b] += 1
-                d2[..., a, b, :] = partials[tuple(alpha)]
-    if order >= 3:
-        d3 = np.empty(batch + (3, 3, 3, 7))
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    alpha = [0, 0, 0]
-                    alpha[a] += 1
-                    alpha[b] += 1
-                    alpha[c] += 1
-                    d3[..., a, b, c, :] = partials[tuple(alpha)]
-    return ImmersionJet(order=order, value=vals[0], d1=d1, d2=d2, d3=d3)
+    batch, flat = q.shape[:-1], q.reshape(-1, 3)
+    z = _CAUCHY_RADIUS * np.exp(2j * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
+    circles = flat + (_CAUCHY_DIRECTIONS[:, None, :] * z[:, None])[:, :, None, :]
+    vals = imm.jet(np.concatenate([flat, circles.reshape(-1, 3)]), 0, check_domain=False).value
+    # coef[v, k] / (N r^k) = D^kP[v^k]/k! on the circle along direction v
+    coef = np.fft.fft(vals[len(flat):].reshape(circles.shape[:-1] + (7,)), axis=1)
+    blocks = []
+    for k, mapping in zip(range(1, order + 1), _cauchy_maps()):
+        taylor = coef[:, k].real / (_CAUCHY_NODES * _CAUCHY_RADIUS**k)
+        block = np.tensordot(mapping, taylor, axes=(1, 0))  # (3**k, n, 7)
+        blocks.append(np.moveaxis(block, 0, 1).reshape(batch + (3,) * k + (7,)))
+    return ImmersionJet(order, vals[:len(flat)].real.reshape(batch + (7,)),
+                        *blocks, *[None] * (3 - order))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +185,15 @@ class FramePacket:
     def lagrangian_residual(self):
         return float(np.max(np.abs(np.einsum("...ic,...jc->...ij", self.estar, self.e))))
 
-    def validate(self, tol=1e-10):
-        worst = max(self.orthonormality_residual(), self.lagrangian_residual())
+    def validate(self, tol=1e-10, model="frame"):
+        """Worst invariant residual; raises ValueError beyond tol, naming
+        `model` and the table when the Lagrangian condition is what fails."""
+        lagrangian = self.lagrangian_residual()
+        if lagrangian > tol:
+            raise ValueError(f"{model} is not Lagrangian for table {self.table.source} "
+                             f"(residual {lagrangian:.3e})")
         base_tangency = float(np.max(np.abs(np.einsum("...ic,...c->...i", self.e, self.base))))
-        worst = max(worst, base_tangency)
+        worst = max(self.orthonormality_residual(), lagrangian, base_tangency)
         if worst > tol:
             raise ValueError(
                 f"frame violates adapted-frame invariants: residual {worst:.3e} > {tol:g}"
@@ -277,7 +259,7 @@ def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
         chart_comps=chart_comps, jet=jt, table=imm.table,
     )
     if validate:
-        packet.validate(tol)
+        packet.validate(tol, model=f"model {imm.name}")
     return packet
 
 
@@ -479,15 +461,16 @@ def sectional_curvature(packet: CurvaturePacket, u, v):
 # Laplace-Beltrami operator on chart scalar fields
 # ---------------------------------------------------------------------------
 
-def laplace_beltrami(imm, scalar_field, q, step=None):
+def laplace_beltrami(imm, scalar_field, q):
     """Laplacian of a chart scalar field at q.
 
     Lap f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f), with the metric terms from
     one order-2 jet at q and the partials of f, which is a black box, from
-    central differences on a 19-point stencil.
+    central differences on a 19-point stencil with step FD_STEP_ORDER2 times
+    the chart extents.
     """
     q = np.asarray(q, dtype=float)
-    hf = (step if step is not None else FD_STEP_ORDER2) * np.asarray(imm.chart.extents)
+    hf = FD_STEP_ORDER2 * np.asarray(imm.chart.extents)
     dist = np.min(imm.chart.degeneracy_distance(q))
     if dist < 4 * hf.max():
         raise ChartDegeneracyError(

@@ -70,14 +70,14 @@ class HopfChart:
         product of two entries of the cos/sin derivative cycle, or zero when
         it differentiates the idle angle.
         """
-        q = np.asarray(q, dtype=float)
+        q = np.asarray(q, dtype=complex if np.iscomplexobj(q) else float)
         c, s = np.cos(q), np.sin(q)
         cycle = (c, -s, -c, s)  # d^m cos = cycle[m % 4], d^m sin = cycle[(m - 1) % 4]
         # per y_a: (chart axis of its xi, f is sin, g is sin)
         factors = ((1, 0, 0), (1, 0, 1), (2, 1, 0), (2, 1, 1))
         out = []
         for k in range(order + 1):
-            dk = np.zeros(q.shape[:-1] + (3,) * k + (4,))
+            dk = np.zeros(q.shape[:-1] + (3,) * k + (4,), dtype=q.dtype)
             for axes in itertools.product(range(3), repeat=k):
                 m = [axes.count(ax) for ax in range(3)]
                 for a, (xi, sin_eta, sin_xi) in enumerate(factors):
@@ -92,7 +92,7 @@ class HopfChart:
         return np.minimum(np.abs(eta), np.abs(np.pi / 2 - eta))
 
     def check_domain(self, q, slack=1e-12):
-        eta = np.asarray(q, dtype=float)[..., 0]
+        eta = np.real(q)[..., 0]
         if np.any(eta < -slack) or np.any(eta > np.pi / 2 + slack):
             raise ValueError("chart point outside domain: eta must lie in [0, pi/2]")
 
@@ -188,7 +188,7 @@ class PolynomialSphereImmersion:
     def _poly_derivs(self, y, order):
         """[D^0 P, ..., D^order P] at y (n, 4), the k-th of shape (n, 4 k times, 7)."""
         top = int(self._expo.max(initial=0))
-        powers = np.ones(y.shape + (top + 1,))
+        powers = np.ones(y.shape + (top + 1,), dtype=y.dtype)
         np.cumprod(np.broadcast_to(y[..., None], y.shape + (top,)), axis=-1, out=powers[..., 1:])
         mono = np.prod(powers[:, np.arange(4), self._expo], axis=-1)
         return [(mono @ self._coef[k]).reshape((len(y),) + (4,) * k + (7,)) for k in range(order + 1)]
@@ -206,11 +206,11 @@ class PolynomialSphereImmersion:
     def jet(self, q, order, check_domain=True):
         if not 0 <= order <= 3:
             raise ValueError("jet order must be in 0..3")
-        q = np.asarray(q, dtype=float)
+        q = np.asarray(q, dtype=complex if np.iscomplexobj(q) else float)
         if check_domain:
             self.chart.check_domain(q)
         flat = q.reshape(-1, 3)
-        out = [np.empty((len(flat),) + (3,) * k + (7,)) for k in range(order + 1)]
+        out = [np.empty((len(flat),) + (3,) * k + (7,), dtype=q.dtype) for k in range(order + 1)]
         for lo in range(0, len(flat), _NODE_BLOCK):
             ys = self.chart.y_derivs(flat[lo:lo + _NODE_BLOCK], order)
             ps = self._poly_derivs(ys[0], order)

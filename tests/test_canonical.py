@@ -162,9 +162,10 @@ def test_enclosure_refuses_the_dvv_ring_point():
     hs = nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0))[None]
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
     ring = np.array([[-1.0, 2.0, 0.0]]) / S5
-    u, f = canonical._polish(hs, ring, scale)[:2]
+    seed = canonical._polish(hs, ring, scale)
+    u, f = seed[:2]
     assert np.allclose(u, ring) and abs(float(f[0]) - 0.5) < 1e-15
-    u, theta = canonical._enclose(hs, scale, u, f, canonical._level0(hs))
+    u, theta = canonical._enclose(hs, scale, seed, canonical._level0(hs))
     assert abs(float(theta[0]) - S5 / 2) < 1e-12
     assert abs(abs(float(u[0, 0])) - 1.0) < 1e-8
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nk6 import canonical, cli
+from nk6 import canonical, cli, models
 from conftest import random_chart_points
 
 
@@ -139,13 +139,28 @@ def test_immersion_suite_evaluates_each_node_set_once(counted_dvv):
     suite = cli._immersion_suite(counted_dvv, cli.RunConfig(command="verify"))
     assert all(check["passed"] for check in suite["checks"])
     calls = counted_dvv.jet_calls
-    # fd_jet stacks its 4 centres and their 277 stencil points each into
-    # one value-only call
-    assert [c for c in calls if c[0] == 0] == [(0, 4 * 278)]
+    # fd_jet stacks its 4 centres and their ten circles of 24 nodes each
+    # into one value-only call
+    assert [c for c in calls if c[0] == 0] == [(0, 4 * (1 + 10 * 24))]
     # the 200 points are framed once, and nabla_h and the F/T checks read
     # the frame of the first 24 from them
     assert calls.count((2, 200)) == 1
     assert calls.count((2, 24)) == 0
+
+
+def test_non_lagrangian_poly_file_is_named(capsys, tmp_path):
+    # the unit sphere of the coordinate 4-plane of components 1-4 lies on the
+    # six-sphere but contains a quaternion line, so it is not Lagrangian
+    path = tmp_path / "plane.txt"
+    path.write_text("1 1 0 0 0 1.0\n2 0 1 0 0 1.0\n3 0 0 1 0 1.0\n4 0 0 0 1 1.0\n")
+    source = models.default_table().source
+    for args in (("integrate", "--rule", "8,8,8"), ("analyze", "--random", "2")):
+        code, out, err = run_cli(capsys, *args, "--model", f"poly:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: model plane is not Lagrangian for table {source} (residual ")
+    code, out, _ = run_cli(capsys, "verify", "--model", f"poly:{path}")
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert code == 1 and not checks["lagrangian"]["passed"]
 
 
 def test_analyze_rejects_synthetic(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nk6
-from nk6 import geometry
+from nk6 import cli, geometry
 from conftest import random_chart_points
 
 S5 = np.sqrt(5.0)
@@ -55,15 +55,32 @@ def random_polynomial(table, seed=6):
 
 
 def test_degree6_jets_match_fd_oracle(table):
+    # the oracle has no truncation term, so verify's absolute tolerance holds
+    # on a degree-6 map as it does on the quadratic DVV map
     poly = random_polynomial(table)
     pts = random_chart_points(poly, 50, seed=7, margin=0.15)
     exact = nk6.jet(poly, pts, 3)
-    # half the default step: the oracle's h^4 truncation error grows with the
-    # degree, and at the default step it reaches 9e-5 of d3 on this polynomial
-    approx = nk6.fd_jet(poly, pts, 3, step=geometry.EPS ** (1 / 7) / 2)
+    approx = nk6.fd_jet(poly, pts, 3)
+    tol = cli.DEFAULT_TOLERANCES["jet_fd_agreement"]
     for name in ("value", "d1", "d2", "d3"):
-        a, b = getattr(exact, name), getattr(approx, name)
-        assert np.max(np.abs(a - b)) < 1e-4 * np.max(np.abs(a)), name
+        assert np.max(np.abs(getattr(exact, name) - getattr(approx, name))) < tol, name
+
+
+def test_fd_jet_makes_one_value_only_call(counted_dvv):
+    # the oracle reads only values: one order-0 call on the centres and
+    # their ten circles of 24 nodes, never the chain-rule blocks
+    pts = random_chart_points(counted_dvv, 3, seed=4)
+    jt = nk6.fd_jet(counted_dvv, pts, 3)
+    assert counted_dvv.jet_calls == [(0, 3 * (1 + 10 * 24))]
+    assert jt.d3.shape == (3, 3, 3, 3, 7)
+
+
+def test_complex_order0_jet_is_bitwise_real_at_real_points(dvv, table):
+    for imm in (dvv, random_polynomial(table)):
+        q = random_chart_points(imm, 64, seed=12)
+        real, cplx = imm.jet(q, 0).value, imm.jet(q.astype(complex), 0).value
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.array_equal(cplx.real, real) and not np.any(cplx.imag)
 
 
 def test_jet_node_blocks(table):
