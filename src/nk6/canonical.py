@@ -69,7 +69,7 @@ def _tangent_basis(u):
 
 
 # ---------------------------------------------------------------------------
-# Theta: seed on coarse cells, Newton polish, branch-and-bound enclosure
+# Theta: seed on grid vertices, Newton polish, branch-and-bound enclosure
 # ---------------------------------------------------------------------------
 
 _SPLIT = 10            # level-0 cells per edge of each cube face
@@ -77,9 +77,7 @@ _MAX_DEPTH = 12        # quadtree depth at which an open enclosure fails
 _MAX_OPEN = 512        # open cells per node at which an enclosure fails
 _POLISH_DEPTH = 3      # open cells this deep get a Newton polish of their own
 _MAX_NEWTON = 60
-_CHUNK = 512           # nodes per pass: bounds the level-0 and open-cell arrays
-_QUAD_I = np.array([0, 1, 2, 0, 0, 1])  # quadratic monomials u_i u_j, i <= j
-_QUAD_J = np.array([0, 1, 2, 1, 2, 2])
+_CHUNK = 1024          # nodes per pass: bounds the level-0 and open-cell arrays
 
 
 class EnclosureError(RuntimeError):
@@ -93,41 +91,16 @@ def _exponents(degree):
                    for t in np.ndindex(*(3,) * degree)}, reverse=True)
 
 
+@lru_cache(maxsize=None)
 def _fold(degree):
     """0/1 map (3**degree, n) from the flattened index orders of a degree-d
-    coefficient tensor onto the monomials _exponents(degree)."""
+    coefficient tensor onto the monomials _exponents(degree); h.reshape(27)
+    @ _fold(3) holds the coefficients of the cubic form f."""
     exps = _exponents(degree)
     F = np.zeros((3**degree, len(exps)))
     for flat, t in enumerate(np.ndindex(*(3,) * degree)):
         F[flat, exps.index(tuple(int(x) for x in np.bincount(t, minlength=3)))] = 1.0
     return F
-
-
-@lru_cache(maxsize=None)
-def _monomial_maps():
-    """Fixed linear maps from h to polynomial coefficients.
-
-    c = h.reshape(27) @ P (27, 10), P = _fold(3), holds the coefficients of f
-    in the cubic monomials _exponents(3).  c @ G (3, 6) gives the Euclidean
-    gradient in the quadratic monomials u[_QUAD_I] u[_QUAD_J], and c @ L (3, 15) the
-    tangential gradient |u|^2 grad f - 3 f u in the quartic monomials
-    _exponents(4); on the unit sphere that is grad f - 3 f u.
-    """
-    cubic, quartic = _exponents(3), _exponents(4)
-    quad = [tuple(np.bincount(ij, minlength=3)) for ij in zip(_QUAD_I, _QUAD_J)]
-    P = _fold(3)
-    G = np.zeros((len(cubic), 3, len(quad)))
-    L = np.zeros((len(cubic), 3, len(quartic)))
-    unit = np.eye(3, dtype=int)
-    for e, exps in enumerate(cubic):
-        for a in range(3):
-            L[e, a, quartic.index(tuple(exps + unit[a]))] -= 3.0
-            if exps[a]:
-                lower = tuple(exps - unit[a])
-                G[e, a, quad.index(lower)] = exps[a]
-                for b in range(3):
-                    L[e, a, quartic.index(tuple(lower + 2 * unit[b]))] += exps[a]
-    return P, G, L
 
 
 def _unit(v):
@@ -138,38 +111,64 @@ def _monomials(u, degree):
     return np.prod(u[:, None, :] ** np.array(_exponents(degree)), axis=-1)
 
 
-# offsets from a cell's gnomonic point to the points of its four quadrants,
-# per face, in units of the quadrants' planar half-side
-_AXES = np.eye(3)
-_QUADRANTS = np.array([[s * _AXES[(k + 1) % 3] + t * _AXES[(k + 2) % 3]
-                        for s in (-1, 1) for t in (-1, 1)] for k in range(3)])
+# the cube's face normals: three orthogonal integer vectors, normalized,
+# which turn the cube off the coordinate axes; see _coarse_cells
+_AXES = np.array([[-3.0, 2.0, -1.0], [-23.0, -50.0, -31.0], [-8.0, -5.0, 14.0]])
+_AXES /= np.linalg.norm(_AXES, axis=-1, keepdims=True)
+
+
+def _face_offsets(pairs):
+    """Per face k, the offsets s _AXES[k+1] + t _AXES[k+2] of the (s, t) pairs."""
+    return np.array([[s * _AXES[(k + 1) % 3] + t * _AXES[(k + 2) % 3] for s, t in pairs]
+                     for k in range(3)])
+
+
+# offsets from a cell's gnomonic centre, per face, in units of the cell's
+# planar half-side: its four corners, which are also the centres of its four
+# quadrants in units of theirs, and the five points a split adds (its edge
+# midpoints and its centre) with their places in the cell's 3 x 3 grid
+_CORNERS = _face_offsets([(s, t) for s in (-1, 1) for t in (-1, 1)])
+_NEW = np.array([(-1, 0), (0, -1), (0, 1), (1, 0), (0, 0)])
+_NEW_OFFSETS = _face_offsets(_NEW)
 
 
 @lru_cache(maxsize=None)
 def _coarse_cells():
-    """Level-0 cells: the +x, +y and +z cube faces, each split _SPLIT x _SPLIT.
+    """Level-0 grid: three faces of a cube, each split _SPLIT x _SPLIT.
 
-    Together they cover the sphere modulo u -> -u.  Returns the face of each
-    cell, its centre as a gnomonic point (coordinate `face` equal to 1) and
-    as a unit vector, and the cubic and quartic monomials of the latter.
+    Together they cover the sphere modulo u -> -u.  Returns the vertices,
+    3 (_SPLIT + 1)^2 unit vectors, with their cubic monomials and the
+    indices of the (up to four, padded by repeats) cells they bound; and per
+    cell its face, its centre as a gnomonic point (coefficient 1 on
+    _AXES[face]) and the indices of its four vertices in _CORNERS order.
+    The cube is turned off the coordinate axes, where the adapted frames of
+    the reference models put the maximum: no grid point down to _MAX_DEPTH
+    lies on an axis, so the maximizer is always Newton's, and a Newton that
+    stalls cannot hide behind a sample that happens to hit the maximum.
     """
+    n = _SPLIT + 1
+    tick = -1.0 + 2.0 * np.arange(n) / _SPLIT
+    face, a, b = (x.ravel() for x in np.meshgrid(np.arange(3), tick, tick, indexing="ij"))
+    vertex = _unit(_AXES[face] + a[:, None] * _AXES[(face + 1) % 3]
+                   + b[:, None] * _AXES[(face + 2) % 3])
+    i, j = np.divmod(np.arange(len(face)) % (n * n), n)
+    i = np.clip(i[:, None] + [-1, -1, 0, 0], 0, _SPLIT - 1)
+    j = np.clip(j[:, None] + [-1, 0, -1, 0], 0, _SPLIT - 1)
+    cells = (face[:, None] * _SPLIT + i) * _SPLIT + j
+    k, i, j = np.meshgrid(np.arange(3), np.arange(_SPLIT), np.arange(_SPLIT), indexing="ij")
+    first = ((k * n + i) * n + j).ravel()
+    corner = first[:, None] + np.array([0, 1, n, n + 1])
     mid = -1.0 + (2 * np.arange(_SPLIT) + 1) / _SPLIT
     face, a, b = (x.ravel() for x in np.meshgrid(np.arange(3), mid, mid, indexing="ij"))
     point = _AXES[face] + a[:, None] * _AXES[(face + 1) % 3] + b[:, None] * _AXES[(face + 2) % 3]
-    u = _unit(point)
-    return face, point, u, _monomials(u, 3), _monomials(u, 4)
+    return vertex, _monomials(vertex, 3), cells, face, point, corner
 
 
 def _level0(hs):
-    """Cubic coefficients c of each row, and f and the tangential gradient
-    norm at every level-0 cell centre: three matmuls for the whole batch."""
-    P, _, L = _monomial_maps()
-    *_, cubic, quartic = _coarse_cells()
-    coef = hs.reshape(-1, 27) @ P
-    F = coef @ cubic.T
-    grad = ((coef @ L.reshape(len(L), -1)).reshape(-1, quartic.shape[1]) @ quartic.T)
-    grad = grad.reshape(len(hs), 3, -1)
-    return coef, F, np.sqrt(np.sum(grad * grad, axis=1))
+    """Cubic coefficients c of each row and f at every level-0 vertex: two
+    matmuls for the whole batch."""
+    coef = hs.reshape(-1, 27) @ _fold(3)
+    return coef, coef @ _coarse_cells()[1].T
 
 
 def _contract(hs, u):
@@ -270,13 +269,17 @@ def _covered(c, node, u, r, own_u, own_r, delta):
     return out
 
 
-def _spectral_bound(scale, F, gnorm):
-    """The level-0 cell bounds B = |f(c)| + |grad f(c)| delta0 and the
-    spectral-norm bound min(|h|, max_cells B / (1 - (9/2) delta0^2)) of
-    each row, from the _level0 values F and gnorm; see _enclose."""
-    delta = np.sqrt(2.0) / _SPLIT
-    bound = np.abs(F) + gnorm * delta
-    return bound, np.minimum(scale, bound.max(axis=-1) / (1.0 - 4.5 * delta**2))
+def _curvature_term(sigma, half):
+    """How far |f| can rise above its largest corner value on a cell of
+    planar half-side `half`, for a form of spectral norm sigma; see _enclose."""
+    return 9.0 * sigma * half**2
+
+
+def _spectral_bound(scale, absF):
+    """The spectral-norm bound min(|h|, max_vertices |f| / (1 - 9 half0^2)),
+    half0 = 1/_SPLIT, of each row from |f| at the level-0 vertices; see
+    _enclose."""
+    return np.minimum(scale, absF.max(axis=-1) / (1.0 - _curvature_term(1.0, 1.0 / _SPLIT)))
 
 
 def _enclose(hs, scale, seed, level0):
@@ -286,51 +289,72 @@ def _enclose(hs, scale, seed, level0):
     _level0(hs).  Let sigma = max |h(a,b,c)| over unit vectors
     a, b, c, the spectral norm of h; for a symmetric form it equals max |f|
     (S. Banach, Studia Math. 7, 1938).  Along unit-speed great circles
-    |f''| = |6h(y,y',y') - 3f| <= 9 sigma, so a cell with centre c and
-    angular radius delta holds
-    |f| <= |f(c)| + |grad f(c)| delta + (9/2) sigma delta^2.
-    On the level-0 cells (radius delta0) this reads
-    sigma = max |f| <= max_cells B + (9/2) sigma delta0^2 with
-    B = |f(c)| + |grad f(c)| delta0, so sigma is at most
-    sigma^ = min(|h|, max_cells B / (1 - (9/2) delta0^2)) (_spectral_bound),
-    and sigma^ stands in for sigma in every cell bound and in _ball_radius.
+    |f''| = |6h(y,y',y') - 3f| <= 9 sigma, so on an arc of length L
+    f lies within (9/8) sigma L^2 of the chord between its end values.  The
+    gnomonic map sends lines to great circles and shrinks lengths, so the
+    edges of a cell of planar half-side `half`, and the lines through it
+    parallel to them, are arcs of length at most 2 half.  Interpolating
+    along one edge pair and then across gives, on the whole cell,
+    |f| <= max_corners |f| + 9 sigma half^2.
+    On the level-0 cells (half0 = 1/_SPLIT) this reads
+    sigma = max |f| <= max_vertices |f| + 9 sigma half0^2, so sigma is at
+    most sigma^ = min(|h|, max_vertices |f| / (1 - 9 half0^2))
+    (_spectral_bound), and sigma^ stands in for sigma in every cell bound
+    and in _ball_radius.
 
     Branch and bound over the coarse cells: cells whose bound is within
     tolerance of theta are dropped, as are cells inside a ball of
-    _ball_radius around a polished maximum; the others are split in four.
-    A cell centre above theta is polished and raises theta.  Open cells from
-    _POLISH_DEPTH on are polished too, and their polished points give balls
-    of their own: maxima tied with theta can only be closed that way.
-    Returns the certified (u, theta); raises EnclosureError when cells stay
-    open at _MAX_DEPTH or more than _MAX_OPEN stay open on one row.
+    _ball_radius around a polished maximum.  At level 0 both tests run on
+    the vertices first: a cell stays open only at a vertex above
+    theta + tol - 9 sigma^ half0^2 that lies outside the seed's ball by
+    more than a cell diameter.  The open cells are split in four,
+    which evaluates f at the four edge midpoints and the centre of each.  A
+    cell whose best corner beats theta is polished from that corner and
+    raises theta.  Open cells from _POLISH_DEPTH on are polished too, and
+    their polished points give balls of their own: maxima tied with theta
+    can only be closed that way.  Returns the certified (u, theta); raises
+    EnclosureError when cells stay open at _MAX_DEPTH or more than
+    _MAX_OPEN stay open on one row.
     """
     u, theta, g, mu = seed
     u, theta = u.copy(), theta.copy()
     tol = 1e-12 * np.maximum(scale, 1.0)
-    coef, F, gnorm = level0
-    Q = np.einsum("ne,eaq->naq", coef, _monomial_maps()[1])
-    bound, sigma = _spectral_bound(scale, F, gnorm)
+    F = level0[1]
+    absF = np.abs(F)
+    sigma = _spectral_bound(scale, absF)
     main_r = _ball_radius(theta, g, mu, sigma, theta, tol)
 
-    face0, point0, u0, _, _ = _coarse_cells()
+    vertex, _, cells, face0, point0, corner0 = _coarse_cells()
     half = 1.0 / _SPLIT  # planar half-side of the cells at the current depth
-    delta = np.sqrt(2.0) * half
-    # flat indices and np.take gather the open cells several times faster
-    # than 2-D np.nonzero and fancy indexing
-    flat = np.flatnonzero(bound > (theta + tol - 4.5 * sigma * delta**2)[:, None])
-    node, cell = np.divmod(flat, bound.shape[1])
-    face, point, c = (np.take(x, cell, axis=0) for x in (face0, point0, u0))
-    fc, gc = np.take(F, flat), np.take(gnorm, flat)
-    own_u, own_r = np.zeros_like(c), np.full(len(node), -1.0)
+    # a cell is open when one of its corners is; flat indices and np.take
+    # gather those several times faster than 2-D np.nonzero and fancy indexing
+    flat = np.flatnonzero(absF > (theta + tol - _curvature_term(sigma, half))[:, None])
+    node, vert = np.divmod(flat, F.shape[1])
+    # the cells at a corner within r - 2 delta0 of +-u lie in the ball of
+    # radius r: delta0 = sqrt(2) half0 bounds their angular radius
+    reach = main_r - 2.0 * np.sqrt(2.0) * half
+    near = np.abs(np.einsum("na,na->n", np.take(vertex, vert, axis=0), u[node]))
+    far = near < np.where(reach > 0, np.cos(reach), 2.0)[node]
+    if not far.any():
+        return u, theta
+    pair = np.unique(node[far, None] * len(face0) + np.take(cells, vert[far], axis=0))
+    node, cell = np.divmod(pair, len(face0))
+    face, point = np.take(face0, cell), np.take(point0, cell, axis=0)
+    corner = np.take(F, node[:, None] * F.shape[1] + np.take(corner0, cell, axis=0))
+    own_u, own_r = np.zeros((len(node), 3)), np.full(len(node), -1.0)
 
     for depth in range(_MAX_DEPTH + 1):
         delta = np.sqrt(2.0) * half  # the gnomonic map shrinks distances
-        polish = np.abs(fc) > theta[node]
+        c = _unit(point)
+        best = np.argmax(np.abs(corner), axis=-1)
+        fbest = np.take_along_axis(corner, best[:, None], axis=-1)[:, 0]
+        polish = np.abs(fbest) > theta[node]
         if depth >= _POLISH_DEPTH:
             polish |= ~_covered(c, node, u, main_r, own_u, own_r, delta)
         if polish.any():
             idx = np.nonzero(polish)[0]
-            start = c[idx] * np.where(fc[idx] < 0, -1.0, 1.0)[:, None]
+            start = _unit(point[idx] + half * _CORNERS[face[idx], best[idx]])
+            start *= np.where(fbest[idx] < 0, -1.0, 1.0)[:, None]
             hp = hs[node[idx]]
             pu, pf, pg, pmu = _polish(hp, start, scale[node[idx]])
             # the best polished point of each row that beats its theta wins
@@ -345,52 +369,52 @@ def _enclose(hs, scale, seed, level0):
             own_u[idx] = pu
             own_r[idx] = _ball_radius(pf, pg, pmu, sigma[node[idx]],
                                       theta[node[idx]], tol[node[idx]])
-        excess = np.abs(fc) + gc * delta + 4.5 * sigma[node] * delta**2 - theta[node]
+        excess = np.abs(fbest) + _curvature_term(sigma[node], half) - theta[node]
         keep = excess > tol[node]
         keep[keep] = ~_covered(c[keep], node[keep], u, main_r, own_u[keep], own_r[keep], delta)
         if not keep.any():
             return u, theta
-        node, face, point, own_u, own_r, excess = (
-            x[keep] for x in (node, face, point, own_u, own_r, excess))
+        node, face, point, corner, own_u, own_r, excess = (
+            x[keep] for x in (node, face, point, corner, own_u, own_r, excess))
         if depth == _MAX_DEPTH or np.bincount(node).max() > _MAX_OPEN:
             raise EnclosureError(
                 f"Theta enclosure did not close on {np.unique(node).size} of "
                 f"{len(hs)} node(s) by depth {depth} ({len(node)} open cells): the "
                 f"worst open bound exceeds the polished maximum by {excess.max():.3e}"
             )
-        # split every open cell into its four quadrants
+        # split every open cell into its four quadrants: f at the five new
+        # points fills the 3 x 3 grid whose 2 x 2 windows are their corners
+        new = _unit((point[:, None, :] + half * _NEW_OFFSETS[face]).reshape(-1, 3))
+        fnew = _contract(hs[np.repeat(node, len(_NEW))], new)[2].reshape(len(node), -1)
+        grid = np.empty((len(node), 3, 3))
+        grid[:, ::2, ::2] = corner.reshape(-1, 2, 2)
+        grid[:, _NEW[:, 0] + 1, _NEW[:, 1] + 1] = fnew
+        corner = np.lib.stride_tricks.sliding_window_view(grid, (2, 2), axis=(1, 2)).reshape(-1, 4)
         half /= 2.0
-        point = point[:, None, :] + half * _QUADRANTS[face]
-        c = _unit(point.reshape(-1, 3)).reshape(point.shape)
-        # the quadratic monomials in _QUAD_I, _QUAD_J order, by slices
-        quad = np.concatenate([c * c, c[..., 0:1] * c[..., 1:], c[..., 1:2] * c[..., 2:]],
-                              axis=-1)
-        grad = np.swapaxes(Q[node] @ np.swapaxes(quad, 1, 2), 1, 2).reshape(-1, 3)
-        point, c = point.reshape(-1, 3), c.reshape(-1, 3)
+        point = (point[:, None, :] + half * _CORNERS[face]).reshape(-1, 3)
         node, face, own_r = (np.repeat(x, 4) for x in (node, face, own_r))
         own_u = np.repeat(own_u, 4, axis=0)
-        fc = np.einsum("na,na->n", grad, c) / 3.0
-        tangential = grad - 3.0 * fc[:, None] * c
-        gc = np.sqrt(np.einsum("na,na->n", tangential, tangential))
 
 
 def maximize_theta(sff_like):
     """Certified global maximum of the cubic form over the unit tangent sphere.
 
-    Deterministic, in three steps on one fixed set of coarse cells (three
-    gnomonic cube faces split 10 x 10, which cover the sphere modulo u -> -u;
-    the form is odd, so that half suffices):
+    Deterministic, in three steps on one fixed grid (three faces of a cube
+    turned off the coordinate axes, split 10 x 10 and projected to the
+    sphere, which they cover modulo u -> -u; the form is odd, so that half
+    suffices):
 
-    1. Seed: f is evaluated at every cell centre by matmuls against the
-       cubic monomials, and the best centre of each node is kept.
+    1. Seed: f is evaluated at every grid vertex by one matmul against the
+       cubic monomials, and the best vertex of each node is kept.
     2. Polish: safeguarded Newton iterations on the sphere drive the
        tangential gradient below 1e-13 max(1, |h|).
     3. Enclose: branch and bound over the cells proves that no point beats
-       the polished value by more than 1e-12 max(1, |h|); any cell centre
-       that does beat it is polished in turn and raises it.  The cell bounds
-       and the balls around polished maxima use a bound on the spectral
-       norm max |h(a,b,c)| read off the level-0 cells, which by Banach's
-       theorem (Studia Math. 7, 1938) is max |f| itself; see _enclose.
+       the polished value by more than 1e-12 max(1, |h|); a cell whose best
+       corner does beat it is polished in turn and raises it.  A cell is
+       bounded by its largest corner value plus a curvature term, and the
+       balls around polished maxima use a bound on the spectral norm
+       max |h(a,b,c)| read off the vertices, which by Banach's theorem
+       (Studia Math. 7, 1938) is max |f| itself; see _enclose.
 
     Returns (maximizer, theta) with f(maximizer) = theta; a vanishing form
     yields (e1, 0).  Raises EnclosureError when the enclosure does not close
@@ -415,7 +439,7 @@ def maximize_theta(sff_like):
         F = level0[1]
         best = np.argmax(np.abs(F), axis=-1)
         sign = np.where(F[np.arange(len(rows)), best] < 0, -1.0, 1.0)
-        seed = _polish(part, _coarse_cells()[2][best] * sign[:, None], sc)
+        seed = _polish(part, _coarse_cells()[0][best] * sign[:, None], sc)
         u[rows], theta[rows] = _enclose(part, sc, seed, level0)
     return u.reshape(batch + (3,)), theta.reshape(batch)
 

@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ DEFAULT_TOLERANCES = {
     "theta_value": 1e-6,
     "normal_form": 1e-7,
     "codazzi": 1e-7,
+    "nabla_h_ambient": 1e-7,
     "covariant_exchange": 1e-7,
     "gauss_scalar": 1e-8,
     "sectional_values": 1e-8,
@@ -150,6 +152,33 @@ def _first_rows(packet, n):
     return replace(packet, **rows)
 
 
+def _nabla_h_ambient_residual(pk_shifted, step, pk, sff, nh):
+    """Worst deviation of nabla h from a route that shares no Christoffel
+    symbol with geometry.nabla_h, at n points.
+
+    `pk_shifted` frames the points shifted by +-step_a along each chart axis
+    a, in rows ordered by point, sign and axis.  The R^7-valued field
+    H_ij = sum_l h[l,i,j] J e_l and the frame e are differentiated by
+    central differences; along e_m = C_ma d_a,
+    (nabla h)[k,i,j,m] = <dH_ij, J e_k> - Gamma_il h[k,l,j] - Gamma_jl h[k,i,l]
+    with Gamma_il = <de_i, e_l>.  `pk`, `sff` and `nh` hold the frame, h and
+    nabla h with the n points first.
+    """
+    n = len(pk_shifted.e) // 6
+    h_s = geometry.second_fundamental_form(None, None, frame_packet=pk_shifted).h
+    field = np.einsum("nlij,nlc->nijc", h_s, pk_shifted.estar).reshape(n, 2, 3, 3, 3, 7)
+    e_s = pk_shifted.e.reshape(n, 2, 3, 3, 7)
+    width = 2.0 * step[None, :, None, None]
+    d_field = (field[:, 0] - field[:, 1]) / width[..., None]
+    d_e = (e_s[:, 0] - e_s[:, 1]) / width
+    C, h = pk.chart_comps[:n], sff.h[:n]
+    proj = np.einsum("nma,naijc,nkc->nkijm", C, d_field, pk.estar[:n])
+    gamma = np.einsum("nma,naic,nlc->nmil", C, d_e, pk.e[:n])
+    oracle = (proj - np.einsum("nmil,nklj->nkijm", gamma, h)
+              - np.einsum("nmjl,nkil->nkijm", gamma, h))
+    return float(np.max(np.abs(oracle - nh.coeffs[:n])))
+
+
 def _immersion_suite(imm, cfg):
     checks = []
     pts = _sample_points(imm, cfg, min(cfg.samples, 200))
@@ -207,6 +236,14 @@ def _immersion_suite(imm, cfg):
     checks.append(_check(
         "codazzi", "h^{k*}_{ij,l} = h^{k*}_{il,j}",
         nh.codazzi_residual(), cfg.tol("codazzi")))
+    # the first 4 points shifted by +-step along each chart axis, in one call
+    step = cayley.FD_STEP * np.asarray(imm.chart.extents)
+    shifted = (pts[:4, None, :] + np.concatenate([np.diag(step), -np.diag(step)])).reshape(-1, 3)
+    pk_shifted = geometry.frame(imm, shifted, validate=False)
+    checks.append(_check(
+        "nabla_h_ambient",
+        "nabla h = central differences of sum_l h_lij J e_l, less the tangential connection",
+        _nabla_h_ambient_residual(pk_shifted, step, pk, sff, nh), cfg.tol("nabla_h_ambient")))
 
     gj = cayley.frame_products(imm.table, pk_few.e, pk_few.e, pk_few.estar)
     # residual of g((nabla h)(W,X,Z),JY) - g((nabla h)(W,X,Y),JZ) = g(h(W,X),G(Y,Z))
@@ -583,7 +620,9 @@ def _parse_tol(pairs):
     return tols
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nk6",
         description="Invariants and inequality certification for Lagrangian "

@@ -137,7 +137,7 @@ def test_spectral_bound_lies_between_theta_and_the_frobenius_norm():
                   for perm in itertools.permutations(range(3))) / 6.0
     hs = np.concatenate([normal, generic])
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
-    _, sigma = canonical._spectral_bound(scale, *canonical._level0(hs)[1:])
+    sigma = canonical._spectral_bound(scale, np.abs(canonical._level0(hs)[1]))
     _, theta = nk6.maximize_theta(hs)
     assert np.all(sigma >= theta) and np.all(sigma <= scale)
     # sigma bounds the trilinear form itself, not just the cubic one
@@ -145,6 +145,65 @@ def test_spectral_bound_lies_between_theta_and_the_frobenius_norm():
     abc /= np.linalg.norm(abc, axis=-1, keepdims=True)
     values = np.einsum("nkij,npk,npi,npj->np", hs, *abc)
     assert np.all(np.max(np.abs(values), axis=-1) <= sigma)
+
+
+def test_corner_bound_holds_on_random_sub_cells():
+    # |f| <= max_corners |f| + 9 sigma^ half^2 on every cell, for cells of
+    # depths 0-4 on all three faces, sampled on a 15 x 15 grid that includes
+    # their edges; without the curvature term the bound fails
+    rng = np.random.default_rng(23)
+    R = np.linalg.qr(rng.normal(size=(40, 3, 3)))[0]
+    normal = nk6.reconstruct_sff(rng.uniform(-1.0, 1.0, size=(40, 4)), R)
+    generic = rng.normal(size=(40, 3, 3, 3))
+    generic = sum(np.transpose(generic, (0, *(1 + p for p in perm)))
+                  for perm in itertools.permutations(range(3))) / 6.0
+    hs = np.concatenate([normal, generic])
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+    coef, F = canonical._level0(hs)
+    sigma = canonical._spectral_bound(scale, np.abs(F))
+    _, theta = nk6.maximize_theta(hs)
+    assert np.all(theta <= sigma) and np.all(sigma <= scale)
+
+    n_cells, axes = 60, canonical._AXES
+    depth = rng.integers(0, 5, size=n_cells)
+    face = rng.integers(0, 3, size=n_cells)
+    half = 1.0 / canonical._SPLIT / 2.0**depth
+    a, b = (-1.0 + half * (2 * rng.integers(0, canonical._SPLIT * 2**depth) + 1)
+            for _ in range(2))
+    centre = axes[face] + a[:, None] * axes[(face + 1) % 3] + b[:, None] * axes[(face + 2) % 3]
+    st = np.linspace(-1.0, 1.0, 15)
+    s, t = (x.ravel() for x in np.meshgrid(st, st, indexing="ij"))
+    dense = (centre[:, None, :] + half[:, None, None]
+             * (s[:, None] * axes[(face + 1) % 3][:, None, :]
+                + t[:, None] * axes[(face + 2) % 3][:, None, :]))
+    corners = centre[:, None, :] + half[:, None, None] * canonical._CORNERS[face]
+
+    def values(points):
+        u = points.reshape(-1, 3) / np.linalg.norm(points.reshape(-1, 3), axis=-1)[:, None]
+        return np.abs(coef @ canonical._monomials(u, 3).T).reshape(len(hs), *points.shape[:2])
+
+    top = values(dense).max(axis=-1)
+    corner_max = values(corners).max(axis=-1)
+    bound = corner_max + canonical._curvature_term(sigma[:, None], half)
+    assert np.all(top <= bound + 1e-14 * scale[:, None])
+    assert np.any(top > corner_max + 1e-3 * scale[:, None])
+
+
+def test_grid_points_avoid_the_coordinate_axes():
+    # the adapted frames put maxima on the axes; no vertex, edge midpoint or
+    # centre of a cell down to _MAX_DEPTH may sit on one
+    lattice = 1.0 / canonical._SPLIT / 2.0**canonical._MAX_DEPTH
+    nearest = np.inf
+    for axis in np.eye(3):
+        # the faces cover the sphere modulo u -> -u: take the face of +-axis
+        comps = canonical._AXES @ axis
+        face = int(np.argmax(np.abs(comps)))
+        comps = comps * np.sign(comps[face])
+        ab = np.array([comps[(face + 1) % 3], comps[(face + 2) % 3]]) / comps[face]
+        assert np.all(np.abs(ab) <= 1.0)
+        offset = (ab + 1.0) / lattice
+        nearest = min(nearest, float(np.max(np.abs(offset - np.round(offset)))) * lattice)
+    assert nearest > 1e-7
 
 
 def test_dvv_enclosure_closes_on_the_coarse_cells(dvv, monkeypatch):
@@ -173,7 +232,7 @@ def test_enclosure_refuses_the_dvv_ring_point():
 def test_larger_of_two_close_maxima_wins():
     # u1 u2 u3 has four equal maxima (+-1, +-1, +-1)/sqrt(3); a cubic bump at
     # v lifts that one by about 1e-3, far below the level-0 sampling error,
-    # and the rotation puts one of the others closest to a cell centre
+    # and the rotation puts one of the others closest to a grid vertex
     h = np.zeros((3, 3, 3))
     for i, j, k in itertools.permutations(range(3)):
         h[i, j, k] = 1.0 / 6.0
@@ -186,7 +245,7 @@ def test_larger_of_two_close_maxima_wins():
     hs, scale = h[None], np.sqrt(np.sum(h**2))[None]
     F = canonical._level0(hs)[1][0]
     best = np.argmax(np.abs(F))
-    start = canonical._coarse_cells()[2][best] * np.sign(F[best])
+    start = canonical._coarse_cells()[0][best] * np.sign(F[best])
     seed_u, seed_f = canonical._polish(hs, start[None], scale)[:2]
     assert abs(float(seed_u[0] @ v)) < 0.5  # the seed polishes to a smaller maximum
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nk6 import canonical, cli, models
+from nk6 import canonical, cli, geometry, models
 from conftest import random_chart_points
 
 
@@ -136,6 +136,15 @@ def test_pinching_flags_ignore_roundoff(dvv, geodesic):
 
 
 def test_immersion_suite_evaluates_each_node_set_once(counted_dvv):
+    framed = []
+    counted = counted_dvv.jet
+
+    def jet(q, order, check_domain=True):
+        if order == 2:
+            framed.append(np.array(q))
+        return counted(q, order, check_domain=check_domain)
+
+    counted_dvv.jet = jet
     suite = cli._immersion_suite(counted_dvv, cli.RunConfig(command="verify"))
     assert all(check["passed"] for check in suite["checks"])
     calls = counted_dvv.jet_calls
@@ -143,9 +152,32 @@ def test_immersion_suite_evaluates_each_node_set_once(counted_dvv):
     # into one value-only call
     assert [c for c in calls if c[0] == 0] == [(0, 4 * (1 + 10 * 24))]
     # the 200 points are framed once, and nabla_h and the F/T checks read
-    # the frame of the first 24 from them
+    # the frame of the first 24 from them; the only other frame is of the
+    # first 4 shifted along each chart axis (nabla_h_ambient)
     assert calls.count((2, 200)) == 1
-    assert calls.count((2, 24)) == 0
+    pts = next(q for q in framed if len(q) == 200)
+    [shifted] = [q for q in framed if len(q) != 200]
+    moved = shifted.reshape(4, 6, 3) != pts[:4, None, :]
+    assert np.all(np.count_nonzero(moved, axis=-1) == 1)
+
+
+def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):
+    # Christoffel symbols scaled by 1 + 1e-7 stay symmetric in (a, b), and so
+    # does nabla h: codazzi cannot see the error, the ambient-field route can.
+    # The error is small enough for the DVV suite's Laplacian identity, which
+    # stops verify beyond 1e-6, to let the report through.
+    inner = geometry._christoffel
+
+    def wrong(jt):
+        ginv, gamma = inner(jt)
+        return ginv, (1.0 + 1e-7) * gamma
+
+    monkeypatch.setattr(geometry, "_christoffel", wrong)
+    code, out, _ = run_cli(capsys, "verify", "--model", "dvv")
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert code == 1
+    assert not checks["nabla_h_ambient"]["passed"]
+    assert checks["codazzi"]["passed"]
 
 
 def test_non_lagrangian_poly_file_is_named(capsys, tmp_path):
