@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -101,6 +100,15 @@ def _fold(degree):
     for flat, t in enumerate(np.ndindex(*(3,) * degree)):
         F[flat, exps.index(tuple(int(x) for x in np.bincount(t, minlength=3)))] = 1.0
     return F
+
+
+@lru_cache(maxsize=None)
+def _symmetrizer():
+    """(27, 27) map h.reshape(27) -> its symmetrization, the mean over the six
+    index orders: _fold(3) diag(1/multiplicity) _fold(3)^T, entries 1, 1/3
+    and 1/6."""
+    F = _fold(3)
+    return (F / F.sum(axis=0)) @ F.T
 
 
 def _unit(v):
@@ -422,9 +430,7 @@ def maximize_theta(sff_like):
     """
     h = _h_array(sff_like)
     batch = h.shape[:-3]
-    h = h.reshape(-1, 3, 3, 3)
-    hs = sum(np.transpose(h, (0, *(1 + p for p in perm))) for perm in permutations(range(3)))
-    hs = hs / 6.0
+    hs = (h.reshape(-1, 27) @ _symmetrizer()).reshape(-1, 3, 3, 3)
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
     u = np.zeros((len(hs), 3))
     u[:, 0] = 1.0

@@ -165,8 +165,9 @@ class FramePacket:
 
     e[..., i, :] spans the tangent space of the submanifold, estar_i = J e_i
     spans its normal space inside the sphere, and chart_comps expresses each
-    e_i in the chart-partial basis.  `jet` is the order-2 chart jet the frame
-    was built from, so the second fundamental form reuses it.
+    e_i in the chart-partial basis: e = chart_comps @ jet.d1, and
+    chart_comps @ metric @ chart_comps^T = I.  `jet` is the order-2 chart jet
+    the frame was built from, so the second fundamental form reuses it.
     """
 
     base: np.ndarray                  # (..., 7)
@@ -201,31 +202,38 @@ class FramePacket:
         return worst
 
 
-def _gram_schmidt(vectors, degeneracy_distance=None):
+def _gram_schmidt(rows, metric, degeneracy_distance):
+    """T (..., 3, 3) with T g T^T = I: modified Gram-Schmidt of the rows of
+    `rows` in the inner product <u, v> = u g v^T of the induced metric g, so
+    the vectors T @ d1 are orthonormal in R^7 and span what rows @ d1 spans."""
     out = []
-    for i in range(vectors.shape[-2]):
-        v = vectors[..., i, :]
-        for prev in out:
-            v = v - np.sum(v * prev, axis=-1, keepdims=True) * prev
-        n = np.linalg.norm(v, axis=-1, keepdims=True)
-        if np.any(n < 1e-8):
-            dist = None
-            if degeneracy_distance is not None:
-                dist = float(np.min(degeneracy_distance))
+    for i in range(3):
+        v = rows[..., i, :]
+        for t, gt in out:
+            v = v - np.sum(v * gt, axis=-1, keepdims=True) * t
+        gv = (metric @ v[..., None])[..., 0]
+        # |v @ d1|^2 in R^7; compared squared, so roundoff below 0 cannot
+        # reach the square root
+        nsq = np.sum(v * gv, axis=-1, keepdims=True)
+        if np.any(nsq < 1e-16):
             raise ChartDegeneracyError(
-                "chart partials are rank deficient; cannot orthonormalize", dist
+                "chart partials are rank deficient; cannot orthonormalize",
+                float(np.min(degeneracy_distance)),
             )
-        out.append(v / n)
-    return np.stack(out, axis=-2)
+        n = np.sqrt(nsq)
+        out.append((v / n, gv / n))
+    return np.stack([t for t, _ in out], axis=-2)
 
 
 def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
           tol=1e-10) -> FramePacket:
     """Adapted frame and induced metric at q, with the order-2 jet they come from.
 
-    Prefers the model's global tangent fields (they stay smooth across the
-    chart poles); otherwise orthonormalizes the chart partials, optionally
-    premultiplied by `basis_rotation` for gauge experiments.
+    Prefers the model's global tangent fields, given by their components B in
+    the chart partials; otherwise B is the identity (the chart partials) or
+    `basis_rotation` for gauge experiments.  Gram-Schmidt on the rows of B
+    in the induced metric gives the chart components T of the frame, and
+    e = T @ d1.
     """
     q = np.asarray(q, dtype=float)
     jt = imm.jet(q, 2, check_domain=False)
@@ -234,25 +242,20 @@ def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
     metric_det = np.linalg.det(metric)
     dist = imm.chart.degeneracy_distance(q)
     if np.any(np.abs(metric_det) < 1e-12):
-        # the frame vectors may survive a chart pole but the chart-component
-        # decomposition used downstream does not
+        # the frame vectors may survive a chart pole but the chart components
+        # do not; the tangent fields' components divide by zero there
         raise ChartDegeneracyError(
             "chart Jacobian is rank deficient at the requested point",
             float(np.min(dist)),
         )
 
-    fields = imm.tangent_fields(q) if use_model_fields else None
-    if fields is not None:
-        e = _gram_schmidt(fields, dist)
-    else:
-        basis = d1
-        if basis_rotation is not None:
-            basis = np.einsum("ri,...ic->...rc", np.asarray(basis_rotation), d1)
-        e = _gram_schmidt(basis, dist)
-
+    rows = imm.tangent_fields(q) if use_model_fields else None
+    if rows is None:
+        rows = np.eye(3) if basis_rotation is None else np.asarray(basis_rotation, dtype=float)
+        rows = np.broadcast_to(rows, metric.shape)
+    chart_comps = _gram_schmidt(rows, metric, dist)
+    e = chart_comps @ d1
     estar = cross(x[..., None, :], e, imm.table)
-    comps_rhs = np.einsum("...ac,...ic->...ai", d1, e)
-    chart_comps = np.swapaxes(np.linalg.solve(metric, comps_rhs), -1, -2)
 
     packet = FramePacket(
         base=x, e=e, estar=estar, metric=metric, metric_det=metric_det,
@@ -307,7 +310,10 @@ def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None,
     d2 = pk.jet.d2.reshape(batch + (9, 7))
     proj = (pk.estar @ np.swapaxes(d2, -1, -2)).reshape(batch + (3, 3, 3))
     C = pk.chart_comps[..., None, :, :]
-    return SFF(h=C @ proj @ np.swapaxes(C, -1, -2))
+    # a contiguous C^T keeps numpy's stacked matmul on its fast path, and h
+    # takes proj's buffer: on 32^3 nodes each of these arrays is 7 MB
+    CT = np.ascontiguousarray(np.swapaxes(C, -1, -2))
+    return SFF(h=np.matmul(C @ proj, CT, out=proj))
 
 
 def shape_operator(sff: SFF, k: int):

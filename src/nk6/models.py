@@ -87,6 +87,24 @@ class HopfChart:
             out.append(dk)
         return out
 
+    def field_components(self, q):
+        """Components (..., 3, 3) of the rotation fields FIELD_MATS[f] y in the
+        chart partials, FIELD_MATS[f] y = sum_a B[f, a] d_a y.
+
+        The partials of y are mutually orthogonal, with |d_a y| = 1, cos eta
+        and sin eta, so B[f, a] = <FIELD_MATS[f] y, d_a y> / |d_a y|^2; with
+        phi = xi1 + xi2 and t = tan eta this is
+        B = [[0, -1, -1], [-cos phi, -t sin phi, sin phi / t],
+        [-sin phi, t cos phi, -cos phi / t]], singular at the poles.
+        """
+        q = np.asarray(q, dtype=float)
+        t, phi = np.tan(q[..., 0]), q[..., 1] + q[..., 2]
+        c, s = np.cos(phi), np.sin(phi)
+        zero, one = np.zeros_like(t), np.ones_like(t)
+        return np.stack([zero, -one, -one,
+                         -c, -t * s, s / t,
+                         -s, t * c, -c / t], axis=-1).reshape(q.shape[:-1] + (3, 3))
+
     def degeneracy_distance(self, q):
         eta = np.asarray(q, dtype=float)[..., 0]
         return np.minimum(np.abs(eta), np.abs(np.pi / 2 - eta))
@@ -125,9 +143,12 @@ FIELD_MATS = np.array(
 _NODE_BLOCK = 4096
 
 
+@lru_cache(maxsize=None)
 def _derivative_table(terms):
     """Exponents (M, 4) and, for k = 0..3, coefficients (M, 4^k * 7) with
-    D^k P(y) = y^expo @ coef[k], flattened from (4, ..., 4, 7)."""
+    D^k P(y) = y^expo @ coef[k], flattened from (4, ..., 4, 7).  Cached on
+    the terms tuple and read-only, so every immersion of one polynomial
+    shares them."""
     rows, entries = {}, []
     for k in range(4):
         for flat, axes in enumerate(itertools.product(range(4), repeat=k)):
@@ -141,7 +162,10 @@ def _derivative_table(terms):
     coef = [np.zeros((len(rows), 7 * 4**k)) for k in range(4)]
     for k, row, col, w in entries:
         coef[k][row, col] += w
-    return np.array(list(rows), dtype=int).reshape(-1, 4), coef
+    expo = np.array(list(rows), dtype=int).reshape(-1, 4)
+    for a in (expo, *coef):
+        a.flags.writeable = False
+    return expo, tuple(coef)
 
 
 def _chain_rule(ys, ps):
@@ -173,7 +197,7 @@ class PolynomialSphereImmersion:
     `terms` is a sequence of (component, exponents, coefficient) with
     component in 0..6 and exponents a 4-tuple over (y1..y4).  Jets are exact:
     the dense partials of the polynomial, read from a derivative table built
-    once per immersion, are composed with those of the chart by the chain rule.
+    once per polynomial, are composed with those of the chart by the chain rule.
     """
 
     def __init__(self, name, terms, table: MulTable, field_scales=None, chart=HOPF):
@@ -221,14 +245,18 @@ class PolynomialSphereImmersion:
 
     # -- global tangent fields ------------------------------------------------------
     def tangent_fields(self, q):
+        """Components B (..., 3, 3) of the scaled fields X_f = s_f FIELD_MATS[f] y
+        in the chart partials, X_f = sum_a B[f, a] d_a y, or None without
+        field scales.
+
+        B comes from the chart alone (HopfChart.field_components), so the
+        pushforward of X_f is B[f] @ d1 and the polynomial is not evaluated.
+        B is singular at the chart poles, where `frame` stops before calling
+        this.
+        """
         if self.field_scales is None:
             return None
-        y = self.chart.to_y(np.asarray(q, dtype=float))
-        jac = self.jacobian_y(y)
-        fields = np.einsum("fab,...b->...fa", FIELD_MATS, y)
-        scales = np.asarray(self.field_scales)
-        fields = fields * scales[:, None]
-        return np.einsum("...ca,...fa->...fc", jac, fields)
+        return np.asarray(self.field_scales)[:, None] * self.chart.field_components(q)
 
     def __repr__(self):
         return f"PolynomialSphereImmersion({self.name!r}, table={self.table.source!r})"

@@ -404,3 +404,12 @@ def test_canonical_basis_on_arbitrary_trace_free_tensors(rng):
         assert cd.constraint_slack() <= 1e-10
         brute = np.abs(np.einsum("kij,pk,pi,pj->p", h, scan, scan, scan)).max()
         assert brute <= cd.theta + 1e-10  # dense scan never beats the optimum
+
+
+def test_symmetrizer_is_the_mean_over_index_orders():
+    h = np.random.default_rng(29).normal(size=(50, 3, 3, 3))
+    mean = sum(np.transpose(h, (0, *(1 + p for p in perm)))
+               for perm in itertools.permutations(range(3))) / 6.0
+    S = canonical._symmetrizer()
+    assert set(np.unique(S)) == {0.0, 1.0, 1 / 3, 1 / 6}
+    assert np.max(np.abs((h.reshape(-1, 27) @ S).reshape(h.shape) - mean)) < 1e-15

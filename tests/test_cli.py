@@ -164,8 +164,6 @@ def test_immersion_suite_evaluates_each_node_set_once(counted_dvv):
 def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):
     # Christoffel symbols scaled by 1 + 1e-7 stay symmetric in (a, b), and so
     # does nabla h: codazzi cannot see the error, the ambient-field route can.
-    # The error is small enough for the DVV suite's Laplacian identity, which
-    # stops verify beyond 1e-6, to let the report through.
     inner = geometry._christoffel
 
     def wrong(jt):
@@ -178,6 +176,22 @@ def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):
     assert code == 1
     assert not checks["nabla_h_ambient"]["passed"]
     assert checks["codazzi"]["passed"]
+
+
+def test_verify_reports_a_large_nabla_h_error(capsys, monkeypatch):
+    # at 1 + 1e-3 the nabla h identities are far off; the Laplacian identity
+    # check must not stop verify, so the report names the failed checks
+    inner = geometry._christoffel
+
+    def wrong(jt):
+        ginv, gamma = inner(jt)
+        return ginv, (1.0 + 1e-3) * gamma
+
+    monkeypatch.setattr(geometry, "_christoffel", wrong)
+    code, out, _ = run_cli(capsys, "verify", "--model", "dvv")
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert code == 1
+    assert not checks["nabla_h_ambient"]["passed"]
 
 
 def test_non_lagrangian_poly_file_is_named(capsys, tmp_path):

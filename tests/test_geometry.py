@@ -1,10 +1,12 @@
 """Jets, frames, second fundamental form, covariant derivative, curvature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import nk6
-from nk6 import cli, geometry
+from nk6 import cli, geometry, models
 from conftest import random_chart_points
 
 S5 = np.sqrt(5.0)
@@ -123,6 +125,68 @@ def test_frame_pole_degeneracy_error(geodesic):
         nk6.frame(geodesic, np.array([0.0, 0.3, 0.9]), use_model_fields=False)
     assert err.value.distance is not None
     assert err.value.distance < 1e-12
+
+
+def _frame_test_points(imm, seed):
+    """Random chart points and the two Gauss nodes of a 32-point rule nearest
+    the chart poles eta = 0 and pi/2."""
+    eta = nk6.QuadratureRule(32, 2, 2).nodes_weights()[0][:, 0]
+    poles = np.array([[eta.min(), 0.4, 2.2], [eta.max(), 5.1, 1.3]])
+    return np.concatenate([random_chart_points(imm, 50, seed=seed), poles])
+
+
+def _frame_cases(dvv, geodesic):
+    R = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))[0]
+    return [(dvv, {}), (geodesic, {"use_model_fields": False}),
+            (dvv, {"use_model_fields": False, "basis_rotation": R})]
+
+
+def test_chart_comps_carry_the_frame_and_the_metric(dvv, geodesic):
+    # model fields, chart partials and rotated partials share one path:
+    # e = C @ d1 and C g C^T = I, near the poles too
+    for imm, kwargs in _frame_cases(dvv, geodesic):
+        pk = nk6.frame(imm, _frame_test_points(imm, 42), **kwargs)
+        C = pk.chart_comps
+        assert np.max(np.abs(C @ pk.jet.d1 - pk.e)) < 1e-14
+        assert np.max(np.abs(C @ pk.metric @ np.swapaxes(C, -1, -2) - np.eye(3))) < 1e-13
+
+
+def test_tangent_fields_push_forward_to_the_model_fields(dvv):
+    # oracle: the scaled fields X_f = s_f FIELD_MATS[f] y pushed forward by
+    # the polynomial's y-Jacobian
+    pts = _frame_test_points(dvv, 43)
+    y = dvv.chart.to_y(pts)
+    fields = np.einsum("fab,...b->...fa", models.FIELD_MATS, y) * np.array(dvv.field_scales)[:, None]
+    push = np.einsum("...ca,...fa->...fc", dvv.jacobian_y(y), fields)
+    B = dvv.tangent_fields(pts)
+    assert np.max(np.abs(B @ nk6.jet(dvv, pts, 1).d1 - push)) < 1e-13
+
+
+def test_model_field_frame_at_the_poles_raises_before_dividing(dvv):
+    # the tangent fields' chart components divide by |d_a y|^2, which
+    # vanishes at the poles; the metric check must stop the frame first
+    for eta in (0.0, np.pi / 2):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(nk6.ChartDegeneracyError) as err:
+                nk6.frame(dvv, np.array([eta, 0.3, 0.9]))
+        assert err.value.distance is not None and err.value.distance < 1e-12
+
+
+def test_frame_evaluates_the_polynomial_once_per_node_block(table, monkeypatch):
+    # the tangent fields come from the chart alone, so the order-2 jet's
+    # blocks are the only polynomial evaluations of a frame call
+    monkeypatch.setattr(models, "_NODE_BLOCK", 8)
+    imm = nk6.dvv_immersion(table)
+    inner, calls = imm._poly_derivs, []
+
+    def counting(y, order):
+        calls.append(len(y))
+        return inner(y, order)
+
+    imm._poly_derivs = counting
+    nk6.frame(imm, random_chart_points(imm, 20, seed=44))
+    assert calls == [8, 8, 4]
 
 
 def test_sff_vanishes_on_totally_geodesic(geodesic):

@@ -231,3 +231,13 @@ def test_jet_leaves_no_reference_cycles(dvv):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_dvv_immersions_share_a_read_only_derivative_table(table):
+    # the table is built once per polynomial; each immersion stays a fresh
+    # object, since tests patch methods such as `jet` on the instance
+    a, b = nk6.dvv_immersion(table), nk6.dvv_immersion(table)
+    assert a is not b
+    assert a._expo is b._expo and not a._expo.flags.writeable
+    for ca, cb in zip(a._coef, b._coef):
+        assert ca is cb and not ca.flags.writeable
