@@ -135,20 +135,18 @@ def _structure_suite(table, cfg):
     return _suite("structure_identities", checks)
 
 
-def _sample_points(imm, cfg, n):
-    rng = np.random.default_rng(cfg.seed)
-    return imm.chart.random_points(n, rng)
-
-
-def _first_rows(packet, n):
-    """A frame, jet or SFF packet restricted to its first n points."""
+def _rows(packet, index):
+    """An array, a frame, jet, SFF, curvature or nabla h packet, or a tuple
+    of these, at the points `index` selects: a slice, or an int for one."""
+    if isinstance(packet, np.ndarray):
+        return packet[index]
+    if isinstance(packet, tuple):
+        return tuple(_rows(v, index) for v in packet)
     rows = {}
     for f in dc_fields(packet):
         v = getattr(packet, f.name)
-        if isinstance(v, geometry.ImmersionJet):
-            rows[f.name] = _first_rows(v, n)
-        elif isinstance(v, np.ndarray):
-            rows[f.name] = v[:n]
+        if isinstance(v, (np.ndarray, geometry.ImmersionJet)):
+            rows[f.name] = _rows(v, index)
     return replace(packet, **rows)
 
 
@@ -180,8 +178,9 @@ def _nabla_h_ambient_residual(pk_shifted, step, pk, sff, nh):
 
 
 def _immersion_suite(imm, cfg):
+    """The suite, and its samples: points, frame, h, curvature, nabla h of the first 24."""
     checks = []
-    pts = _sample_points(imm, cfg, min(cfg.samples, 200))
+    pts = imm.chart.random_points(min(cfg.samples, 200), np.random.default_rng(cfg.seed))
     imm.chart.check_domain(pts)
     pk = geometry.frame(imm, pts, validate=False)
     checks.append(_check(
@@ -231,7 +230,7 @@ def _immersion_suite(imm, cfg):
         cp.gauss_scalar_residual(), cfg.tol("gauss_scalar")))
 
     n_few = min(24, len(pts))
-    pk_few, sff_few = _first_rows(pk, n_few), _first_rows(sff, n_few)
+    pk_few, sff_few = _rows(pk, slice(n_few)), _rows(sff, slice(n_few))
     nh = geometry.nabla_h(imm, pts[:n_few], frame_packet=pk_few)
     checks.append(_check(
         "codazzi", "h^{k*}_{ij,l} = h^{k*}_{il,j}",
@@ -269,12 +268,13 @@ def _immersion_suite(imm, cfg):
     checks.append(_check(
         "gradient_bound", "|nabla h|^2 >= (3/4) |h|^2",
         max(0.0, -slack), cfg.tol("gradient_bound")))
-    return _suite("immersion_invariants", checks)
+    return _suite("immersion_invariants", checks), (pts, pk, sff, cp, nh)
 
 
-def _dvv_suite(imm, cfg):
+def _dvv_suite(imm, cfg, samples):
+    """Berger-sphere values on the first 50 samples; the Laplacian at the first."""
     checks = []
-    pts = _sample_points(imm, cfg, 50)
+    pts, pk, sff, cp, nh = _rows(samples, slice(50))
     y = imm.chart.to_y(pts)
     jac = imm.jacobian_y(y)
     fields = np.einsum("fab,...b->...fa", models.FIELD_MATS, y)
@@ -285,8 +285,6 @@ def _dvv_suite(imm, cfg):
         "metric_values", "pullback metric is diag(4/9, 8/3, 8/3) in the X-frame",
         float(np.max(np.abs(gram - target))), cfg.tol("metric_values")))
 
-    pk = geometry.frame(imm, pts, validate=False)
-    sff = geometry.second_fundamental_form(imm, pts, frame_packet=pk)
     s5 = np.sqrt(5.0)
     expected = canonical.reconstruct_sff((s5 / 4, s5 / 4, 0.0, 0.0))
     checks.append(_check(
@@ -313,7 +311,6 @@ def _dvv_suite(imm, cfg):
         "normal_form", "normal form is (sqrt(5)/4, sqrt(5)/4, 0, 0)",
         float(dev), cfg.tol("normal_form")))
 
-    cp = geometry.curvature_from_sff(sff)
     k23 = cp.R[..., 1, 2, 1, 2]
     k12 = cp.R[..., 0, 1, 0, 1]
     dev = max(float(np.max(np.abs(k23 - 21 / 16))), float(np.max(np.abs(k12 - 1 / 16))))
@@ -324,17 +321,17 @@ def _dvv_suite(imm, cfg):
         "gauss_scalar", "tau = 23/8 = 6 - |h|^2",
         float(np.max(np.abs(cp.tau - 23 / 8))), cfg.tol("gauss_scalar")))
 
-    point = pts[0]
-    lap = simons.laplacian_identity_check(imm, point)
+    q0, pk0, sff0, _, nh0 = _rows(samples, 0)
+    lap = simons.laplacian_identity(imm, q0, pk0, sff0, nh0, cd)
     checks.append(_check(
         "laplacian", "(1/2) Lap |h|^2 = |nabla h|^2 + 3 |h|^2 - Q",
         lap.residual_pipeline, cfg.tol("laplacian")))
 
-    nh = geometry.nabla_h(imm, pts[:16], frame_packet=_first_rows(pk, 16))
+    nh = _rows(nh, slice(16))
     checks.append(_check(
         "t_norm", "|T|^2 = 0 on the Berger sphere",
         float(np.max(np.abs(
-            nh.norm_sq() - 0.75 * sff.norm_sq()[:16]))), cfg.tol("t_norm")))
+            nh.norm_sq() - 0.75 * hsq[:16]))), cfg.tol("t_norm")))
     defect = simons.j_parallel_defect(nh)
     checks.append(_check(
         "j_parallel", "g((nabla h)(v,v,v), Jv) = 0",
@@ -342,14 +339,13 @@ def _dvv_suite(imm, cfg):
     return _suite("berger_sphere_reference", checks)
 
 
-def _geodesic_suite(imm, cfg):
+def _geodesic_suite(cfg, samples):
+    """Great-sphere values on the first 50 samples."""
     checks = []
-    pts = _sample_points(imm, cfg, 50)
-    sff = geometry.second_fundamental_form(imm, pts)
+    _, _, sff, cp, _ = _rows(samples, slice(50))
     checks.append(_check(
         "h_values", "h = 0 on a totally geodesic model",
         float(np.max(np.abs(sff.h))), cfg.tol("h_values")))
-    cp = geometry.curvature_from_sff(sff)
     eye = np.eye(3)
     target = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
     checks.append(_check(
@@ -400,11 +396,12 @@ def cmd_verify(cfg: RunConfig, table, model):
     if isinstance(model, models.SyntheticH):
         suites.append(_synthetic_suite(model, cfg))
     else:
-        suites.append(_immersion_suite(model, cfg))
+        suite, samples = _immersion_suite(model, cfg)
+        suites.append(suite)
         if cfg.model == "dvv":
-            suites.append(_dvv_suite(model, cfg))
+            suites.append(_dvv_suite(model, cfg, samples))
         elif cfg.model == "totally-geodesic":
-            suites.append(_geodesic_suite(model, cfg))
+            suites.append(_geodesic_suite(cfg, samples))
     return suites
 
 
@@ -615,8 +612,9 @@ def _parse_tol(pairs):
             raise ConfigError(
                 f"unknown tolerance key {key!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}")
         tols[key] = float(value)
-        if tols[key] < 0:
-            raise ConfigError("tolerances must be nonnegative")
+        # NaN compares false against every residual, which would pass any check
+        if not tols[key] >= 0:
+            raise ConfigError(f"tolerance {key!r} must be nonnegative, got {value!r}")
     return tols
 
 

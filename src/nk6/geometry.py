@@ -180,11 +180,11 @@ class FramePacket:
     table: MulTable = field(repr=False, default=None)
 
     def orthonormality_residual(self):
-        gram = np.einsum("...ic,...jc->...ij", self.e, self.e)
+        gram = self.e @ np.swapaxes(self.e, -1, -2)
         return float(np.max(np.abs(gram - np.eye(3))))
 
     def lagrangian_residual(self):
-        return float(np.max(np.abs(np.einsum("...ic,...jc->...ij", self.estar, self.e))))
+        return float(np.max(np.abs(self.estar @ np.swapaxes(self.e, -1, -2))))
 
     def validate(self, tol=1e-10, model="frame"):
         """Worst invariant residual; raises ValueError beyond tol, naming
@@ -193,7 +193,7 @@ class FramePacket:
         if lagrangian > tol:
             raise ValueError(f"{model} is not Lagrangian for table {self.table.source} "
                              f"(residual {lagrangian:.3e})")
-        base_tangency = float(np.max(np.abs(np.einsum("...ic,...c->...i", self.e, self.base))))
+        base_tangency = float(np.max(np.abs(self.e @ self.base[..., None])))
         worst = max(self.orthonormality_residual(), lagrangian, base_tangency)
         if worst > tol:
             raise ValueError(
@@ -225,14 +225,13 @@ def _gram_schmidt(rows, metric, degeneracy_distance):
     return np.stack([t for t, _ in out], axis=-2)
 
 
-def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
-          tol=1e-10) -> FramePacket:
+def frame(imm, q, validate=True) -> FramePacket:
     """Adapted frame and induced metric at q, with the order-2 jet they come from.
 
-    Prefers the model's global tangent fields, given by their components B in
-    the chart partials; otherwise B is the identity (the chart partials) or
-    `basis_rotation` for gauge experiments.  Gram-Schmidt on the rows of B
-    in the induced metric gives the chart components T of the frame, and
+    B holds the components of the model's global tangent fields in the chart
+    partials (`imm.tangent_fields`), or is the identity, the chart partials
+    themselves, when the model has none.  Gram-Schmidt on the rows of B in
+    the induced metric gives the chart components T of the frame, and
     e = T @ d1.
     """
     q = np.asarray(q, dtype=float)
@@ -249,10 +248,9 @@ def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
             float(np.min(dist)),
         )
 
-    rows = imm.tangent_fields(q) if use_model_fields else None
+    rows = imm.tangent_fields(q)
     if rows is None:
-        rows = np.eye(3) if basis_rotation is None else np.asarray(basis_rotation, dtype=float)
-        rows = np.broadcast_to(rows, metric.shape)
+        rows = np.broadcast_to(np.eye(3), metric.shape)
     chart_comps = _gram_schmidt(rows, metric, dist)
     e = chart_comps @ d1
     estar = cross(x[..., None, :], e, imm.table)
@@ -262,7 +260,7 @@ def frame(imm, q, use_model_fields=True, basis_rotation=None, validate=True,
         chart_comps=chart_comps, jet=jt, table=imm.table,
     )
     if validate:
-        packet.validate(tol, model=f"model {imm.name}")
+        packet.validate(model=f"model {imm.name}")
     return packet
 
 
@@ -296,15 +294,14 @@ class SFF:
         return worst
 
 
-def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None,
-                            **frame_kwargs) -> SFF:
+def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None) -> SFF:
     """Normal-valued second fundamental form in the adapted frame.
 
     h(e_i, e_j) is the component of the ambient derivative of the immersion
     orthogonal to both the position vector and the tangent space; only the
     chart second partials contribute after projecting onto the J-frame.
     """
-    pk = frame_packet if frame_packet is not None else frame(imm, q, **frame_kwargs)
+    pk = frame_packet if frame_packet is not None else frame(imm, q)
     batch = pk.jet.d2.shape[:-3]
     # proj[..., k, a, b] = <d_a d_b Psi, J e_k>, then h_k = C proj_k C^T
     d2 = pk.jet.d2.reshape(batch + (9, 7))
@@ -355,8 +352,7 @@ def _christoffel(jt: ImmersionJet):
     return ginv, gamma
 
 
-def nabla_h(imm, q, frame_packet: FramePacket | None = None,
-            **frame_kwargs) -> NablaH:
+def nabla_h(imm, q, frame_packet: FramePacket | None = None) -> NablaH:
     """Covariant derivative of h from one order-3 jet at q.
 
     In chart indices, with sigma_ab,k = <d_a d_b Psi, J e_k>,
@@ -369,12 +365,10 @@ def nabla_h(imm, q, frame_packet: FramePacket | None = None,
     J e_k is taken at q after differentiating the R^7-valued field
     h(d_a, d_b) = d_a d_b Psi - Gamma^d_ab d_d Psi + g_ab Psi, so neither the
     frame's derivative nor the normal connection enters.  `frame_packet`,
-    when given, is the frame at q built with the same `frame_kwargs`, as for
-    second_fundamental_form.
+    when given, is the frame at q, as for second_fundamental_form.
     """
     q = np.asarray(q, dtype=float)
-    pk = frame_packet if frame_packet is not None else frame(
-        imm, q, validate=False, **frame_kwargs)
+    pk = frame_packet if frame_packet is not None else frame(imm, q, validate=False)
     jt = imm.jet(q, 3, check_domain=False)
     _, gamma = _christoffel(jt)
     batch = q.shape[:-1]
@@ -450,8 +444,8 @@ def curvature_from_sff(sff: SFF) -> CurvaturePacket:
     )
 
 
-def curvature(imm, q, **frame_kwargs) -> CurvaturePacket:
-    return curvature_from_sff(second_fundamental_form(imm, q, **frame_kwargs))
+def curvature(imm, q) -> CurvaturePacket:
+    return curvature_from_sff(second_fundamental_form(imm, q))
 
 
 def sectional_curvature(packet: CurvaturePacket, u, v):

@@ -38,6 +38,7 @@ __all__ = [
     "t_tensor",
     "j_parallel_defect",
     "laplacian_identity_check",
+    "laplacian_identity",
     "LaplacianIdentityReport",
     "integrate_inequality",
 ]
@@ -192,6 +193,13 @@ def laplacian_identity_check(imm, q) -> LaplacianIdentityReport:
     pk = geometry.frame(imm, q)
     sff = geometry.second_fundamental_form(imm, q, frame_packet=pk)
     nh = geometry.nabla_h(imm, q, frame_packet=pk)
+    return laplacian_identity(imm, q, pk, sff, nh, canonical.canonical_basis(sff.h))
+
+
+def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
+                       cd: canonical.CanonicalData) -> LaplacianIdentityReport:
+    """Both routes of laplacian_identity_check at one chart point q, from
+    the frame, h, nabla h and normal form already evaluated there."""
     # the identity checks named in the report judge nabla h, so a wrong nabla h
     # reaches them instead of stopping the suite here
     packet = t_tensor(nh, f_tensor(sff, pk), sff, tol=np.inf)
@@ -199,7 +207,6 @@ def laplacian_identity_check(imm, q) -> LaplacianIdentityReport:
     field = lambda qq: geometry.second_fundamental_form(imm, qq).norm_sq()  # noqa: E731
     half_lap = 0.5 * float(geometry.laplace_beltrami(imm, field, q))
 
-    cd = canonical.canonical_basis(sff.h)
     inv = canonical.commutator_invariant_direct(canonical.h_matrices(cd))
     hsq = float(sff.norm_sq())
     nhsq = float(packet.nabla_h_sq)

@@ -374,6 +374,25 @@ def test_regrouping_identity_and_remainder_sign(rng):
         assert np.min(term) >= 0.0
 
 
+def test_closed_forms_are_exact_on_the_integer_grid():
+    # Q, its regrouping and |h|^2 are polynomials of degree at most 4 in each
+    # of (lambda1, lambda2, mu1, mu2), so two of them that agree on the 5^4
+    # tensor grid {-2..2}^4 are equal; there every value is an integer of
+    # size at most 4224, so float64 evaluates them exactly and the check is
+    # a proof, not a sample
+    tuples = np.array(list(itertools.product(range(-2, 3), repeat=4)), dtype=float)
+    cf = nk6.closed_forms(tuples)
+    hm = nk6.h_matrices(tuples)
+    q_direct = nk6.commutator_invariant_direct(hm).Q
+    assert np.max(np.abs(q_direct)) <= 4224
+    assert np.max(np.abs(cf.q_closed - q_direct)) == 0.0
+    assert np.max(np.abs(cf.q_from_regrouping - cf.q_closed)) == 0.0
+    assert np.max(np.abs(cf.hsq - np.sum(hm.H**2, axis=(-3, -2, -1)))) == 0.0
+    # the grid separates: a degree-(1,1,1,1) term breaks the first equality
+    l1, l2, m1, m2 = tuples.T
+    assert np.max(np.abs(cf.q_closed + l1 * l2 * m1 * m2 - q_direct)) > 0.0
+
+
 def test_reconstruction_error_on_asymmetric_input():
     bad = np.zeros((3, 3, 3))
     bad[0, 1, 2] = 1.0  # not a symmetric cubic tensor
@@ -397,12 +416,14 @@ def test_canonical_basis_on_arbitrary_trace_free_tensors(rng):
     # so extraction must succeed on every such tensor, not just model data
     scan = rng.normal(size=(200000, 3))
     scan /= np.linalg.norm(scan, axis=1, keepdims=True)
+    # cubes[p, k*9 + i*3 + j] = scan[p, k] scan[p, i] scan[p, j], built once
+    cubes = np.einsum("pk,pi,pj->pkij", scan, scan, scan).reshape(len(scan), 27)
     for _ in range(100):
         h = random_symmetric_trace_free(rng)
         cd = nk6.canonical_basis(h)
         assert cd.reconstruction_residual < 1e-10
         assert cd.constraint_slack() <= 1e-10
-        brute = np.abs(np.einsum("kij,pk,pi,pj->p", h, scan, scan, scan)).max()
+        brute = np.abs(cubes @ h.reshape(27)).max()
         assert brute <= cd.theta + 1e-10  # dense scan never beats the optimum
 
 

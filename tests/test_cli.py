@@ -53,6 +53,15 @@ def test_verify_totally_geodesic(capsys):
     assert json.loads(out)["summary"]["passed"] is True
 
 
+@pytest.mark.parametrize("model, checks", [("dvv", 34), ("totally-geodesic", 25)])
+def test_verify_with_fewer_samples_than_the_model_suites_read(capsys, model, checks):
+    # the model suites read the first 50 sample points and nabla h the first
+    # 24; with 3 samples every check runs on those 3
+    code, out, _ = run_cli(capsys, "verify", "--model", model, "--samples", "3")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"checks": checks, "failures": 0, "passed": True}
+
+
 def test_verify_rejects_invalid_table(capsys, tmp_path):
     bad = tmp_path / "bad.table"
     bad.write_text("1 2 3 +1\n1 2 4 -1\n")
@@ -74,6 +83,21 @@ def test_unknown_tolerance_key_is_config_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--tol", "bogus=1")
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "--rule", "8,8,8", "--tol", "volume=nan"),
+    ("integrate", "--rule", "8,8,8", "--tol", "integral=NaN"),
+    ("verify", "--model", "synthetic:a", "--tol", "closed_form_match=nan"),
+    ("verify", "--model", "synthetic:a", "--tol", "closed_form_match=-1e-12"),
+])
+def test_nan_or_negative_tolerance_is_config_error(capsys, argv):
+    # a NaN tolerance compares false against every residual: refinement
+    # would never fail, and the report would hold a NaN that is not JSON
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert repr(argv[-1].partition("=")[0]) in err
 
 
 def test_unknown_model_is_config_error(capsys):
@@ -135,30 +159,41 @@ def test_pinching_flags_ignore_roundoff(dvv, geodesic):
         assert row["flag_K_above_1_16"] and row["flag_K_below_21_16"]
 
 
-def test_immersion_suite_evaluates_each_node_set_once(counted_dvv):
-    framed = []
+def test_verify_evaluates_each_node_set_once(counted_dvv):
+    seen = []
     counted = counted_dvv.jet
 
     def jet(q, order, check_domain=True):
-        if order == 2:
-            framed.append(np.array(q))
+        seen.append((order, np.array(q)))
         return counted(q, order, check_domain=check_domain)
 
     counted_dvv.jet = jet
-    suite = cli._immersion_suite(counted_dvv, cli.RunConfig(command="verify"))
-    assert all(check["passed"] for check in suite["checks"])
+    suites = cli.cmd_verify(cli.RunConfig(command="verify"), counted_dvv.table, counted_dvv)
+    assert [s["name"] for s in suites][-1] == "berger_sphere_reference"
+    assert all(check["passed"] for s in suites for check in s["checks"])
     calls = counted_dvv.jet_calls
     # fd_jet stacks its 4 centres and their ten circles of 24 nodes each
     # into one value-only call
     assert [c for c in calls if c[0] == 0] == [(0, 4 * (1 + 10 * 24))]
-    # the 200 points are framed once, and nabla_h and the F/T checks read
-    # the frame of the first 24 from them; the only other frame is of the
-    # first 4 shifted along each chart axis (nabla_h_ambient)
+    # the 200 points are framed once; nabla_h, the F/T checks and the Berger
+    # suite read their frames, h and curvature from that one packet
     assert calls.count((2, 200)) == 1
-    pts = next(q for q in framed if len(q) == 200)
-    [shifted] = [q for q in framed if len(q) != 200]
+    pts = next(q for order, q in seen if order == 2 and len(q) == 200)
+    # order 3: the jet oracle on the first 4 points, nabla h on the first 24
+    third = [q for order, q in seen if order == 3]
+    assert len(third) == 2
+    assert np.array_equal(third[0], pts[:4]) and np.array_equal(third[1], pts[:24])
+    # the only other order-2 calls: the first 4 points shifted along each
+    # chart axis (nabla_h_ambient), then the Laplacian's metric terms at the
+    # first point and its 19-point stencil of |h|^2 around it
+    shifted, centre, stencil = [q for order, q in seen if order == 2 and q is not pts]
     moved = shifted.reshape(4, 6, 3) != pts[:4, None, :]
     assert np.all(np.count_nonzero(moved, axis=-1) == 1)
+    assert np.array_equal(centre, pts[0])
+    assert stencil.shape == (19, 3)
+    assert np.array_equal(stencil[0], pts[0])
+    assert np.all(np.count_nonzero(stencil[1:] != pts[0], axis=-1) >= 1)
+    assert len(calls) == 7
 
 
 def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):

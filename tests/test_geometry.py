@@ -113,16 +113,25 @@ def test_frame_is_orthonormal_and_lagrangian(dvv):
     assert pk.lagrangian_residual() < 1e-10
 
 
+def _with_fields(imm, rows=None):
+    """The polynomial of `imm` without field scales: its frame starts from
+    the chart partials, or from the constant chart components `rows`."""
+    out = nk6.PolynomialSphereImmersion(imm.name, imm.terms, imm.table)
+    if rows is not None:
+        out.tangent_fields = lambda q: np.broadcast_to(rows, np.shape(q)[:-1] + (3, 3))
+    return out
+
+
 def test_frame_from_chart_partials(geodesic):
     pts = random_chart_points(geodesic, 50, seed=4)
-    pk = nk6.frame(geodesic, pts, use_model_fields=False)
+    pk = nk6.frame(_with_fields(geodesic), pts)
     assert pk.orthonormality_residual() < 1e-10
     assert pk.lagrangian_residual() < 1e-10
 
 
 def test_frame_pole_degeneracy_error(geodesic):
     with pytest.raises(nk6.ChartDegeneracyError) as err:
-        nk6.frame(geodesic, np.array([0.0, 0.3, 0.9]), use_model_fields=False)
+        nk6.frame(_with_fields(geodesic), np.array([0.0, 0.3, 0.9]))
     assert err.value.distance is not None
     assert err.value.distance < 1e-12
 
@@ -137,15 +146,14 @@ def _frame_test_points(imm, seed):
 
 def _frame_cases(dvv, geodesic):
     R = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))[0]
-    return [(dvv, {}), (geodesic, {"use_model_fields": False}),
-            (dvv, {"use_model_fields": False, "basis_rotation": R})]
+    return [dvv, _with_fields(geodesic), _with_fields(dvv, R)]
 
 
 def test_chart_comps_carry_the_frame_and_the_metric(dvv, geodesic):
     # model fields, chart partials and rotated partials share one path:
     # e = C @ d1 and C g C^T = I, near the poles too
-    for imm, kwargs in _frame_cases(dvv, geodesic):
-        pk = nk6.frame(imm, _frame_test_points(imm, 42), **kwargs)
+    for imm in _frame_cases(dvv, geodesic):
+        pk = nk6.frame(imm, _frame_test_points(imm, 42))
         C = pk.chart_comps
         assert np.max(np.abs(C @ pk.jet.d1 - pk.e)) < 1e-14
         assert np.max(np.abs(C @ pk.metric @ np.swapaxes(C, -1, -2) - np.eye(3))) < 1e-13
@@ -363,11 +371,11 @@ def test_gauge_invariance_under_frame_rotation(dvv, rng):
     }
     A = rng.normal(size=(3, 3))
     R, _ = np.linalg.qr(A)
-    kwargs = {"use_model_fields": False, "basis_rotation": R}
-    sff = nk6.second_fundamental_form(dvv, q, **kwargs)
+    rotated = _with_fields(dvv, R)
+    sff = nk6.second_fundamental_form(rotated, q)
     assert abs(float(sff.norm_sq()) - base["hsq"]) < 1e-8
-    assert abs(float(nk6.curvature(dvv, q, **kwargs).tau) - base["tau"]) < 1e-8
-    assert abs(float(nk6.nabla_h(dvv, q, **kwargs).norm_sq()) - base["nhsq"]) < 1e-8
+    assert abs(float(nk6.curvature(rotated, q).tau) - base["tau"]) < 1e-8
+    assert abs(float(nk6.nabla_h(rotated, q).norm_sq()) - base["nhsq"]) < 1e-8
     assert abs(float(nk6.maximize_theta(sff.h)[1]) - theta_ref) < 1e-8
 
 
