@@ -612,9 +612,9 @@ def _parse_tol(pairs):
             raise ConfigError(
                 f"unknown tolerance key {key!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}")
         tols[key] = float(value)
-        # NaN compares false against every residual, which would pass any check
-        if not tols[key] >= 0:
-            raise ConfigError(f"tolerance {key!r} must be nonnegative, got {value!r}")
+        # a NaN passes any check, infinity switches one off; neither is JSON
+        if not 0 <= tols[key] < np.inf:
+            raise ConfigError(f"tolerance {key!r} must be finite and nonnegative, got {value!r}")
     return tols
 
 

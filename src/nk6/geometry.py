@@ -5,10 +5,10 @@ and every derived quantity carries the same leading batch shape.  Immersion
 handles (see `models`) supply exact chart jets up to order 3.  Covariant
 derivatives come from one jet at the points themselves, through the
 Christoffel symbols of the induced metric, so h, nabla h and the metric
-terms of the Laplacian are exact to roundoff.  `fd_jet` recomputes jets from
-immersion values alone, by Cauchy's integral formula on complex circles, as
-an independent oracle; only the scalar field handed to `laplace_beltrami` is
-differentiated by finite differences.
+terms of the Laplacian are exact to roundoff.  Values alone are
+differentiated by Cauchy's integral formula on complex circles: the
+immersion's in `fd_jet`, an independent oracle, and the scalar field handed
+to `laplace_beltrami`, which must therefore take complex chart points.
 """
 
 from __future__ import annotations
@@ -41,12 +41,9 @@ __all__ = [
     "laplace_beltrami",
 ]
 
-EPS = np.finfo(float).eps
-FD_STEP_ORDER2 = EPS ** 0.25
-
 
 class ChartDegeneracyError(RuntimeError):
-    """Chart-induced frame or step failure; carries distance to the bad locus."""
+    """Chart-induced frame or Cauchy-circle failure; may carry the distance to the bad locus."""
 
     def __init__(self, message, distance=None):
         if distance is not None:
@@ -104,6 +101,13 @@ _CAUCHY_DIRECTIONS = np.array(
 _CAUCHY_DIRECTIONS /= np.linalg.norm(_CAUCHY_DIRECTIONS, axis=1, keepdims=True)
 
 
+def _circles(q, directions, nodes, radius):
+    """Complex points q + z v, shape (m, nodes) + q.shape, for directions v
+    (m, ...) and z the `nodes` roots of unity times `radius`."""
+    z = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return q + directions[:, None] * z.reshape((nodes,) + (1,) * q.ndim)
+
+
 @lru_cache(maxsize=None)
 def _cauchy_maps():
     """Per order k = 1..3, the fixed map (3**k, 10) from the circle
@@ -141,8 +145,7 @@ def fd_jet(imm, q, order: int) -> ImmersionJet:
         raise ValueError("jet order must be in 0..3")
     q = np.asarray(q, dtype=float)
     batch, flat = q.shape[:-1], q.reshape(-1, 3)
-    z = _CAUCHY_RADIUS * np.exp(2j * np.pi * np.arange(_CAUCHY_NODES) / _CAUCHY_NODES)
-    circles = flat + (_CAUCHY_DIRECTIONS[:, None, :] * z[:, None])[:, :, None, :]
+    circles = _circles(flat, _CAUCHY_DIRECTIONS[:, None, :], _CAUCHY_NODES, _CAUCHY_RADIUS)
     vals = imm.jet(np.concatenate([flat, circles.reshape(-1, 3)]), 0, check_domain=False).value
     # coef[v, k] / (N r^k) = D^kP[v^k]/k! on the circle along direction v
     coef = np.fft.fft(vals[len(flat):].reshape(circles.shape[:-1] + (7,)), axis=1)
@@ -461,49 +464,31 @@ def sectional_curvature(packet: CurvaturePacket, u, v):
 # Laplace-Beltrami operator on chart scalar fields
 # ---------------------------------------------------------------------------
 
-def laplace_beltrami(imm, scalar_field, q):
-    """Laplacian of a chart scalar field at q.
+# Laplacian circles: nodes, radius in frame units, top Taylor term limit
+_LAPLACE_NODES, _LAPLACE_RADIUS, _LAPLACE_TAIL = 16, 0.1875, 1e-11
 
-    Lap f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f), with the metric terms from
-    one order-2 jet at q and the partials of f, which is a black box, from
-    central differences on a 19-point stencil with step FD_STEP_ORDER2 times
-    the chart extents.
+
+def laplace_beltrami(imm, scalar_field, q, frame_packet: FramePacket | None = None):
+    """Laplacian of a chart scalar field at q, by Cauchy's integral formula.
+
+    The field, holomorphic near q, is called once, on circles z -> q + z C_i
+    along the frame vectors e_i = C_i @ d1; the FFT along circle i gives
+    c1_i = Df[C_i] and c2_i = D^2f[C_i, C_i] / 2.  As sum_i C_ia C_ib = g^{ab},
+    Lap f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f) = sum_i 2 c2_i - <tau, e_i> c1_i
+    with tau = g^{ab} d_a d_b Psi.  A field that is not holomorphic, or is
+    singular inside a circle, makes the top coefficients, which bound the
+    aliasing error, O(1): ChartDegeneracyError.  `frame_packet` is the frame
+    at q, as for second_fundamental_form.
     """
     q = np.asarray(q, dtype=float)
-    hf = FD_STEP_ORDER2 * np.asarray(imm.chart.extents)
-    dist = np.min(imm.chart.degeneracy_distance(q))
-    if dist < 4 * hf.max():
+    pk = frame_packet if frame_packet is not None else frame(imm, q, validate=False)
+    C, n, r = pk.chart_comps, _LAPLACE_NODES, _LAPLACE_RADIUS
+    # coef[i, k] = c_k r^k on the circle along e_i, shape (3, n) + batch
+    coef = np.fft.fft(scalar_field(_circles(q, np.moveaxis(C, -2, 0), n, r)), axis=1) / n
+    tail = np.max(np.abs(coef[:, -2:]), axis=(0, 1)) / np.maximum(1.0, np.abs(coef[0, 0]))
+    if not np.all(tail <= _LAPLACE_TAIL):
         raise ChartDegeneracyError(
-            "stencil would cross the chart-degeneracy locus", float(dist)
-        )
-    ginv, gamma = _christoffel(imm.jet(q, 2, check_domain=False))
-
-    def shifted(*moves):
-        qq = np.array(q, copy=True)
-        for axis, delta in moves:
-            qq[..., axis] = qq[..., axis] + delta
-        return qq
-
-    # one batch: the centre, the +/- shift along each axis, then the four
-    # diagonal shifts (++, +-, -+, --) of each axis pair a < b
-    pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
-    f = np.asarray(scalar_field(np.stack(
-        [q]
-        + [shifted((a, sgn * hf[a])) for a in range(3) for sgn in (1, -1)]
-        + [shifted((a, sa * hf[a]), (b, sb * hf[b]))
-           for a, b in pairs for sa in (1, -1) for sb in (1, -1)]
-    )), dtype=float)
-    grad = np.zeros(q.shape[:-1] + (3,))
-    hess = np.zeros(q.shape[:-1] + (3, 3))
-    for a in range(3):
-        fp, fm = f[1 + 2 * a], f[2 + 2 * a]
-        grad[..., a] = (fp - fm) / (2 * hf[a])
-        hess[..., a, a] = (fp - 2 * f[0] + fm) / hf[a] ** 2
-    for k, (a, b) in enumerate(pairs):
-        fpp, fpm, fmp, fmm = f[7 + 4 * k: 11 + 4 * k]
-        mixed = (fpp - fpm - fmp + fmm) / (4 * hf[a] * hf[b])
-        hess[..., a, b] = mixed
-        hess[..., b, a] = mixed
-
-    return np.einsum("...ab,...ab->...", ginv,
-                     hess - np.einsum("...abc,...c->...ab", gamma, grad))
+            f"scalar field is not holomorphic on the Cauchy circles: top Taylor "
+            f"term {np.max(tail):.3e} of max(1, |f|) > {_LAPLACE_TAIL:g}")
+    drift = np.einsum("...ka,...kb,...abc,...ic->i...", C, C, pk.jet.d2, pk.e)  # <tau, e_i>
+    return np.sum(2 * coef[:, 2] / r**2 - drift * coef[:, 1] / r, axis=0).real

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
+TOL_INDETERMINATE = 1e-4  # integrand sups from tol_equality up to this are indeterminate
 
 
 class IdentityViolation(RuntimeError):
@@ -175,7 +176,7 @@ class LaplacianIdentityReport:
     evaluated on the extracted invariants plus |T|^2.
     """
 
-    half_laplacian_fd: float
+    half_laplacian: float
     rhs_direct: float
     rhs_regrouped: float
     residual_pipeline: float
@@ -196,6 +197,21 @@ def laplacian_identity_check(imm, q) -> LaplacianIdentityReport:
     return laplacian_identity(imm, q, pk, sff, nh, canonical.canonical_basis(sff.h))
 
 
+def _hsq(imm, q):
+    """|h|^2 = g^{ac} g^{bd} <sigma_ab, sigma_cd> at chart points q, real or
+    complex, from one order-2 jet, with sigma_ab = h(d_a, d_b) = d_a d_b Psi
+    + g_ab Psi - Gamma^e_ab d_e Psi.  Every product is bilinear, so this is
+    the holomorphic extension of |h|^2."""
+    jt = imm.jet(q, 2, check_domain=False)
+    ginv, gamma = geometry._christoffel(jt)
+    g = jt.d1 @ np.swapaxes(jt.d1, -1, -2)
+    sigma = (jt.d2 + g[..., None] * jt.value[..., None, None, :]
+             - np.einsum("...abe,...ek->...abk", gamma, jt.d1))
+    # |h|^2 = sum_k tr(g^-1 sigma_k g^-1 sigma_k), by einsum: faster than complex matmul
+    gs = np.einsum("...ac,...cbk->...abk", ginv, sigma)
+    return np.sum(gs * np.swapaxes(gs, -2, -3), axis=(-3, -2, -1))
+
+
 def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
                        cd: canonical.CanonicalData) -> LaplacianIdentityReport:
     """Both routes of laplacian_identity_check at one chart point q, from
@@ -204,8 +220,8 @@ def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
     # reaches them instead of stopping the suite here
     packet = t_tensor(nh, f_tensor(sff, pk), sff, tol=np.inf)
 
-    field = lambda qq: geometry.second_fundamental_form(imm, qq).norm_sq()  # noqa: E731
-    half_lap = 0.5 * float(geometry.laplace_beltrami(imm, field, q))
+    half_lap = 0.5 * float(geometry.laplace_beltrami(
+        imm, lambda qq: _hsq(imm, qq), q, frame_packet=pk))
 
     inv = canonical.commutator_invariant_direct(canonical.h_matrices(cd))
     hsq = float(sff.norm_sq())
@@ -223,7 +239,7 @@ def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
         + float(cf.r_residual)
     )
     return LaplacianIdentityReport(
-        half_laplacian_fd=half_lap,
+        half_laplacian=half_lap,
         rhs_direct=rhs_direct,
         rhs_regrouped=rhs_regrouped,
         residual_pipeline=abs(half_lap - rhs_direct),
@@ -333,12 +349,12 @@ class InequalityReport:
         }
 
 
-def _classify(hsq_sup, integrand_sup, tol_equality, tol_indeterminate):
+def _classify(hsq_sup, integrand_sup, tol_equality):
     if hsq_sup < tol_equality:
         return "geodesic"
     if integrand_sup < tol_equality:
         return "DVV-type"
-    if integrand_sup < tol_indeterminate:
+    if integrand_sup < TOL_INDETERMINATE:
         return "indeterminate"
     return "strict"
 
@@ -356,7 +372,6 @@ def integrate_inequality(
     imm,
     rule: QuadratureRule = QuadratureRule(),
     tol_equality=1e-8,
-    tol_indeterminate=1e-4,
     refine_tol=1e-6,
 ) -> InequalityReport:
     """Certify the integral inequality on a compact built-in model.
@@ -401,7 +416,7 @@ def integrate_inequality(
         hsq_max=float(np.max(hsq)),
         theta_min=float(np.min(theta)),
         theta_max=float(np.max(theta)),
-        classification=_classify(float(np.max(hsq)), sup, tol_equality, tol_indeterminate),
+        classification=_classify(float(np.max(hsq)), sup, tol_equality),
         volume_refinement_delta=delta,
         samples=samples,
     )

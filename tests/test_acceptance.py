@@ -151,11 +151,11 @@ def test_criterion_6_laplacian_identity(dvv):
     cd = nk6.canonical_basis(
         nk6.second_fundamental_form(dvv, np.array([0.72, 2.4, 1.1])).h)
     q_closed_dev = abs(float(nk6.closed_forms(cd).q_closed) - 750 / 64)
-    ok = (abs(rep.half_laplacian_fd) < 1e-4 and rep.residual_pipeline < 1e-4
+    ok = (abs(rep.half_laplacian) < 1e-10 and rep.residual_pipeline < 1e-10
           and nabla_dev < 1e-6 and q_direct_dev < 1e-8 and q_closed_dev < 1e-8)
     _line(6, ok,
-          f"Laplacian identity: Lap|h|^2 {rep.half_laplacian_fd:.2e} (~0, < 1e-4), "
-          f"residual {rep.residual_pipeline:.2e} (< 1e-4), |nabla h|^2-75/32 "
+          f"Laplacian identity: Lap|h|^2 {rep.half_laplacian:.2e} (~0, < 1e-10), "
+          f"residual {rep.residual_pipeline:.2e} (< 1e-10), |nabla h|^2-75/32 "
           f"{nabla_dev:.2e}, Q via direct/closed/pipeline dev "
           f"{max(q_direct_dev, q_closed_dev):.2e}")
 

@@ -90,10 +90,13 @@ def test_unknown_tolerance_key_is_config_error(capsys):
     ("integrate", "--rule", "8,8,8", "--tol", "integral=NaN"),
     ("verify", "--model", "synthetic:a", "--tol", "closed_form_match=nan"),
     ("verify", "--model", "synthetic:a", "--tol", "closed_form_match=-1e-12"),
+    ("integrate", "--rule", "8,8,8", "--tol", "volume=inf"),
+    ("verify", "--model", "synthetic:a", "--tol", "closed_form_match=inf"),
 ])
 def test_nan_or_negative_tolerance_is_config_error(capsys, argv):
-    # a NaN tolerance compares false against every residual: refinement
-    # would never fail, and the report would hold a NaN that is not JSON
+    # a NaN tolerance compares false against every residual and an infinite
+    # one passes every residual: refinement would never fail, and the report
+    # would hold a NaN or an Infinity, neither of which is JSON
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -159,7 +162,7 @@ def test_pinching_flags_ignore_roundoff(dvv, geodesic):
         assert row["flag_K_above_1_16"] and row["flag_K_below_21_16"]
 
 
-def test_verify_evaluates_each_node_set_once(counted_dvv):
+def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
     seen = []
     counted = counted_dvv.jet
 
@@ -168,6 +171,14 @@ def test_verify_evaluates_each_node_set_once(counted_dvv):
         return counted(q, order, check_domain=check_domain)
 
     counted_dvv.jet = jet
+    frames = []
+    inner_frame = geometry.frame
+
+    def frame(imm, q, validate=True):
+        frames.append(len(q))
+        return inner_frame(imm, q, validate=validate)
+
+    monkeypatch.setattr(geometry, "frame", frame)
     suites = cli.cmd_verify(cli.RunConfig(command="verify"), counted_dvv.table, counted_dvv)
     assert [s["name"] for s in suites][-1] == "berger_sphere_reference"
     assert all(check["passed"] for s in suites for check in s["checks"])
@@ -184,16 +195,16 @@ def test_verify_evaluates_each_node_set_once(counted_dvv):
     assert len(third) == 2
     assert np.array_equal(third[0], pts[:4]) and np.array_equal(third[1], pts[:24])
     # the only other order-2 calls: the first 4 points shifted along each
-    # chart axis (nabla_h_ambient), then the Laplacian's metric terms at the
-    # first point and its 19-point stencil of |h|^2 around it
-    shifted, centre, stencil = [q for order, q in seen if order == 2 and q is not pts]
+    # chart axis (nabla_h_ambient), then |h|^2 on the Laplacian's three
+    # complex circles of 16 nodes around the first point, whose metric terms
+    # come from the frame packet
+    shifted, circles = [q for order, q in seen if order == 2 and q is not pts]
     moved = shifted.reshape(4, 6, 3) != pts[:4, None, :]
     assert np.all(np.count_nonzero(moved, axis=-1) == 1)
-    assert np.array_equal(centre, pts[0])
-    assert stencil.shape == (19, 3)
-    assert np.array_equal(stencil[0], pts[0])
-    assert np.all(np.count_nonzero(stencil[1:] != pts[0], axis=-1) >= 1)
-    assert len(calls) == 7
+    assert circles.shape == (3, 16, 3) and np.iscomplexobj(circles)
+    assert np.allclose(np.mean(circles, axis=1), pts[0], rtol=0, atol=1e-12)
+    assert len(calls) == 6
+    assert frames == [200, 24]
 
 
 def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nk6
-from nk6 import cli, geometry, models
+from nk6 import cli, geometry, models, simons
 from conftest import random_chart_points
 
 S5 = np.sqrt(5.0)
@@ -386,9 +386,11 @@ def test_laplace_beltrami_constant_field(dvv):
 
 
 def test_laplace_beltrami_hsq_field(dvv):
+    # the holomorphic |h|^2 is constant 25/8 on the Berger sphere
     q = np.array([0.75, 2.0, 0.9])
-    field = lambda qq: nk6.second_fundamental_form(dvv, qq).norm_sq()  # noqa: E731
-    assert abs(float(nk6.laplace_beltrami(dvv, field, q))) < 1e-4
+    field = lambda qq: simons._hsq(dvv, qq)  # noqa: E731
+    assert abs(float(field(q)) - 25 / 8) < 1e-13
+    assert abs(float(nk6.laplace_beltrami(dvv, field, q))) < 1e-10
 
 
 def test_laplace_beltrami_round_sphere_eigenfunction(geodesic):
@@ -398,7 +400,7 @@ def test_laplace_beltrami_round_sphere_eigenfunction(geodesic):
         field = lambda qq: geodesic.chart.to_y(qq)[..., a]  # noqa: E731
         lap = nk6.laplace_beltrami(geodesic, field, pts)
         target = -3.0 * geodesic.chart.to_y(pts)[..., a]
-        assert np.max(np.abs(lap - target)) < 1e-5
+        assert np.max(np.abs(lap - target)) < 1e-12
 
 
 def test_sff_reuses_the_frame_jet(counted_dvv):
@@ -410,7 +412,7 @@ def test_sff_reuses_the_frame_jet(counted_dvv):
     assert np.array_equal(sff.h, nk6.second_fundamental_form(counted_dvv, q).h)
 
 
-def test_laplace_beltrami_evaluates_one_stacked_stencil(counted_dvv):
+def test_laplace_beltrami_evaluates_one_stacked_circle_call(counted_dvv):
     q = random_chart_points(counted_dvv, 4, seed=5, margin=0.2)
     shapes = []
 
@@ -418,16 +420,35 @@ def test_laplace_beltrami_evaluates_one_stacked_stencil(counted_dvv):
         shapes.append(np.shape(qq))
         return np.sum(qq**2, axis=-1)
 
-    nk6.laplace_beltrami(counted_dvv, field, q)
-    assert shapes == [(19, 4, 3)]
+    lap = nk6.laplace_beltrami(counted_dvv, field, q)
+    # three circles of 16 complex nodes around each point, in one call
+    assert shapes == [(3, 16, 4, 3)]
     assert counted_dvv.jet_calls == [(2, 4)]
+    pk = nk6.frame(counted_dvv, q, validate=False)
+    counted_dvv.jet_calls.clear()
+    assert np.array_equal(nk6.laplace_beltrami(counted_dvv, field, q, frame_packet=pk), lap)
+    assert counted_dvv.jet_calls == []
+    # Lap |q|^2 = 2 g^{aa} - 2 g^{ab} Gamma^c_ab q_c
+    ginv, gamma = geometry._christoffel(pk.jet)
+    want = 2 * np.einsum("...aa->...", ginv) - 2 * np.einsum("...ab,...abc,...c->...", ginv, gamma, q)
+    assert np.max(np.abs(lap - want)) < 1e-11 * np.max(np.abs(want))
 
 
 def test_laplace_beltrami_near_pole_raises(geodesic):
-    with pytest.raises(nk6.ChartDegeneracyError):
+    # the frame refuses the pole before any circle is sampled
+    with pytest.raises(nk6.ChartDegeneracyError, match="rank deficient"):
         nk6.laplace_beltrami(
             geodesic, lambda qq: np.zeros(np.shape(qq)[:-1]), np.array([1e-9, 0.1, 0.1])
         )
+
+
+@pytest.mark.parametrize("field", [
+    lambda qq: np.real(qq[..., 0]) ** 2,     # drops the imaginary part
+    lambda qq: 1.0 / (qq[..., 0] - 0.76),    # a pole inside the circles
+], ids=["not-holomorphic", "pole"])
+def test_laplace_beltrami_refuses_a_field_it_cannot_differentiate(dvv, field):
+    with pytest.raises(nk6.ChartDegeneracyError, match="not holomorphic"):
+        nk6.laplace_beltrami(dvv, field, np.array([0.75, 2.0, 0.9]))
 
 
 def test_sff_matches_the_einsum_form(dvv):

@@ -134,8 +134,8 @@ def test_j_parallel_defect_matches_full_grid_einsum(dvv, rng):
 
 def test_laplacian_identity_on_reference_model(dvv):
     rep = nk6.laplacian_identity_check(dvv, np.array([0.8, 0.25, 2.2]))
-    assert abs(rep.half_laplacian_fd) < 1e-4          # constant field
-    assert rep.residual_pipeline < 1e-4
+    assert abs(rep.half_laplacian) < 1e-10          # constant field
+    assert rep.residual_pipeline < 1e-10
     assert rep.residual_algebra < 1e-8
     assert abs(rep.nabla_h_sq - 75 / 32) < 1e-6
     assert abs(rep.q_direct - 750 / 64) < 1e-8
@@ -145,7 +145,7 @@ def test_laplacian_identity_on_reference_model(dvv):
 
 def test_laplacian_identity_on_totally_geodesic(geodesic):
     rep = nk6.laplacian_identity_check(geodesic, np.array([0.7, 1.0, 1.0]))
-    assert abs(rep.half_laplacian_fd) < 1e-8
+    assert abs(rep.half_laplacian) < 1e-8
     assert rep.residual_pipeline < 1e-8
     assert rep.residual_algebra < 1e-12
 
@@ -191,6 +191,15 @@ def test_integrate_inequality_reference_model(dvv):
     assert abs(report.volume - 32 * np.pi**2 / 9) / report.volume < 1e-6
     assert abs(report.hsq_min - HSQ) < 1e-10 and abs(report.hsq_max - HSQ) < 1e-10
     assert abs(report.theta_min - S5 / 2) < 1e-9
+
+
+def test_classify_reaches_every_branch():
+    # (sup |h|^2, sup |integrand|) -> classification, at tol_equality 1e-8
+    cases = {(1e-9, 1e-9): "geodesic", (3.125, 1e-9): "DVV-type",
+             (3.125, 1e-6): "indeterminate", (5.625, 1e-2): "strict"}
+    for (hsq_sup, integrand_sup), want in cases.items():
+        assert simons._classify(hsq_sup, integrand_sup, 1e-8) == want
+    assert simons._classify(3.125, simons.TOL_INDETERMINATE, 1e-8) == "strict"
 
 
 def test_integrate_inequality_evaluates_each_rule_once(counted_dvv):
