@@ -49,22 +49,34 @@ def cubic_form(h, u):
     return np.einsum("...kij,...k,...i,...j->...", h, u, u, u)
 
 
-def _cross3(u, v):
-    return np.stack(
-        [
-            u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
-            u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
-            u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
-        ],
-        axis=-1,
-    )
+def _dot(a, b):
+    """sum_i a[i] b[i] over a leading axis of length 3, as separate products
+    and sums in index order: einsum may fuse them, and whether it does
+    depends on the batch's shape, so a column's value would depend on the
+    columns beside it."""
+    p = a * b
+    return p[0] + p[1] + p[2]
 
 
 def _tangent_basis(u):
-    helper = np.eye(3)[np.argmin(np.abs(u), axis=-1)]
-    t1 = helper - np.sum(helper * u, axis=-1, keepdims=True) * u
-    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
-    return t1, _cross3(u, t1)
+    """Orthonormal t1, t2 with (u, t1, t2) positively oriented, for unit u
+    with its components on the leading axis, (3,) or (3, n), returned as
+    T (2, 3, ...) with T[0] = t1 and T[1] = t2: t1 is the coordinate axis
+    e_m along which |u| is smallest (the first on ties), made orthogonal to
+    u, and t2 = u x t1."""
+    a = np.abs(u)
+    first = (a[0] <= a[1]) & (a[0] <= a[2])
+    second = (a[1] <= a[2]) & ~first
+    T = np.empty((2,) + u.shape)
+    t1, t2 = T
+    t1[...] = -np.where(first, u[0], np.where(second, u[1], u[2])) * u  # -u_m u
+    t1[0] += first
+    t1[1] += second
+    t1[2] += ~(first | second)
+    t1 /= np.sqrt(_dot(t1, t1))
+    nxt, far = [1, 2, 0], [2, 0, 1]  # (u x t1)_i = u_{i+1} t1_{i+2} - u_{i+2} t1_{i+1}
+    t2[...] = u[nxt] * t1[far] - u[far] * t1[nxt]
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +96,11 @@ class EnclosureError(RuntimeError):
     maximum is not certified."""
 
 
+@lru_cache(maxsize=None)
 def _exponents(degree):
     """Exponent triples of the monomials of one degree in three variables."""
-    return sorted({tuple(int(x) for x in np.bincount(t, minlength=3))
-                   for t in np.ndindex(*(3,) * degree)}, reverse=True)
+    return tuple(sorted({tuple(int(x) for x in np.bincount(t, minlength=3))
+                         for t in np.ndindex(*(3,) * degree)}, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +129,18 @@ def _unit(v):
 
 
 def _monomials(u, degree):
-    return np.prod(u[:, None, :] ** np.array(_exponents(degree)), axis=-1)
+    """The monomials _exponents(degree) at the rows of u, (m, 3) -> (m, n),
+    from the powers of each coordinate by repeated multiplication, one
+    column at a time (no (m, n, 3) temporary)."""
+    powers = [[np.ones(len(u))] for _ in range(3)]
+    for axis, p in enumerate(powers):
+        for _ in range(degree):
+            p.append(p[-1] * u[:, axis])
+    exps = _exponents(degree)
+    out = np.empty((len(u), len(exps)))
+    for j, (a, b, c) in enumerate(exps):
+        out[:, j] = powers[0][a] * powers[1][b] * powers[2][c]
+    return out
 
 
 # the cube's face normals: three orthogonal integer vectors, normalized,
@@ -173,28 +197,22 @@ def _coarse_cells():
 
 
 def _level0(hs):
-    """Cubic coefficients c of each row and f at every level-0 vertex: two
-    matmuls for the whole batch."""
+    """Cubic coefficients c of each row, f at every level-0 vertex, |f| there
+    and the vertex where |f| is largest: two matmuls for the whole batch and
+    one |f| pass, which the seed, the spectral bound and the open-vertex
+    test of _enclose share."""
     coef = hs.reshape(-1, 27) @ _fold(3)
-    return coef, coef @ _coarse_cells()[1].T
+    F = coef @ _coarse_cells()[1].T
+    absF = np.abs(F)
+    return coef, F, absF, np.argmax(absF, axis=-1)
 
 
-def _contract(hs, u):
-    """h(u,.,.) as 3x3 matrices, h(u,u,.) and f(u) for symmetric rows hs."""
-    hu = (hs.reshape(len(u), 9, 3) @ u[:, :, None]).reshape(len(u), 3, 3)
-    v2 = (hu @ u[:, :, None])[..., 0]
-    return hu, v2, np.sum(v2 * u, axis=-1)
-
-
-def _tangent_hessian(hu, f, u):
-    """A tangent basis t1, t2 at u and the tangent Hessian entries
-    (H11, H12, H22), H_ij = 6 t_i A t_j - 3 f delta_ij with A = h(u,.,.)."""
-    t1, t2 = _tangent_basis(u)
-    a1 = (hu @ t1[:, :, None])[..., 0]
-    a2 = (hu @ t2[:, :, None])[..., 0]
-    return t1, t2, (6.0 * np.einsum("na,na->n", t1, a1) - 3.0 * f,
-                    6.0 * np.einsum("na,na->n", t1, a2),
-                    6.0 * np.einsum("na,na->n", t2, a2) - 3.0 * f)
+def _forms(H, x):
+    """For points x (3, n) and h as H (3, 9, n), H[c, 3b + a] = h[a, b, c]:
+    A with A[b, a] = h(e_a, e_b, x), h(., x, x) and f(x)."""
+    A = _dot(H, x[:, None]).reshape(3, 3, -1)
+    v2 = _dot(A, x[:, None])
+    return A, v2, _dot(v2, x)
 
 
 def _polish(hs, u, scale):
@@ -207,47 +225,60 @@ def _polish(hs, u, scale):
     eigenvalue of the tangent Hessian (positive at a strict maximum), each
     read where the row stopped.  Rows still moving after _MAX_NEWTON steps
     are returned as they are; the enclosure then refuses to certify them.
+
+    The rows are held as columns: h as one contiguous (3, 9, n) array and
+    the points as (3, n), so that every quantity of a pass, from h(u,.,.)
+    to the 2 x 2 tangent Hessian and the step, is a few products and sums
+    of whole length-n rows, and no row's value depends on the others.
     """
-    u = u.copy()
-    hu, v2, f = _contract(hs, u)
+    n = len(u)
+    H = np.ascontiguousarray(hs.transpose(3, 2, 1, 0)).reshape(3, 9, n)
+    out = u.T.copy()
+    A, v2, f = _forms(H, out)
     f_out, g_out, mu_out = f.copy(), np.empty_like(f), np.empty_like(f)
-    active, h, x, sc = np.arange(len(u)), hs, u, scale
+    active, x, sc, big = np.arange(n), out, scale, np.maximum(scale, 1.0)
     for it in range(_MAX_NEWTON + 1):
-        grad = 3.0 * (v2 - f[:, None] * x)
-        t1, t2, (h11, h12, h22) = _tangent_hessian(hu, f, x)
-        moving = np.max(np.abs(grad), axis=-1) > 1e-13 * np.maximum(sc, 1.0)
+        grad = 3.0 * (v2 - f * x)
+        Tc = _tangent_basis(x).transpose(1, 0, 2)  # Tc[a, i] = (t_i)_a
+        # tangent Hessian H_ij = 6 h(t_i, t_j, x) - 3 f delta_ij, from
+        # AT[j, a] = h(e_a, t_j, x)
+        AT = _dot(A[:, None], Tc[:, :, None])
+        hess = _dot(Tc[:, :, None], AT.transpose(1, 0, 2)[:, None])
+        h11 = 6.0 * hess[0, 0] - 3.0 * f
+        h12 = 6.0 * hess[0, 1]
+        h22 = 6.0 * hess[1, 1] - 3.0 * f
+        moving = np.abs(grad).max(axis=0) > 1e-13 * big
         moving &= it < _MAX_NEWTON  # the pass after the last step only reads g and mu
         if not moving.all():
             done = ~moving
-            g_out[active[done]] = np.linalg.norm(grad[done], axis=-1)
+            gd = grad[:, done]
+            g_out[active[done]] = np.sqrt(_dot(gd, gd))
             mu_out[active[done]] = -(0.5 * (h11[done] + h22[done])
                                      + np.hypot(0.5 * (h11[done] - h22[done]), h12[done]))
             if not moving.any():
                 break
-            active, h, x, sc, hu, v2, f, grad, t1, t2, h11, h12, h22 = (
-                y[moving] for y in (active, h, x, sc, hu, v2, f, grad, t1, t2, h11, h12, h22))
-        g1, g2 = np.einsum("na,na->n", t1, grad), np.einsum("na,na->n", t2, grad)
+            keep = np.flatnonzero(moving)
+            active, H, x, sc, big, A, v2, f, grad, Tc, h11, h12, h22 = (
+                np.take(y, keep, axis=-1)
+                for y in (active, H, x, sc, big, A, v2, f, grad, Tc, h11, h12, h22))
+        g1, g2 = _dot(Tc, grad[:, None])
         det = h11 * h22 - h12 * h12
-        safe = np.abs(det) > 1e-14 * np.maximum(sc, 1.0) ** 2
+        safe = np.abs(det) > 1e-14 * big**2
         det = np.where(safe, det, 1.0)
         s1 = (h12 * g2 - h22 * g1) / det
         s2 = (h12 * g1 - h11 * g2) / det
-        step = s1[:, None] * t1 + s2[:, None] * t2
         # fall back to a short ascent step where the tangent Hessian degenerates
-        ascent = grad / np.maximum(sc, 1e-30)[:, None] * 0.05
-        step = np.where(safe[:, None], step, ascent)
-        norm = np.linalg.norm(step, axis=-1, keepdims=True)
+        step = np.where(safe, s1 * Tc[:, 0] + s2 * Tc[:, 1], grad / np.maximum(sc, 1e-30) * 0.05)
+        norm = np.sqrt(_dot(step, step))
         step = np.where(norm > 0.2, step * (0.2 / np.maximum(norm, 1e-30)), step)
         unew = x + step
-        unew /= np.linalg.norm(unew, axis=-1, keepdims=True)
-        hu_new, v2_new, f_new = _contract(h, unew)
-        up = f_new >= f - 1e-14 * np.maximum(sc, 1.0)
-        x = np.where(up[:, None], unew, x)
-        hu = np.where(up[:, None, None], hu_new, hu)
-        v2 = np.where(up[:, None], v2_new, v2)
-        f = np.where(up, f_new, f)
-        u[active], f_out[active] = x, f
-    return u, f_out, g_out, mu_out
+        unew /= np.sqrt(_dot(unew, unew))
+        A_new, v2_new, f_new = _forms(H, unew)
+        up = f_new >= f - 1e-14 * big
+        x, A, v2, f = (np.where(up, new, old)
+                       for new, old in ((unew, x), (A_new, A), (v2_new, v2), (f_new, f)))
+        out[:, active], f_out[active] = x, f
+    return out.T, f_out, g_out, mu_out
 
 
 def _ball_radius(f, g, mu, sigma, theta, tol):
@@ -283,11 +314,11 @@ def _curvature_term(sigma, half):
     return 9.0 * sigma * half**2
 
 
-def _spectral_bound(scale, absF):
+def _spectral_bound(scale, top):
     """The spectral-norm bound min(|h|, max_vertices |f| / (1 - 9 half0^2)),
-    half0 = 1/_SPLIT, of each row from |f| at the level-0 vertices; see
-    _enclose."""
-    return np.minimum(scale, absF.max(axis=-1) / (1.0 - _curvature_term(1.0, 1.0 / _SPLIT)))
+    half0 = 1/_SPLIT, of each row from top = max_vertices |f| on the
+    level-0 vertices; see _enclose."""
+    return np.minimum(scale, top / (1.0 - _curvature_term(1.0, 1.0 / _SPLIT)))
 
 
 def _enclose(hs, scale, seed, level0):
@@ -327,9 +358,8 @@ def _enclose(hs, scale, seed, level0):
     u, theta, g, mu = seed
     u, theta = u.copy(), theta.copy()
     tol = 1e-12 * np.maximum(scale, 1.0)
-    F = level0[1]
-    absF = np.abs(F)
-    sigma = _spectral_bound(scale, absF)
+    coef, F, absF, best = level0
+    sigma = _spectral_bound(scale, absF[np.arange(len(best)), best])
     main_r = _ball_radius(theta, g, mu, sigma, theta, tol)
 
     vertex, _, cells, face0, point0, corner0 = _coarse_cells()
@@ -393,7 +423,8 @@ def _enclose(hs, scale, seed, level0):
         # split every open cell into its four quadrants: f at the five new
         # points fills the 3 x 3 grid whose 2 x 2 windows are their corners
         new = _unit((point[:, None, :] + half * _NEW_OFFSETS[face]).reshape(-1, 3))
-        fnew = _contract(hs[np.repeat(node, len(_NEW))], new)[2].reshape(len(node), -1)
+        fnew = np.einsum("nj,npj->np", coef[node],
+                         _monomials(new, 3).reshape(len(node), len(_NEW), -1))
         grid = np.empty((len(node), 3, 3))
         grid[:, ::2, ::2] = corner.reshape(-1, 2, 2)
         grid[:, _NEW[:, 0] + 1, _NEW[:, 1] + 1] = fnew
@@ -442,8 +473,7 @@ def maximize_theta(sff_like):
             continue
         part, sc = hs[rows], scale[rows]
         level0 = _level0(part)
-        F = level0[1]
-        best = np.argmax(np.abs(F), axis=-1)
+        F, best = level0[1], level0[3]
         sign = np.where(F[np.arange(len(rows)), best] < 0, -1.0, 1.0)
         seed = _polish(part, _coarse_cells()[0][best] * sign[:, None], sc)
         u[rows], theta[rows] = _enclose(part, sc, seed, level0)
@@ -514,10 +544,6 @@ class HMatrices:
     def H2(self):
         return self.H[..., 1, :, :]
 
-    @property
-    def H3(self):
-        return self.H[..., 2, :, :]
-
 
 def _as_tuple4(source):
     if isinstance(source, CanonicalData):
@@ -585,8 +611,8 @@ def canonical_basis(sff_like, tol=1e-8) -> CanonicalData:
 
     e1, theta = maximize_theta(h)
     B = np.einsum("kij,k->ij", h, e1)
-    t1, t2 = _tangent_basis(e1)
-    T = np.stack([t1, t2])
+    T = _tangent_basis(e1)
+    t1, t2 = T
     B2 = T @ B @ T.T
     w, vecs = np.linalg.eigh(B2)
     e2 = vecs[0, 0] * t1 + vecs[1, 0] * t2

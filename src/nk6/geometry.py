@@ -345,12 +345,27 @@ class NablaH:
         return r
 
 
+def _inv3(m):
+    """Inverse of 3 x 3 matrices (..., 3, 3), real or complex: the adjugate,
+    whose row i is the cross product of columns i + 1 and i + 2, over the
+    determinant.  Raises LinAlgError where a determinant is exactly 0, as
+    np.linalg.inv does."""
+    nxt, far = [1, 2, 0], [2, 0, 1]
+    c1, c2 = m[..., nxt], m[..., far]  # column i of c1 is column i + 1 of m
+    cross = c1[..., nxt, :] * c2[..., far, :] - c1[..., far, :] * c2[..., nxt, :]
+    adj = np.swapaxes(cross, -1, -2)
+    det = (m[..., :, 0] * adj[..., 0, :]).sum(axis=-1)
+    if (det == 0).any():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return adj / det[..., None, None]
+
+
 def _christoffel(jt: ImmersionJet):
     """Inverse induced metric g^{ab} and Christoffel symbols
     gamma[..., a, b, d] = Gamma^d_ab = g^{de} <d_a d_b Psi, d_e Psi>
     of a chart jet of order >= 2."""
     d1t = np.swapaxes(jt.d1, -1, -2)
-    ginv = np.linalg.inv(jt.d1 @ d1t)
+    ginv = _inv3(jt.d1 @ d1t)
     gamma = (jt.d2 @ d1t[..., None, :, :]) @ ginv[..., None, :, :]
     return ginv, gamma
 

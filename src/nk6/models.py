@@ -402,9 +402,6 @@ class BergerSpec:
         if self.w1 <= 0 or self.w23 <= 0:
             raise ValueError("Berger weights must be positive")
 
-    def frame_scales(self):
-        return (1 / np.sqrt(self.w1), 1 / np.sqrt(self.w23), -1 / np.sqrt(self.w23))
-
     def curvature_coefficients(self):
         """(alpha, beta) with K(plane) = alpha + beta cos^2(angle to fiber).
 

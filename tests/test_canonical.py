@@ -137,7 +137,7 @@ def test_spectral_bound_lies_between_theta_and_the_frobenius_norm():
                   for perm in itertools.permutations(range(3))) / 6.0
     hs = np.concatenate([normal, generic])
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
-    sigma = canonical._spectral_bound(scale, np.abs(canonical._level0(hs)[1]))
+    sigma = canonical._spectral_bound(scale, canonical._level0(hs)[2].max(axis=-1))
     _, theta = nk6.maximize_theta(hs)
     assert np.all(sigma >= theta) and np.all(sigma <= scale)
     # sigma bounds the trilinear form itself, not just the cubic one
@@ -159,8 +159,8 @@ def test_corner_bound_holds_on_random_sub_cells():
                   for perm in itertools.permutations(range(3))) / 6.0
     hs = np.concatenate([normal, generic])
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
-    coef, F = canonical._level0(hs)
-    sigma = canonical._spectral_bound(scale, np.abs(F))
+    coef, _, absF, _ = canonical._level0(hs)
+    sigma = canonical._spectral_bound(scale, absF.max(axis=-1))
     _, theta = nk6.maximize_theta(hs)
     assert np.all(theta <= sigma) and np.all(sigma <= scale)
 
@@ -434,3 +434,62 @@ def test_symmetrizer_is_the_mean_over_index_orders():
     S = canonical._symmetrizer()
     assert set(np.unique(S)) == {0.0, 1.0, 1 / 3, 1 / 6}
     assert np.max(np.abs((h.reshape(-1, 27) @ S).reshape(h.shape) - mean)) < 1e-15
+
+
+def test_polish_batch_matches_rows_polished_alone(monkeypatch):
+    # the column layout keeps each row's arithmetic to itself: a batch whose
+    # rows stop at different passes, never move, fall back to an ascent step
+    # or run out of steps returns bitwise what each row returns alone
+    rng = np.random.default_rng(31)
+    R = np.linalg.qr(rng.normal(size=(8, 3, 3)))[0]
+    forms = nk6.reconstruct_sff(rng.uniform(-1.0, 1.0, size=(8, 4)), R)
+    top, _ = nk6.maximize_theta(forms)
+    kick = rng.normal(size=(8, 3)) * np.logspace(-9, -0.5, 8)[:, None]
+    starts = (top + kick) / np.linalg.norm(top + kick, axis=-1, keepdims=True)
+    # f = u1^3 has a singular tangent Hessian at (sqrt(2), 0, 1)/sqrt(3)
+    cube = np.zeros((3, 3, 3))
+    cube[0, 0, 0] = 1.0
+    degenerate = np.array([np.sqrt(2.0 / 3.0), 0.0, np.sqrt(1.0 / 3.0)])
+    ring = nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0))
+    hs = np.concatenate([forms, [cube, ring, 1e-9 * forms[0]]])
+    u0 = np.concatenate([starts, [degenerate, np.array([-1.0, 2.0, 0.0]) / S5, starts[0]]])
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+
+    T = canonical._tangent_basis(degenerate)
+    hessian = (6.0 * np.einsum("kij,k,ai,bj->ab", cube, degenerate, T, T)
+               - 3.0 * degenerate[0] ** 3 * np.eye(2))
+    assert np.linalg.det(hessian) == 0.0
+
+    passes, forms_at = [], canonical._forms
+
+    def counted(H, x):  # one call to start, then one per Newton step
+        passes.append(x.shape[-1])
+        return forms_at(H, x)
+
+    monkeypatch.setattr(canonical, "_forms", counted)
+    batch = canonical._polish(hs, u0, scale)
+    alone, steps = [], []
+    for i in range(len(hs)):
+        passes.clear()
+        alone.append(canonical._polish(hs[i:i + 1], u0[i:i + 1], scale[i:i + 1]))
+        steps.append(len(passes) - 1)
+    for k in range(4):
+        assert np.array_equal(batch[k], np.concatenate([a[k] for a in alone]))
+    assert len(set(steps)) >= 4 and max(steps) == canonical._MAX_NEWTON
+    u, f = batch[0], batch[1]
+    assert steps[-2] == 0 and np.array_equal(u[-2], u0[-2])  # the ring point never moves
+    assert np.allclose(u[-3], [1.0, 0.0, 0.0], atol=1e-12) and abs(f[-3] - 1.0) < 1e-15
+
+
+def test_maximize_theta_over_chunks_matches_rows_alone():
+    rng = np.random.default_rng(8)
+    n = canonical._CHUNK + 100
+    R = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    hs = nk6.reconstruct_sff(rng.uniform(-1.0, 1.0, size=(n, 4)), R)
+    u, theta = nk6.maximize_theta(hs)
+    rows = [nk6.maximize_theta(h) for h in hs]
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+    # a batch and a single row go through the symmetrizer and level-0
+    # matmuls in different BLAS kernels, which may round the last bits apart
+    assert np.all(np.abs(theta - [t for _, t in rows]) <= 1e-14 * np.maximum(scale, 1.0))
+    assert np.max(np.abs(u - [v for v, _ in rows])) < 1e-10

@@ -434,6 +434,28 @@ def test_laplace_beltrami_evaluates_one_stacked_circle_call(counted_dvv):
     assert np.max(np.abs(lap - want)) < 1e-11 * np.max(np.abs(want))
 
 
+def test_closed_form_inverse_matches_numpy():
+    # Gram matrices, as metrics are, and complex perturbations of them, as on
+    # the Laplacian's complex circle points
+    rng = np.random.default_rng(17)
+    d1 = rng.normal(size=(64, 3, 7))
+    real = d1 @ np.swapaxes(d1, -1, -2)
+    complex_ = real + 0.3j * rng.normal(size=real.shape)
+    for m in (real, complex_, real[0]):
+        want = np.linalg.inv(m)
+        got = geometry._inv3(m)
+        assert got.dtype == want.dtype
+        rel = np.max(np.abs(got - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
+        assert np.max(rel) < 1e-13
+    # one exactly singular matrix in the batch: row 2 is twice row 1
+    singular = real.copy()
+    singular[5] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        geometry._inv3(singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(singular)
+
+
 def test_laplace_beltrami_near_pole_raises(geodesic):
     # the frame refuses the pole before any circle is sampled
     with pytest.raises(nk6.ChartDegeneracyError, match="rank deficient"):
