@@ -66,7 +66,6 @@ from .models import (
     totally_geodesic_immersion,
 )
 from .simons import (
-    IdentityViolation,
     InequalityReport,
     LaplacianIdentityReport,
     QuadratureRule,

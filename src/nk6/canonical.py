@@ -128,19 +128,20 @@ def _unit(v):
     return v / np.sqrt(np.einsum("na,na->n", v, v))[:, None]
 
 
-def _monomials(u, degree):
-    """The monomials _exponents(degree) at the rows of u, (m, 3) -> (m, n),
-    from the powers of each coordinate by repeated multiplication, one
-    column at a time (no (m, n, 3) temporary)."""
-    powers = [[np.ones(len(u))] for _ in range(3)]
-    for axis, p in enumerate(powers):
-        for _ in range(degree):
-            p.append(p[-1] * u[:, axis])
-    exps = _exponents(degree)
-    out = np.empty((len(u), len(exps)))
-    for j, (a, b, c) in enumerate(exps):
-        out[:, j] = powers[0][a] * powers[1][b] * powers[2][c]
-    return out
+def _monomials(x, exponents):
+    """The monomials x^e for the rows e of `exponents` (n, d) at the rows of
+    x (m, d), real or complex: (m, n).  The powers of every variable come by
+    repeated multiplication, then one gather of a variable's powers and one
+    product per variable (no (m, n, d) temporary)."""
+    exponents, xt = np.asarray(exponents), x.T
+    powers = np.empty((int(exponents.max(initial=0)) + 1,) + xt.shape, dtype=x.dtype)
+    powers[0] = 1.0
+    for p in range(1, len(powers)):
+        np.multiply(powers[p - 1], xt, out=powers[p])
+    out = powers[exponents[:, 0], 0]
+    for v in range(1, len(xt)):
+        out *= powers[exponents[:, v], v]
+    return np.ascontiguousarray(out.T)
 
 
 # the cube's face normals: three orthogonal integer vectors, normalized,
@@ -193,7 +194,7 @@ def _coarse_cells():
     mid = -1.0 + (2 * np.arange(_SPLIT) + 1) / _SPLIT
     face, a, b = (x.ravel() for x in np.meshgrid(np.arange(3), mid, mid, indexing="ij"))
     point = _AXES[face] + a[:, None] * _AXES[(face + 1) % 3] + b[:, None] * _AXES[(face + 2) % 3]
-    return vertex, _monomials(vertex, 3), cells, face, point, corner
+    return vertex, _monomials(vertex, _exponents(3)), cells, face, point, corner
 
 
 def _level0(hs):
@@ -424,7 +425,7 @@ def _enclose(hs, scale, seed, level0):
         # points fills the 3 x 3 grid whose 2 x 2 windows are their corners
         new = _unit((point[:, None, :] + half * _NEW_OFFSETS[face]).reshape(-1, 3))
         fnew = np.einsum("nj,npj->np", coef[node],
-                         _monomials(new, 3).reshape(len(node), len(_NEW), -1))
+                         _monomials(new, _exponents(3)).reshape(len(node), len(_NEW), -1))
         grid = np.empty((len(node), 3, 3))
         grid[:, ::2, ::2] = corner.reshape(-1, 2, 2)
         grid[:, _NEW[:, 0] + 1, _NEW[:, 1] + 1] = fnew

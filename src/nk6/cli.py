@@ -254,7 +254,7 @@ def _immersion_suite(imm, cfg):
         float(np.max(np.abs(exchange))), cfg.tol("covariant_exchange")))
 
     F = simons.f_tensor(sff_few, pk_few)
-    packet = simons.t_tensor(nh, F, sff_few, tol=np.inf)
+    packet = simons.t_tensor(nh, F, sff_few)
     checks.append(_check(
         "f_norm", "|F|^2 = (3/4) |h|^2",
         packet.f_norm_residual(), cfg.tol("f_norm")))
@@ -431,7 +431,7 @@ def analyze_point(imm, q):
     k_min, k_max = (float(v) for v in cp.sectional_range())
     k_tol = DEFAULT_TOLERANCES["sectional_values"]
     nh = geometry.nabla_h(imm, q)
-    packet = simons.t_tensor(nh, simons.f_tensor(sff, pk), sff, tol=np.inf)
+    packet = simons.t_tensor(nh, simons.f_tensor(sff, pk), sff)
     return {
         "eta": float(q[0]), "xi1": float(q[1]), "xi2": float(q[2]),
         "hsq": hsq, "theta": float(cd.theta),
@@ -685,7 +685,7 @@ def main(argv=None) -> int:
     except (ConfigError, cayley.TableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (simons.ResolutionError, simons.IdentityViolation, canonical.EnclosureError,
+    except (simons.ResolutionError, canonical.EnclosureError,
             geometry.ChartDegeneracyError, models.ConstructionError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1

@@ -123,7 +123,7 @@ def _cauchy_maps():
     for k in (1, 2, 3):
         exps = np.array(canonical._exponents(k))
         factorials = np.prod([[math.factorial(e) for e in row] for row in exps], axis=-1)
-        system = canonical._monomials(_CAUCHY_DIRECTIONS, k) / factorials
+        system = canonical._monomials(_CAUCHY_DIRECTIONS, exps) / factorials
         maps.append(canonical._fold(k) @ np.linalg.pinv(system))
     return maps
 

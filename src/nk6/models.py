@@ -8,6 +8,11 @@ the table that makes the embedding Lagrangian, aligns the structure tensor
 with the frame (G(E2,E3) = J E1) and gives the cubic form a positive value on
 E1.  A totally geodesic Lagrangian great sphere and pointwise synthetic
 second-fundamental-form data complete the model zoo.
+
+Polynomial immersions have exact chart jets from one derivative table per
+polynomial: in the Hopf chart a monomial in y is a monomial in the cosines
+and sines of the three angles, and so is each of its chart partials, so the
+partials of order k are those monomials times one coefficient matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry
+from . import canonical, geometry
 from .cayley import MulTable, cayley_dickson_table, cross, load_table, table_catalog, tangent_project
 from .geometry import ImmersionJet
 
@@ -60,31 +65,32 @@ class HopfChart:
 
     extents: tuple = (np.pi / 2, 2 * np.pi, 2 * np.pi)
 
-    def to_y(self, q):
-        return self.y_derivs(q, 0)[0]
-
-    def y_derivs(self, q, order):
-        """[D^0 y, ..., D^order y], the k-th of shape (..., 3 k times, 4).
-
-        Each y_a is f(eta) g(xi) with f, g in {cos, sin}, so a partial is a
-        product of two entries of the cos/sin derivative cycle, or zero when
-        it differentiates the idle angle.
-        """
+    def trig(self, q):
+        """x = (cos eta, sin eta, cos xi1, sin xi1, cos xi2, sin xi2) at the
+        chart points q (..., 3), real or complex: (..., 6).  Every y_a, and so
+        every monomial in y, is a monomial in x."""
         q = np.asarray(q, dtype=complex if np.iscomplexobj(q) else float)
-        c, s = np.cos(q), np.sin(q)
-        cycle = (c, -s, -c, s)  # d^m cos = cycle[m % 4], d^m sin = cycle[(m - 1) % 4]
-        # per y_a: (chart axis of its xi, f is sin, g is sin)
-        factors = ((1, 0, 0), (1, 0, 1), (2, 1, 0), (2, 1, 1))
+        return np.stack([np.cos(q), np.sin(q)], axis=-1).reshape(q.shape[:-1] + (6,))
+
+    def to_y(self, q):
+        x = self.trig(q)
+        return x[..., [0, 0, 1, 1]] * x[..., 2:]
+
+    def x_exponents(self, e):
+        """Exponents over x of the monomial y^e, as y = (c0 c1, c0 s1, s0 c2, s0 s2)."""
+        return (e[0] + e[1], e[2] + e[3], *e)
+
+    def partial(self, e, axis):
+        """d/dq_axis of x^e as (exponents, factor) pairs.  The angle q_axis
+        enters only its own pair (c, s) = (x[2 axis], x[2 axis + 1]), and
+        d(c^p s^r) = -p c^(p-1) s^(r+1) + r c^(p+1) s^(r-1)."""
+        i = 2 * axis
+        p, r = e[i:i + 2]
         out = []
-        for k in range(order + 1):
-            dk = np.zeros(q.shape[:-1] + (3,) * k + (4,), dtype=q.dtype)
-            for axes in itertools.product(range(3), repeat=k):
-                m = [axes.count(ax) for ax in range(3)]
-                for a, (xi, sin_eta, sin_xi) in enumerate(factors):
-                    if m[3 - xi] == 0:
-                        dk[(...,) + axes + (a,)] = (cycle[(m[0] - sin_eta) % 4][..., 0]
-                                                    * cycle[(m[xi] - sin_xi) % 4][..., xi])
-            out.append(dk)
+        if p:
+            out.append((e[:i] + (p - 1, r + 1) + e[i + 2:], -p))
+        if r:
+            out.append((e[:i] + (p + 1, r - 1) + e[i + 2:], r))
         return out
 
     def field_components(self, q):
@@ -139,55 +145,61 @@ FIELD_MATS = np.array(
 )
 
 
-# the chain rule runs on this many nodes at a time, to bound its temporaries
+# jets evaluate the monomials and their matmuls on this many nodes at a time:
+# a block's monomial array has a column per row of the chart table, 32 for
+# the quadratic DVV map and far more for a degree-6 poly: model
 _NODE_BLOCK = 4096
 
 
+def _y_partial(e, a):
+    """d/dy_a of y^e as (exponents, factor) pairs."""
+    return [(e[:a] + (e[a] - 1,) + e[a + 1:], e[a])] if e[a] else []
+
+
 @lru_cache(maxsize=None)
-def _derivative_table(terms):
-    """Exponents (M, 4) and, for k = 0..3, coefficients (M, 4^k * 7) with
-    D^k P(y) = y^expo @ coef[k], flattened from (4, ..., 4, 7).  Cached on
-    the terms tuple and read-only, so every immersion of one polynomial
-    shares them."""
-    rows, entries = {}, []
-    for k in range(4):
-        for flat, axes in enumerate(itertools.product(range(4), repeat=k)):
-            for c, ex, co in terms:
-                ex, w = list(ex), co
-                for a in axes:
-                    w *= ex[a]
-                    ex[a] -= 1
-                if w != 0.0:
-                    entries.append((k, rows.setdefault(tuple(ex), len(rows)), 7 * flat + c, w))
-    coef = [np.zeros((len(rows), 7 * 4**k)) for k in range(4)]
-    for k, row, col, w in entries:
-        coef[k][row, col] += w
-    expo = np.array(list(rows), dtype=int).reshape(-1, 4)
+def _derivative_table(terms, chart=None):
+    """Exponents (M, d), coefficients and row counts of the partials of the
+    polynomial up to order K, D^k P(x) = x^expo[:rows[k]] @ coef[k] with
+    coef[k] of shape (rows[k], n^k * 7), flattened from (n, ..., n, 7).
+
+    Without a chart, x = y, the partials are d/dy_a (n = 4) and K = 1: the
+    table of `embed` and `jacobian_y`.  With one, x = chart.trig(q), the
+    partials are chart.partial's (n = 3) and K = 3: the table of `jet`.
+    Rows come in the order of the first k that reads them, so an order-k jet
+    reads the prefix rows[k].  Cached on (terms, chart) and read-only, so
+    every immersion of one polynomial shares them.
+    """
+    n, top, start, partial = (4, 1, tuple, _y_partial) if chart is None else \
+        (3, 3, chart.x_exponents, chart.partial)
+    # column 7 flat + c: component c differentiated along the flat-th index
+    # tuple of its order, as {exponents: weight}
+    cols = [{} for _ in range(7)]
+    for c, e, w in terms:
+        cols[c][start(e)] = cols[c].get(start(e), 0.0) + w
+    index, coef, rows = {}, [], []
+    for k in range(top + 1):
+        if k:
+            # tuple n prev + a is tuple prev (of order k - 1) followed by a
+            cols = [_derive(cols[7 * (j // (7 * n)) + j % 7], partial, j // 7 % n)
+                    for j in range(7 * n**k)]
+        entries = [(index.setdefault(e, len(index)), j, w)
+                   for j, col in enumerate(cols) for e, w in col.items() if w != 0.0]
+        rows.append(len(index))
+        coef.append(np.zeros((len(index), len(cols))))
+        for row, j, w in entries:
+            coef[k][row, j] = w
+    expo = np.array(list(index), dtype=int).reshape(-1, len(start((0,) * 4)))
     for a in (expo, *coef):
         a.flags.writeable = False
-    return expo, tuple(coef)
+    return expo, tuple(coef), tuple(rows)
 
 
-def _chain_rule(ys, ps):
-    """Chart partials of P(y(q)) up to order 3 (Faa di Bruno), from the
-    D^k y (n, 3.., 4) and D^k P (n, 4.., 7) of one node block."""
-    n, order = len(ys[0]), len(ys) - 1
-    if order == 0:
-        return []
-    y1, p1 = ys[1], ps[1]
-    out = [y1 @ p1]
-    if order >= 2:
-        y2 = ys[2].reshape(n, 9, 4)
-        p2 = ps[2].reshape(n, 4, 28)
-        y1p2 = (y1 @ p2).reshape(n, 3, 4, 7)
-        out.append(y1[:, None] @ y1p2 + (y2 @ p1).reshape(n, 3, 3, 7))
-    if order >= 3:
-        y1y1p3 = y1[:, None] @ (y1 @ ps[3].reshape(n, 4, 112)).reshape(n, 3, 4, 28)
-        pure = y1[:, None, None] @ y1y1p3.reshape(n, 3, 3, 4, 7)
-        # mixed[i, j, k] = D^2y[i, j] Dy[k] D^2P, in its three index placements
-        mixed = (y1[:, None] @ (y2 @ p2).reshape(n, 9, 4, 7)).reshape(n, 3, 3, 3, 7)
-        out.append(pure + mixed + mixed.transpose(0, 1, 3, 2, 4) + mixed.transpose(0, 3, 1, 2, 4)
-                   + (ys[3].reshape(n, 27, 4) @ p1).reshape(n, 3, 3, 3, 7))
+def _derive(col, partial, axis):
+    """One column {exponents: weight} differentiated along `axis`."""
+    out = {}
+    for e, w in col.items():
+        for de, factor in partial(e, axis):
+            out[de] = out.get(de, 0.0) + factor * w
     return out
 
 
@@ -196,8 +208,10 @@ class PolynomialSphereImmersion:
 
     `terms` is a sequence of (component, exponents, coefficient) with
     component in 0..6 and exponents a 4-tuple over (y1..y4).  Jets are exact:
-    the dense partials of the polynomial, read from a derivative table built
-    once per polynomial, are composed with those of the chart by the chain rule.
+    every monomial in y is a monomial in the chart's cosines and sines, and
+    so is each of its chart partials, so a derivative table over those six
+    variables, built once per polynomial, gives each order's partials as the
+    monomials times one coefficient matrix.
     """
 
     def __init__(self, name, terms, table: MulTable, field_scales=None, chart=HOPF):
@@ -206,24 +220,20 @@ class PolynomialSphereImmersion:
         self.chart = chart
         self.terms = tuple((int(c), tuple(int(e) for e in ex), float(co)) for c, ex, co in terms)
         self.field_scales = None if field_scales is None else tuple(field_scales)
-        self._expo, self._coef = _derivative_table(self.terms)
+        self._y_table = _derivative_table(self.terms)
+        self._chart_table = _derivative_table(self.terms, chart)
 
     # -- pointwise evaluation in y ------------------------------------------------
-    def _poly_derivs(self, y, order):
-        """[D^0 P, ..., D^order P] at y (n, 4), the k-th of shape (n, 4 k times, 7)."""
-        top = int(self._expo.max(initial=0))
-        powers = np.ones(y.shape + (top + 1,), dtype=y.dtype)
-        np.cumprod(np.broadcast_to(y[..., None], y.shape + (top,)), axis=-1, out=powers[..., 1:])
-        mono = np.prod(powers[:, np.arange(4), self._expo], axis=-1)
-        return [(mono @ self._coef[k]).reshape((len(y),) + (4,) * k + (7,)) for k in range(order + 1)]
-
     def embed(self, y):
         y = np.asarray(y, dtype=float)
-        return self._poly_derivs(y.reshape(-1, 4), 0)[0].reshape(y.shape[:-1] + (7,))
+        expo, coef, rows = self._y_table
+        return (canonical._monomials(y.reshape(-1, 4), expo[:rows[0]]) @ coef[0]
+                ).reshape(y.shape[:-1] + (7,))
 
     def jacobian_y(self, y):
         y = np.asarray(y, dtype=float)
-        dp = self._poly_derivs(y.reshape(-1, 4), 1)[1]
+        expo, coef, _ = self._y_table
+        dp = (canonical._monomials(y.reshape(-1, 4), expo) @ coef[1]).reshape(-1, 4, 7)
         return np.swapaxes(dp, -1, -2).reshape(y.shape[:-1] + (7, 4))
 
     # -- chart jets ---------------------------------------------------------------
@@ -233,15 +243,16 @@ class PolynomialSphereImmersion:
         q = np.asarray(q, dtype=complex if np.iscomplexobj(q) else float)
         if check_domain:
             self.chart.check_domain(q)
+        expo, coef, rows = self._chart_table
         flat = q.reshape(-1, 3)
-        out = [np.empty((len(flat),) + (3,) * k + (7,), dtype=q.dtype) for k in range(order + 1)]
+        out = [np.empty((len(flat), 7 * 3**k), dtype=q.dtype) for k in range(order + 1)]
         for lo in range(0, len(flat), _NODE_BLOCK):
-            ys = self.chart.y_derivs(flat[lo:lo + _NODE_BLOCK], order)
-            ps = self._poly_derivs(ys[0], order)
-            for dst, block in zip(out, ps[:1] + _chain_rule(ys, ps)):
-                dst[lo:lo + _NODE_BLOCK] = block
-        out = [d.reshape(q.shape[:-1] + d.shape[1:]) for d in out] + [None] * (3 - order)
-        return ImmersionJet(order, *out)
+            hi = lo + _NODE_BLOCK
+            mono = canonical._monomials(self.chart.trig(flat[lo:hi]), expo[:rows[order]])
+            for k, dst in enumerate(out):
+                np.matmul(mono[:, :rows[k]], coef[k], out=dst[lo:hi])
+        out = [d.reshape(q.shape[:-1] + (3,) * k + (7,)) for k, d in enumerate(out)]
+        return ImmersionJet(order, *out, *[None] * (3 - order))
 
     # -- global tangent fields ------------------------------------------------------
     def tangent_fields(self, q):
@@ -476,9 +487,7 @@ class SyntheticH:
         return (self.lam1, self.lam2, self.mu1, self.mu2)
 
     def sff(self) -> geometry.SFF:
-        from .canonical import reconstruct_sff
-
-        return geometry.SFF(h=reconstruct_sff(self.tuple()))
+        return geometry.SFF(h=canonical.reconstruct_sff(self.tuple()))
 
 
 _SYNTHETIC = {

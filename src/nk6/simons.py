@@ -32,7 +32,6 @@ __all__ = [
     "TTensorPacket",
     "QuadratureRule",
     "InequalityReport",
-    "IdentityViolation",
     "ResolutionError",
     "f_tensor",
     "t_tensor",
@@ -45,10 +44,6 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 TOL_INDETERMINATE = 1e-4  # integrand sups from tol_equality up to this are indeterminate
-
-
-class IdentityViolation(RuntimeError):
-    """An exact identity failed beyond tolerance, signalling a pipeline fault."""
 
 
 class ResolutionError(RuntimeError):
@@ -102,17 +97,17 @@ class TTensorPacket:
         return float(np.max(np.abs(self.t_sq - expect)))
 
 
-def t_tensor(nh: NablaH, f_comp, sff: SFF, tol=1e-6) -> TTensorPacket:
+def t_tensor(nh: NablaH, f_comp, sff: SFF) -> TTensorPacket:
     """Split nabla h into its G-generated part F and the remainder T.
 
-    Asserts the two norm identities within `tol`; a violation means the
-    covariant-derivative pipeline is broken and raises IdentityViolation.
+    The packet's residuals measure the two norm identities, which `verify`
+    checks against its tolerances.
     """
     nh_c = nh.coeffs  # (..., k, i, j, m)
     # align F with the derivative slot of nabla h: F[l,m,i,j] -> [l,i,j,m]
     f_aligned = np.moveaxis(f_comp, -3, -1)
     t_comp = nh_c - f_aligned
-    packet = TTensorPacket(
+    return TTensorPacket(
         f_comp=f_comp,
         t_comp=t_comp,
         nabla_h_sq=np.sum(nh_c**2, axis=(-4, -3, -2, -1)),
@@ -121,13 +116,6 @@ def t_tensor(nh: NablaH, f_comp, sff: SFF, tol=1e-6) -> TTensorPacket:
         cross_term=np.sum(nh_c * f_aligned, axis=(-4, -3, -2, -1)),
         hsq=sff.norm_sq(),
     )
-    worst = max(packet.decomposition_residual(), packet.cross_term_residual())
-    if worst > tol:
-        raise IdentityViolation(
-            f"nabla-h decomposition identities violated by {worst:.3e} (> {tol:g}); "
-            "the covariant derivative of h is inconsistent"
-        )
-    return packet
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +134,7 @@ def _half_sphere_quartics():
         [np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1
     ).reshape(-1, 3)
     U = np.concatenate([grid, np.eye(3)])
-    return canonical._fold(4), canonical._monomials(U, 4).T
+    return canonical._fold(4), canonical._monomials(U, canonical._exponents(4)).T
 
 
 def j_parallel_defect(nh: NablaH):
@@ -216,9 +204,7 @@ def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
                        cd: canonical.CanonicalData) -> LaplacianIdentityReport:
     """Both routes of laplacian_identity_check at one chart point q, from
     the frame, h, nabla h and normal form already evaluated there."""
-    # the identity checks named in the report judge nabla h, so a wrong nabla h
-    # reaches them instead of stopping the suite here
-    packet = t_tensor(nh, f_tensor(sff, pk), sff, tol=np.inf)
+    packet = t_tensor(nh, f_tensor(sff, pk), sff)
 
     half_lap = 0.5 * float(geometry.laplace_beltrami(
         imm, lambda qq: _hsq(imm, qq), q, frame_packet=pk))
@@ -303,11 +289,12 @@ class QuadratureRule:
         return points, weights
 
     def coarser(self) -> "QuadratureRule":
-        return QuadratureRule(
-            max(2, (3 * self.n_eta) // 4),
-            max(2, (3 * self.n_xi1) // 4),
-            max(2, (3 * self.n_xi2) // 4),
-        )
+        """The rule with (3 n) // 4 nodes per axis, strictly fewer on every
+        axis, for the volume refinement check."""
+        if min(self.counts()) < 3:
+            raise ValueError(f"rule {','.join(map(str, self.counts()))}: the volume "
+                             "refinement check needs at least 3 nodes per axis")
+        return QuadratureRule(*((3 * n) // 4 for n in self.counts()))
 
 
 @dataclass(frozen=True)
@@ -380,13 +367,15 @@ def integrate_inequality(
     node with Theta recomputed pointwise by the cubic-form maximizer, then
     summed against the chart volume density.  One frame on the nodes gives
     the density and h.  The volume is recomputed on a coarser rule;
-    disagreement beyond `refine_tol` (relative) raises ResolutionError.
+    disagreement beyond `refine_tol` (relative) raises ResolutionError, and
+    a rule with an axis too short to coarsen raises ValueError.
     """
+    coarse = rule.coarser()
     points, weights = rule.nodes_weights()
     pk = geometry.frame(imm, points)
     dens = np.sqrt(pk.metric_det)
     volume = float(np.sum(weights * dens))
-    volume_coarse = _volume(imm, rule.coarser())[0]
+    volume_coarse = _volume(imm, coarse)[0]
     delta = abs(volume - volume_coarse) / max(abs(volume), 1e-300)
     if delta > refine_tol:
         raise ResolutionError(

@@ -180,7 +180,7 @@ def test_corner_bound_holds_on_random_sub_cells():
 
     def values(points):
         u = points.reshape(-1, 3) / np.linalg.norm(points.reshape(-1, 3), axis=-1)[:, None]
-        return np.abs(coef @ canonical._monomials(u, 3).T).reshape(len(hs), *points.shape[:2])
+        return np.abs(coef @ canonical._monomials(u, canonical._exponents(3)).T).reshape(len(hs), *points.shape[:2])
 
     top = values(dense).max(axis=-1)
     corner_max = values(corners).max(axis=-1)

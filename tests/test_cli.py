@@ -240,6 +240,18 @@ def test_verify_reports_a_large_nabla_h_error(capsys, monkeypatch):
     assert not checks["nabla_h_ambient"]["passed"]
 
 
+def test_verify_reports_inconsistent_nabla_h_as_failed_checks(capsys, monkeypatch):
+    # a doubled nabla h breaks both norm identities of the T decomposition;
+    # verify names them in its report instead of stopping
+    inner = geometry.nabla_h
+    monkeypatch.setattr(geometry, "nabla_h",
+                        lambda *a, **k: geometry.NablaH(coeffs=2.0 * inner(*a, **k).coeffs))
+    code, out, _ = run_cli(capsys, "verify", "--model", "dvv")
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert code == 1
+    assert not checks["t_decomposition"]["passed"] and not checks["cross_term"]["passed"]
+
+
 def test_non_lagrangian_poly_file_is_named(capsys, tmp_path):
     # the unit sphere of the coordinate 4-plane of components 1-4 lies on the
     # six-sphere but contains a quaternion line, so it is not Lagrangian
@@ -283,6 +295,12 @@ def test_integrate_rule_convergence(capsys):
     vol_fine = json.loads(out)["inequality"]["volume"]
     assert code == 0
     assert abs(vol_coarse - vol_fine) / vol_fine < 1e-6
+
+
+def test_integrate_refuses_a_rule_the_volume_check_cannot_coarsen(capsys):
+    code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "2,32,32")
+    assert code == 2 and out == ""
+    assert "at least 3 nodes per axis" in err
 
 
 def test_integrate_geodesic_classification(capsys):

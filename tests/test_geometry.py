@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nk6
-from nk6 import cli, geometry, models, simons
+from nk6 import canonical, cli, geometry, models, simons
 from conftest import random_chart_points
 
 S5 = np.sqrt(5.0)
@@ -70,7 +70,7 @@ def test_degree6_jets_match_fd_oracle(table):
 
 def test_fd_jet_makes_one_value_only_call(counted_dvv):
     # the oracle reads only values: one order-0 call on the centres and
-    # their ten circles of 24 nodes, never the chain-rule blocks
+    # their ten circles of 24 nodes, never the derivative blocks
     pts = random_chart_points(counted_dvv, 3, seed=4)
     jt = nk6.fd_jet(counted_dvv, pts, 3)
     assert counted_dvv.jet_calls == [(0, 3 * (1 + 10 * 24))]
@@ -186,13 +186,13 @@ def test_frame_evaluates_the_polynomial_once_per_node_block(table, monkeypatch):
     # blocks are the only polynomial evaluations of a frame call
     monkeypatch.setattr(models, "_NODE_BLOCK", 8)
     imm = nk6.dvv_immersion(table)
-    inner, calls = imm._poly_derivs, []
+    inner, calls = canonical._monomials, []
 
-    def counting(y, order):
-        calls.append(len(y))
-        return inner(y, order)
+    def counting(x, exponents):
+        calls.append(len(x))
+        return inner(x, exponents)
 
-    imm._poly_derivs = counting
+    monkeypatch.setattr(canonical, "_monomials", counting)
     nk6.frame(imm, random_chart_points(imm, 20, seed=44))
     assert calls == [8, 8, 4]
 

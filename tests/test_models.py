@@ -238,6 +238,8 @@ def test_dvv_immersions_share_a_read_only_derivative_table(table):
     # object, since tests patch methods such as `jet` on the instance
     a, b = nk6.dvv_immersion(table), nk6.dvv_immersion(table)
     assert a is not b
-    assert a._expo is b._expo and not a._expo.flags.writeable
-    for ca, cb in zip(a._coef, b._coef):
-        assert ca is cb and not ca.flags.writeable
+    for name in ("_y_table", "_chart_table"):
+        (ea, ca, ra), (eb, cb, rb) = getattr(a, name), getattr(b, name)
+        assert ea is eb and not ea.flags.writeable and ra == rb
+        for x, y in zip(ca, cb):
+            assert x is y and not x.flags.writeable
