@@ -8,18 +8,15 @@ from .canonical import (
     CanonicalData,
     ClosedForms,
     CommutatorInvariants,
-    HMatrices,
     ReconstructionError,
     canonical_basis,
     closed_forms,
     commutator_invariant_direct,
     cubic_form,
-    h_matrices,
     maximize_theta,
     reconstruct_sff,
 )
 from .cayley import (
-    IdentityReport,
     MulTable,
     TableError,
     almost_complex,
@@ -29,7 +26,6 @@ from .cayley import (
     g_tensor_fd,
     lagrangian_frame,
     load_table,
-    table_catalog,
     verify_nk_identities,
 )
 from .geometry import (
@@ -61,7 +57,6 @@ from .models import (
     dvv_immersion,
     load_polynomial_immersion,
     resolve_model,
-    select_table,
     synthetic_case,
     totally_geodesic_immersion,
 )

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "CanonicalData",
-    "HMatrices",
     "CommutatorInvariants",
     "ClosedForms",
     "ReconstructionError",
@@ -26,7 +25,6 @@ __all__ = [
     "cubic_form",
     "maximize_theta",
     "canonical_basis",
-    "h_matrices",
     "reconstruct_sff",
     "commutator_invariant_direct",
     "closed_forms",
@@ -531,21 +529,6 @@ class CanonicalData:
         return slack
 
 
-@dataclass(frozen=True)
-class HMatrices:
-    """Shape-operator matrices H[k] = (h^{k*}_{ij}) in the canonical basis."""
-
-    H: np.ndarray  # (..., 3, 3, 3)
-
-    @property
-    def H1(self):
-        return self.H[..., 0, :, :]
-
-    @property
-    def H2(self):
-        return self.H[..., 1, :, :]
-
-
 def _as_tuple4(source):
     if isinstance(source, CanonicalData):
         return source.tuple()
@@ -557,13 +540,19 @@ def _as_tuple4(source):
     raise ValueError("expected CanonicalData or a (lambda1, lambda2, mu1, mu2) tuple")
 
 
-def h_matrices(source) -> HMatrices:
-    """Explicit matrices of the normal form; traces vanish by construction."""
+def reconstruct_sff(source, basis=None):
+    """Second-fundamental-form coefficients h[k, i, j] generated by a
+    normal-form tuple: the shape-operator matrices H[k] = (h^{k*}_{ij}) of the
+    normal form, traceless by construction.
+
+    With `basis` (rows e1, e2, e3 in some ambient frame) the tensor is
+    expressed back in that ambient frame.
+    """
     l1, l2, m1, m2 = _as_tuple4(source)
     batch = np.broadcast(l1, l2, m1, m2).shape
     z = np.zeros(batch)
     l1, l2, m1, m2 = (np.broadcast_to(v, batch) for v in (l1, l2, m1, m2))
-    H = np.stack(
+    h = np.stack(
         [
             np.stack([np.stack([l1 + l2, z, z], -1),
                       np.stack([z, -l1, z], -1),
@@ -577,16 +566,6 @@ def h_matrices(source) -> HMatrices:
         ],
         axis=-3,
     )
-    return HMatrices(H=H)
-
-
-def reconstruct_sff(source, basis=None):
-    """Second-fundamental-form coefficients generated by a normal-form tuple.
-
-    With `basis` (rows e1, e2, e3 in some ambient frame) the tensor is
-    expressed back in that ambient frame.
-    """
-    h = h_matrices(source).H
     if basis is None:
         return h
     R = np.asarray(basis, dtype=float)
@@ -685,8 +664,10 @@ class CommutatorInvariants:
     N_terms: np.ndarray    # (..., 3) squared norms of the three commutators
 
 
-def commutator_invariant_direct(hm) -> CommutatorInvariants:
-    H = hm.H if isinstance(hm, HMatrices) else np.asarray(hm, dtype=float)
+def commutator_invariant_direct(H) -> CommutatorInvariants:
+    """Q, the mutual traces and the commutator norms of the shape-operator
+    matrices H (..., 3, 3, 3), such as `reconstruct_sff` of a normal form."""
+    H = np.asarray(H, dtype=float)
     HH = np.einsum("...iab,...jbc->...ijac", H, H)
     comm = HH - np.swapaxes(HH, -4, -3)
     N = np.sum(comm**2, axis=(-2, -1))

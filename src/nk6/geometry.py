@@ -146,7 +146,7 @@ def fd_jet(imm, q, order: int) -> ImmersionJet:
     q = np.asarray(q, dtype=float)
     batch, flat = q.shape[:-1], q.reshape(-1, 3)
     circles = _circles(flat, _CAUCHY_DIRECTIONS[:, None, :], _CAUCHY_NODES, _CAUCHY_RADIUS)
-    vals = imm.jet(np.concatenate([flat, circles.reshape(-1, 3)]), 0, check_domain=False).value
+    vals = imm.jet(np.concatenate([flat, circles.reshape(-1, 3)]), 0).value
     # coef[v, k] / (N r^k) = D^kP[v^k]/k! on the circle along direction v
     coef = np.fft.fft(vals[len(flat):].reshape(circles.shape[:-1] + (7,)), axis=1)
     blocks = []
@@ -235,10 +235,11 @@ def frame(imm, q, validate=True) -> FramePacket:
     partials (`imm.tangent_fields`), or is the identity, the chart partials
     themselves, when the model has none.  Gram-Schmidt on the rows of B in
     the induced metric gives the chart components T of the frame, and
-    e = T @ d1.
+    e = T @ d1.  Points outside the chart's domain raise ValueError.
     """
     q = np.asarray(q, dtype=float)
-    jt = imm.jet(q, 2, check_domain=False)
+    imm.chart.check_domain(q)
+    jt = imm.jet(q, 2)
     x, d1 = jt.value, jt.d1
     metric = np.einsum("...ac,...bc->...ab", d1, d1)
     metric_det = np.linalg.det(metric)
@@ -387,7 +388,7 @@ def nabla_h(imm, q, frame_packet: FramePacket | None = None) -> NablaH:
     """
     q = np.asarray(q, dtype=float)
     pk = frame_packet if frame_packet is not None else frame(imm, q, validate=False)
-    jt = imm.jet(q, 3, check_domain=False)
+    jt = imm.jet(q, 3)
     _, gamma = _christoffel(jt)
     batch = q.shape[:-1]
     # third[k, a, b, c] = <d_a d_b d_c Psi, J e_k>, sigma[k, c, d] likewise

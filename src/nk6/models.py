@@ -1,12 +1,13 @@
 """Built-in immersions and reference data.
 
 The star model is the Berger three-sphere embedded in the six-sphere through
-an explicit degree-two polynomial map.  Its image is Lagrangian for exactly
-one orientation of one multiplication-table convention, which is how the
-ambient table is selected at startup: `default_table()` scans the catalog for
-the table that makes the embedding Lagrangian, aligns the structure tensor
-with the frame (G(E2,E3) = J E1) and gives the cubic form a positive value on
-E1.  A totally geodesic Lagrangian great sphere and pointwise synthetic
+an explicit degree-two polynomial map (Dillen, Verstraelen and Vrancken,
+J. Math. Soc. Japan 42, 1990), written in the Cayley-Dickson convention of
+the octonions, which `default_table()` returns unless NK6_TABLE_PATH names
+another table file.  A table that does not fit the embedding is caught by
+`verify`, not at start-up: its global sign flip, for one, keeps the image
+Lagrangian and G(E2,E3) = J E1 but negates the cubic form, so `h_values`
+fails.  A totally geodesic Lagrangian great sphere and pointwise synthetic
 second-fundamental-form data complete the model zoo.
 
 Polynomial immersions have exact chart jets from one derivative table per
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import canonical, geometry
-from .cayley import MulTable, cayley_dickson_table, cross, load_table, table_catalog, tangent_project
+from .cayley import MulTable, cayley_dickson_table, load_table
 from .geometry import ImmersionJet
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "synthetic_case",
     "berger_curvature",
     "default_table",
-    "select_table",
     "load_polynomial_immersion",
     "resolve_model",
     "MODEL_NAMES",
@@ -237,12 +237,10 @@ class PolynomialSphereImmersion:
         return np.swapaxes(dp, -1, -2).reshape(y.shape[:-1] + (7, 4))
 
     # -- chart jets ---------------------------------------------------------------
-    def jet(self, q, order, check_domain=True):
+    def jet(self, q, order):
         if not 0 <= order <= 3:
             raise ValueError("jet order must be in 0..3")
         q = np.asarray(q, dtype=complex if np.iscomplexobj(q) else float)
-        if check_domain:
-            self.chart.check_domain(q)
         expo, coef, rows = self._chart_table
         flat = q.reshape(-1, 3)
         out = [np.empty((len(flat), 7 * 3**k), dtype=q.dtype) for k in range(order + 1)]
@@ -313,58 +311,11 @@ def dvv_immersion(table: MulTable | None = None) -> PolynomialSphereImmersion:
     return PolynomialSphereImmersion("dvv", DVV_TERMS, table, DVV_FIELD_SCALES)
 
 
-# ---------------------------------------------------------------------------
-# table selection oracle
-# ---------------------------------------------------------------------------
-
-_ORACLE_POINTS = np.array([[0.7, 0.9, 1.7], [1.1, 4.0, 2.6]])
-
-
-def _dvv_oracle(table: MulTable, tol=1e-8) -> bool:
-    """True when the embedding is Lagrangian for `table`, the structure tensor
-    satisfies G(E2,E3) = J E1, and the cubic form is positive on E1.
-
-    The first two conditions cannot separate a table from its global sign
-    flip (both G and J flip together), so the sign of <h(E1,E1), J E1> is
-    used as the final arbiter; all conditions restate frame facts of the
-    embedding.
-    """
-    imm = PolynomialSphereImmersion("dvv-candidate", DVV_TERMS, table, DVV_FIELD_SCALES)
-    try:
-        pk = geometry.frame(imm, _ORACLE_POINTS, validate=False)
-    except geometry.ChartDegeneracyError:  # pragma: no cover
-        return False
-    if pk.lagrangian_residual() > tol:
-        return False
-    g23 = tangent_project(pk.base, cross(pk.e[..., 1, :], pk.e[..., 2, :], table))
-    if np.max(np.abs(g23 - pk.estar[..., 0, :])) > tol:
-        return False
-    sff = geometry.second_fundamental_form(imm, _ORACLE_POINTS, frame_packet=pk)
-    return bool(np.all(sff.h[..., 0, 0, 0] > 0))
-
-
-def select_table(candidates=None) -> MulTable:
-    """First multiplication table (deterministic order) passing the oracle."""
-    if candidates is None:
-        default = cayley_dickson_table()
-        if _dvv_oracle(default):
-            return default
-        candidates = table_catalog()
-    for table in candidates:
-        if _dvv_oracle(table):
-            return table
-    raise ConstructionError(
-        "no multiplication table makes the Berger-sphere embedding Lagrangian"
-    )
-
-
 @lru_cache(maxsize=1)
 def default_table() -> MulTable:
-    """Ambient table: NK6_TABLE_PATH if set, else the oracle-selected catalog entry."""
+    """Ambient table: the file NK6_TABLE_PATH names if set, else Cayley-Dickson."""
     path = os.environ.get("NK6_TABLE_PATH")
-    if path:
-        return load_table(path)
-    return select_table()
+    return load_table(path) if path else cayley_dickson_table()
 
 
 # ---------------------------------------------------------------------------
@@ -372,28 +323,23 @@ def default_table() -> MulTable:
 # ---------------------------------------------------------------------------
 
 def totally_geodesic_immersion(table: MulTable | None = None) -> PolynomialSphereImmersion:
-    """Unit sphere of a coordinate 4-plane W with W x W orthogonal to W.
+    """Unit sphere of the first coordinate 4-plane W, in lexicographic order,
+    with W cross W orthogonal to W (a zero block f[W, W, W]).
 
-    Such a W is the doubled half of a quaternion subalgebra, so its unit
-    sphere is a totally geodesic Lagrangian great sphere.  The coordinate
-    4-planes are searched in lexicographic order and the winner is validated
-    by the Lagrangian check.
+    Such a W is the doubled half of a quaternion subalgebra.  At a unit x in
+    W the tangent space T is W less the line of x, and J T = x cross T lies
+    in the orthogonal complement of W, which is the normal space: the unit
+    sphere of W is a totally geodesic Lagrangian great sphere.
     """
     if table is None:
         table = default_table()
     for subset in itertools.combinations(range(7), 4):
-        block = table.f[np.ix_(subset, subset, subset)]
-        if np.any(block != 0.0):
-            continue
-        terms = [(subset[a], tuple(np.eye(4, dtype=int)[a]), 1.0) for a in range(4)]
-        imm = PolynomialSphereImmersion(
-            "totally-geodesic", terms, table, field_scales=(1.0, 1.0, 1.0)
-        )
-        pk = geometry.frame(imm, _ORACLE_POINTS, validate=False)
-        if pk.lagrangian_residual() < 1e-10:
-            return imm
+        if not np.any(table.f[np.ix_(subset, subset, subset)]):
+            terms = [(subset[a], tuple(np.eye(4, dtype=int)[a]), 1.0) for a in range(4)]
+            return PolynomialSphereImmersion(
+                "totally-geodesic", terms, table, field_scales=(1.0, 1.0, 1.0))
     raise ConstructionError(
-        "no coordinate 4-plane is Lagrangian for this table; "
+        "no coordinate 4-plane W has W cross W orthogonal to W for this table; "
         "searched all 35 candidates"
     )
 

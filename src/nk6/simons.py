@@ -190,7 +190,7 @@ def _hsq(imm, q):
     complex, from one order-2 jet, with sigma_ab = h(d_a, d_b) = d_a d_b Psi
     + g_ab Psi - Gamma^e_ab d_e Psi.  Every product is bilinear, so this is
     the holomorphic extension of |h|^2."""
-    jt = imm.jet(q, 2, check_domain=False)
+    jt = imm.jet(q, 2)
     ginv, gamma = geometry._christoffel(jt)
     g = jt.d1 @ np.swapaxes(jt.d1, -1, -2)
     sigma = (jt.d2 + g[..., None] * jt.value[..., None, None, :]
@@ -209,7 +209,7 @@ def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
     half_lap = 0.5 * float(geometry.laplace_beltrami(
         imm, lambda qq: _hsq(imm, qq), q, frame_packet=pk))
 
-    inv = canonical.commutator_invariant_direct(canonical.h_matrices(cd))
+    inv = canonical.commutator_invariant_direct(canonical.reconstruct_sff(cd))
     hsq = float(sff.norm_sq())
     nhsq = float(packet.nabla_h_sq)
     q_direct = float(inv.Q)

@@ -27,9 +27,9 @@ def counted_dvv(table):
     inner = imm.jet
     imm.jet_calls = []
 
-    def jet(q, order, check_domain=True):
+    def jet(q, order):
         imm.jet_calls.append((order, int(np.prod(np.shape(q)[:-1]))))
-        return inner(q, order, check_domain=check_domain)
+        return inner(q, order)
 
     imm.jet = jet
     return imm

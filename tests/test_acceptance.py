@@ -21,13 +21,13 @@ def _line(num, ok, detail):
 
 
 def test_criterion_1_structure_identity_suite(table):
-    report = nk6.verify_nk_identities(table, n_samples=1000, seed=101)
+    residuals = nk6.verify_nk_identities(table, n_samples=1000, seed=101)
     algebraic = {
-        k: report.residuals[k]
+        k: residuals[k]
         for k in ("antisymmetry", "complex_anticommutation",
                   "skew_adjointness", "product_expansion")
     }
-    fd = report.residuals["covariant_derivative"]
+    fd = residuals["covariant_derivative"]
     ok = max(algebraic.values()) < 1e-12 and fd < 1e-6
     _line(1, ok,
           f"structure identities: algebraic max {max(algebraic.values()):.2e} "
@@ -164,7 +164,7 @@ def test_criterion_7_closed_form_oracle_equivalence():
     rng = np.random.default_rng(107)
     tuples = rng.normal(size=(10000, 4)) * 2.0
     cf = nk6.closed_forms(tuples)
-    inv = nk6.commutator_invariant_direct(nk6.h_matrices(tuples))
+    inv = nk6.commutator_invariant_direct(nk6.reconstruct_sff(tuples))
     q_rel = float(np.max(np.abs(cf.q_closed - inv.Q) / np.maximum(1.0, np.abs(inv.Q))))
     h = nk6.reconstruct_sff(tuples)
     hsq_rel = float(np.max(
@@ -201,7 +201,7 @@ def test_criterion_8_integral_certification(dvv, geodesic):
 def test_criterion_9_synthetic_cases(dvv):
     b = nk6.synthetic_case("b")
     cf_b = nk6.closed_forms(b.tuple())
-    inv_b = nk6.commutator_invariant_direct(nk6.h_matrices(b.tuple()))
+    inv_b = nk6.commutator_invariant_direct(nk6.reconstruct_sff(b.tuple()))
     hsq_dev = abs(float(cf_b.hsq) - 45 / 8)
     q_dev = abs(float(inv_b.Q) - 675 / 32)
     # stationary |h|^2 forces |nabla h|^2 = Q - 3|h|^2 = (3/4)|h|^2 in case (b)

@@ -306,32 +306,32 @@ def test_canonical_basis_recovers_rotated_forms(rng):
 
 
 def test_h_matrices_patterns():
-    hm = nk6.h_matrices((S5 / 4, S5 / 4, 0.0, 0.0))
-    assert np.allclose(hm.H1, np.diag([S5 / 2, -S5 / 4, -S5 / 4]))
+    H = nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0))
+    assert np.allclose(H[..., 0, :, :], np.diag([S5 / 2, -S5 / 4, -S5 / 4]))
     expected_h2 = np.zeros((3, 3))
     expected_h2[0, 1] = expected_h2[1, 0] = -S5 / 4
-    assert np.allclose(hm.H2, expected_h2)
-    assert np.allclose(nk6.h_matrices((0, 0, 0, 0)).H, 0.0)
+    assert np.allclose(H[..., 1, :, :], expected_h2)
+    assert np.allclose(nk6.reconstruct_sff((0, 0, 0, 0)), 0.0)
     rng = np.random.default_rng(0)
     for t in rng.normal(size=(50, 4)):
-        hm = nk6.h_matrices(tuple(t))
-        assert np.max(np.abs(np.trace(hm.H, axis1=-2, axis2=-1))) < 1e-14
+        H = nk6.reconstruct_sff(tuple(t))
+        assert np.max(np.abs(np.trace(H, axis1=-2, axis2=-1))) < 1e-14
 
 
 def test_commutator_invariant_reference_values():
-    inv = nk6.commutator_invariant_direct(nk6.h_matrices((S5 / 4, S5 / 4, 0.0, 0.0)))
+    inv = nk6.commutator_invariant_direct(nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0)))
     assert abs(float(inv.Q) - 750 / 64) < 1e-12
     inv_b = nk6.commutator_invariant_direct(
-        nk6.h_matrices((S5 / 4, S5 / 4, S10 / 4, 0.0)))
+        nk6.reconstruct_sff((S5 / 4, S5 / 4, S10 / 4, 0.0)))
     assert abs(float(inv_b.Q) - 675 / 32) < 1e-12
     assert np.allclose(
-        nk6.commutator_invariant_direct(nk6.h_matrices((0, 0, 0, 0))).Q, 0.0)
+        nk6.commutator_invariant_direct(nk6.reconstruct_sff((0, 0, 0, 0))).Q, 0.0)
 
 
 def test_commutator_invariant_against_loop_oracle(rng):
     # independent reimplementation with explicit loops
     t = rng.normal(size=4)
-    H = nk6.h_matrices(tuple(t)).H
+    H = nk6.reconstruct_sff(tuple(t))
     q = 0.0
     n_terms = []
     for i in range(3):
@@ -340,7 +340,7 @@ def test_commutator_invariant_against_loop_oracle(rng):
             q += np.sum(C * C) + np.trace(H[i] @ H[j]) ** 2
             if i < j:
                 n_terms.append(np.sum(C * C))
-    inv = nk6.commutator_invariant_direct(nk6.h_matrices(tuple(t)))
+    inv = nk6.commutator_invariant_direct(H)
     assert abs(float(inv.Q) - q) < 1e-12 * max(1.0, abs(q))
     assert np.allclose(inv.N_terms, n_terms, rtol=1e-12)
 
@@ -357,7 +357,7 @@ def test_closed_forms_reference_values():
 def test_closed_forms_match_direct_on_random_tuples(rng):
     tuples = rng.normal(size=(10000, 4)) * 2.0
     cf = nk6.closed_forms(tuples)
-    inv = nk6.commutator_invariant_direct(nk6.h_matrices(tuples))
+    inv = nk6.commutator_invariant_direct(nk6.reconstruct_sff(tuples))
     rel = np.abs(cf.q_closed - inv.Q) / np.maximum(1.0, np.abs(inv.Q))
     assert np.max(rel) < 1e-12
     # hsq closed form against the tensor norm
@@ -382,12 +382,12 @@ def test_closed_forms_are_exact_on_the_integer_grid():
     # a proof, not a sample
     tuples = np.array(list(itertools.product(range(-2, 3), repeat=4)), dtype=float)
     cf = nk6.closed_forms(tuples)
-    hm = nk6.h_matrices(tuples)
-    q_direct = nk6.commutator_invariant_direct(hm).Q
+    H = nk6.reconstruct_sff(tuples)
+    q_direct = nk6.commutator_invariant_direct(H).Q
     assert np.max(np.abs(q_direct)) <= 4224
     assert np.max(np.abs(cf.q_closed - q_direct)) == 0.0
     assert np.max(np.abs(cf.q_from_regrouping - cf.q_closed)) == 0.0
-    assert np.max(np.abs(cf.hsq - np.sum(hm.H**2, axis=(-3, -2, -1)))) == 0.0
+    assert np.max(np.abs(cf.hsq - np.sum(H**2, axis=(-3, -2, -1)))) == 0.0
     # the grid separates: a degree-(1,1,1,1) term breaks the first equality
     l1, l2, m1, m2 = tuples.T
     assert np.max(np.abs(cf.q_closed + l1 * l2 * m1 * m2 - q_direct)) > 0.0

@@ -32,15 +32,6 @@ def test_cross_product_axiom_random(rng):
     assert np.max(np.abs(np.sum(w * u, -1))) < 1e-12 * np.max(np.abs(lhs))
 
 
-def test_catalog_size_and_validity():
-    catalog = cayley.table_catalog()
-    assert len(catalog) == 480
-    assert catalog[0].triples == cayley.cayley_dickson_table().triples
-    # spot-validate a few non-default entries
-    for t in catalog[1::120]:
-        t.validate()
-
-
 def test_table_file_roundtrip(tmp_path):
     path = tmp_path / "cd.table"
     lines = [
@@ -119,13 +110,13 @@ def test_g_tensor_matches_difference_quotient(rng):
 
 
 def test_identity_suite_residuals(table):
-    report = cayley.verify_nk_identities(table, n_samples=1000, seed=3)
-    assert report.passed, report.failures()
+    residuals = cayley.verify_nk_identities(table, n_samples=1000, seed=3)
+    assert list(residuals) == list(cayley.IDENTITY_FORMULAS)
     for name in ("antisymmetry", "complex_anticommutation",
                  "skew_adjointness", "product_expansion",
                  "lagrangian_frame_products"):
-        assert report.residuals[name] < 1e-12
-    assert report.residuals["covariant_derivative"] < 1e-6
+        assert residuals[name] < 1e-12
+    assert residuals["covariant_derivative"] < 1e-6
 
 
 def test_identity_suite_rejects_empty():
@@ -135,15 +126,16 @@ def test_identity_suite_rejects_empty():
 
 def test_lagrangian_frame_properties(rng):
     table = cayley.cayley_dickson_table()
-    for _ in range(5):
-        x = rng.normal(size=7)
-        x /= np.linalg.norm(x)
-        e = cayley.lagrangian_frame(x, table, rng)
-        gram = e @ e.T
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
-        je = cayley.cross(np.broadcast_to(x, (3, 7)), e, table)
-        assert np.max(np.abs(je @ e.T)) < 1e-12
-        assert np.max(np.abs(e @ x)) < 1e-12
+    x = rng.normal(size=(5, 7))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    e = cayley.lagrangian_frame(x, table, rng)
+    assert e.shape == (5, 3, 7)
+    assert np.max(np.abs(e @ np.swapaxes(e, -1, -2) - np.eye(3))) < 1e-12
+    je = cayley.cross(x[:, None, :], e, table)
+    assert np.max(np.abs(je @ np.swapaxes(e, -1, -2))) < 1e-12
+    assert np.max(np.abs(e @ x[..., None])) < 1e-12
+    # one point (7,) gives one frame (3, 7)
+    assert cayley.lagrangian_frame(x[0], table, rng).shape == (3, 7)
 
 
 # The dense einsums that `cross` and `frame_products` replace, kept as oracles.
@@ -155,9 +147,19 @@ def einsum_frame_products(table, a, b, c):
     return np.einsum("pqc,...ip,...jq,...kc->...ijk", table.f, a, b, c)
 
 
-@pytest.mark.parametrize("index", [0, 1, 97, 240, 479])
-def test_cross_matches_the_einsum_oracle(index, rng):
-    table = cayley.table_catalog()[index]
+def relabeled_table(seed):
+    """The Cayley-Dickson triples under a fixed basis relabeling, drawn from
+    `seed` (the identity for seed 0), with the global sign flip for odd seeds."""
+    perm = np.arange(1, 8) if seed == 0 else np.random.default_rng(seed).permutation(7) + 1
+    sign = -1 if seed % 2 else 1
+    triples = [((perm[i - 1], perm[j - 1], perm[k - 1]), sign * s)
+               for (i, j, k), s in cayley.CAYLEY_DICKSON_TRIPLES]
+    return cayley.MulTable.from_triples(triples, source=f"relabeled-{seed}")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 97, 240, 479])
+def test_cross_matches_the_einsum_oracle(seed, rng):
+    table = relabeled_table(seed)
     u, v = rng.normal(size=(2, 50, 3, 7))
     x = rng.normal(size=(50, 7))
     cases = [
@@ -174,9 +176,9 @@ def test_cross_matches_the_einsum_oracle(index, rng):
         assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("index", [0, 5, 333, 479])
-def test_frame_products_match_the_einsum_oracle(index, rng):
-    table = cayley.table_catalog()[index]
+@pytest.mark.parametrize("seed", [0, 5, 333, 479])
+def test_frame_products_match_the_einsum_oracle(seed, rng):
+    table = relabeled_table(seed)
     a, b, c = rng.normal(size=(3, 40, 3, 7))
     for args in ((a, b, c), (a[:1], b[:1], c[:1]), (a[0], b[0], c[0]), (a, a, c[0])):
         got = cayley.frame_products(table, *args)

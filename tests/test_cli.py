@@ -166,9 +166,9 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
     seen = []
     counted = counted_dvv.jet
 
-    def jet(q, order, check_domain=True):
+    def jet(q, order):
         seen.append((order, np.array(q)))
-        return counted(q, order, check_domain=check_domain)
+        return counted(q, order)
 
     counted_dvv.jet = jet
     frames = []
@@ -325,6 +325,30 @@ def test_deterministic_output(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_analyze_rejects_points_outside_the_chart(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--model", "dvv", "--points", "2.0,1.0,1.0")
+    assert code == 2 and out == ""
+    assert "outside domain" in err
+
+
+def test_reports_name_their_table(capsys, tmp_path, monkeypatch):
+    args = ("analyze", "--model", "dvv", "--points", "0.5,0.5,0.5")
+    for table_args in ((), ("--table", "auto")):
+        code, out, _ = run_cli(capsys, *args, *table_args)
+        assert code == 0 and json.loads(out)["config"]["table"] == "cayley-dickson"
+    path = tmp_path / "env.table"
+    path.write_text("".join(f"{i} {j} {k} {s:+d}\n"
+                            for (i, j, k), s in models.default_table().triples))
+    monkeypatch.setenv("NK6_TABLE_PATH", str(path))
+    models.default_table.cache_clear()
+    try:
+        for command in (args, ("integrate", "--model", "dvv", "--rule", "8,8,8")):
+            code, out, _ = run_cli(capsys, *command)
+            assert code == 0 and json.loads(out)["config"]["table"] == str(path)
+    finally:
+        models.default_table.cache_clear()
 
 
 def test_csv_format_stdout(capsys):

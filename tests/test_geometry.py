@@ -25,7 +25,7 @@ def test_jet_order_bounds(dvv):
     with pytest.raises(ValueError):
         dvv.jet(np.array([0.5, 0.0, 0.0]), 4)
     with pytest.raises(ValueError):
-        nk6.jet(dvv, np.array([2.0, 0.0, 0.0]), 1)  # eta outside [0, pi/2]
+        nk6.frame(dvv, np.array([2.0, 0.0, 0.0]))  # eta outside [0, pi/2]
 
 
 def test_jet_degenerate_axis_at_pole(dvv):

@@ -1,12 +1,13 @@
-"""Built-in models: embedding data, table selection, Berger curvature."""
+"""Built-in models: embedding data, the default table, Berger curvature."""
 
 import gc
+import json
 
 import numpy as np
 import pytest
 
 import nk6
-from nk6 import models
+from nk6 import cli, models
 from conftest import random_chart_points
 
 S5 = np.sqrt(5.0)
@@ -60,23 +61,34 @@ def test_structure_alignment(dvv, table):
     assert np.max(np.abs(g23 - pk.estar[..., 0, :])) < 1e-8
 
 
-def test_table_selection_is_deterministic(table):
-    assert table.triples == nk6.cayley_dickson_table().triples
-    assert nk6.select_table() is nk6.default_table()
+def test_table_selection_is_deterministic(monkeypatch):
+    # with NK6_TABLE_PATH unset the default table is the Cayley-Dickson constant itself
+    monkeypatch.delenv("NK6_TABLE_PATH", raising=False)
+    nk6.default_table.cache_clear()
+    try:
+        assert nk6.default_table() is nk6.cayley_dickson_table()
+    finally:
+        nk6.default_table.cache_clear()
 
 
-def test_table_selection_rejects_flipped_orientation(table):
-    # the global sign flip passes the Lagrangian and alignment conditions but
-    # reverses the cubic form; the oracle must reject it
+def test_verify_rejects_flipped_orientation(table, tmp_path, capsys):
+    # the global sign flip keeps the image Lagrangian and G(E2,E3) = J E1 but
+    # reverses the cubic form, so verify fails h_values and nothing else
     flipped = nk6.MulTable.from_triples(
         tuple(((i, j, k), -s) for (i, j, k), s in table.triples), source="flipped"
     )
-    assert not models._dvv_oracle(flipped)
     imm = nk6.dvv_immersion(flipped)
     pk = nk6.frame(imm, np.array([0.8, 0.4, 1.2]), validate=False)
     assert pk.lagrangian_residual() < 1e-10  # still Lagrangian
     sff = nk6.second_fundamental_form(imm, np.array([0.8, 0.4, 1.2]), frame_packet=pk)
     assert sff.h[0, 0, 0] < 0  # but the cubic form is negated
+    path = tmp_path / "flipped.table"
+    path.write_text("".join(f"{i} {j} {k} {s:+d}\n" for (i, j, k), s in flipped.triples))
+    code = cli.main(["verify", "--model", "dvv", "--table", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for s in doc["suites"] for c in s["checks"] if not c["passed"]]
+    assert code == 1 and failed == ["h_values"]
+    assert doc["summary"] == {"checks": 34, "failures": 1, "passed": False}
 
 
 def test_env_table_override(tmp_path, monkeypatch, table):
