@@ -48,7 +48,6 @@ from .geometry import (
 )
 from .models import (
     BergerSpec,
-    ConstructionError,
     HopfChart,
     PolynomialSphereImmersion,
     SyntheticH,

@@ -680,7 +680,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (simons.ResolutionError, canonical.EnclosureError,
-            geometry.ChartDegeneracyError, models.ConstructionError) as exc:
+            geometry.ChartDegeneracyError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

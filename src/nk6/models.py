@@ -33,7 +33,6 @@ from .geometry import ImmersionJet
 __all__ = [
     "HopfChart",
     "PolynomialSphereImmersion",
-    "ConstructionError",
     "BergerSpec",
     "SyntheticH",
     "dvv_immersion",
@@ -45,10 +44,6 @@ __all__ = [
     "resolve_model",
     "MODEL_NAMES",
 ]
-
-
-class ConstructionError(RuntimeError):
-    """A built-in model could not be realized against the ambient table."""
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +325,18 @@ def totally_geodesic_immersion(table: MulTable | None = None) -> PolynomialSpher
     W the tangent space T is W less the line of x, and J T = x cross T lies
     in the orthogonal complement of W, which is the normal space: the unit
     sphere of W is a totally geodesic Lagrangian great sphere.
+
+    Every valid table has such a W: it is a signed relabeling of
+    Cayley-Dickson, whose triples form the seven lines of a Fano plane, and
+    the complement of any line contains no line, since two lines always meet.
     """
     if table is None:
         table = default_table()
-    for subset in itertools.combinations(range(7), 4):
-        if not np.any(table.f[np.ix_(subset, subset, subset)]):
-            terms = [(subset[a], tuple(np.eye(4, dtype=int)[a]), 1.0) for a in range(4)]
-            return PolynomialSphereImmersion(
-                "totally-geodesic", terms, table, field_scales=(1.0, 1.0, 1.0))
-    raise ConstructionError(
-        "no coordinate 4-plane W has W cross W orthogonal to W for this table; "
-        "searched all 35 candidates"
-    )
+    W = next(w for w in itertools.combinations(range(7), 4)
+             if not np.any(table.f[np.ix_(w, w, w)]))
+    terms = [(W[a], tuple(np.eye(4, dtype=int)[a]), 1.0) for a in range(4)]
+    return PolynomialSphereImmersion(
+        "totally-geodesic", terms, table, field_scales=(1.0, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -346,13 +346,34 @@ def _classify(hsq_sup, integrand_sup, tol_equality):
     return "strict"
 
 
+# quadrature nodes per block of `integrate_inequality`: each layer holds its
+# arrays for one block, so memory does not grow with the rule.  A multiple
+# of canonical._CHUNK, so that every node is certified in the same batch of
+# maximize_theta whatever the block: Theta depends on its batch in the last
+# bits.
+_NODE_BLOCK = 8 * canonical._CHUNK
+
+
+def _blocks(n):
+    """(lo, hi) bounds of the node blocks of an n-node rule."""
+    return ((lo, min(lo + _NODE_BLOCK, n)) for lo in range(0, n, _NODE_BLOCK))
+
+
 def _volume(imm, rule: QuadratureRule):
-    """Chart volume on `rule` from order-1 jets, and the density at its nodes."""
+    """Chart volume on `rule` from order-1 jets, one node block at a time."""
     points, weights = rule.nodes_weights()
-    jt = imm.jet(points, 1)
-    metric = np.einsum("...ac,...bc->...ab", jt.d1, jt.d1)
-    dens = np.sqrt(np.linalg.det(metric))
-    return float(np.sum(weights * dens)), dens
+    dens = np.empty(len(points))
+    for lo, hi in _blocks(len(points)):
+        d1 = imm.jet(points[lo:hi], 1).d1
+        dens[lo:hi] = np.sqrt(np.linalg.det(np.einsum("...ac,...bc->...ab", d1, d1)))
+    return float(np.sum(weights * dens))
+
+
+def _density_and_sff(imm, q):
+    """Volume density and h at the chart points q from one frame, which is
+    freed before Theta is maximized."""
+    pk = geometry.frame(imm, q)
+    return np.sqrt(pk.metric_det), geometry.second_fundamental_form(imm, q, frame_packet=pk)
 
 
 def integrate_inequality(
@@ -365,17 +386,29 @@ def integrate_inequality(
 
     The integrand |h|^2 (|h|^2 - 5/4 - (3/2) Theta^2) is evaluated at every
     node with Theta recomputed pointwise by the cubic-form maximizer, then
-    summed against the chart volume density.  One frame on the nodes gives
-    the density and h.  The volume is recomputed on a coarser rule;
-    disagreement beyond `refine_tol` (relative) raises ResolutionError, and
-    a rule with an axis too short to coarsen raises ValueError.
+    summed against the chart volume density.  The nodes go through the
+    frame, h and Theta in blocks of _NODE_BLOCK, and one frame per block
+    gives the density and h; only the columns of the report (density,
+    |h|^2, Theta) are kept for every node, and the sums run once over them.
+    An EnclosureError or ChartDegeneracyError in a block names the block's
+    nodes.  The volume is recomputed on a coarser rule; disagreement beyond
+    `refine_tol` (relative) raises ResolutionError, and a rule with an axis
+    too short to coarsen raises ValueError.
     """
     coarse = rule.coarser()
     points, weights = rule.nodes_weights()
-    pk = geometry.frame(imm, points)
-    dens = np.sqrt(pk.metric_det)
+    n = len(points)
+    dens, hsq, theta = np.empty(n), np.empty(n), np.empty(n)
+    for lo, hi in _blocks(n):
+        try:
+            dens[lo:hi], sff = _density_and_sff(imm, points[lo:hi])
+            hsq[lo:hi] = sff.norm_sq()
+            theta[lo:hi] = canonical.maximize_theta(sff.h)[1]
+        except (canonical.EnclosureError, geometry.ChartDegeneracyError) as exc:
+            exc.args = (f"{exc} [quadrature nodes {lo}-{hi - 1} of {n}]",)
+            raise
     volume = float(np.sum(weights * dens))
-    volume_coarse = _volume(imm, coarse)[0]
+    volume_coarse = _volume(imm, coarse)
     delta = abs(volume - volume_coarse) / max(abs(volume), 1e-300)
     if delta > refine_tol:
         raise ResolutionError(
@@ -383,11 +416,6 @@ def integrate_inequality(
             "increase the rule"
         )
 
-    sff = geometry.second_fundamental_form(imm, points, frame_packet=pk)
-    # the maximizer's arrays then reuse the frame's memory (40 MB on 32^3 nodes)
-    del pk
-    hsq = sff.norm_sq()
-    _, theta = canonical.maximize_theta(sff.h)
     integrand = hsq * (hsq - 1.25 - 1.5 * theta**2)
     integral = float(np.sum(weights * dens * integrand))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nk6 import cayley
+from conftest import relabeled_table
 
 
 def unit(i):
@@ -145,16 +146,6 @@ def einsum_cross(u, v, table):
 
 def einsum_frame_products(table, a, b, c):
     return np.einsum("pqc,...ip,...jq,...kc->...ijk", table.f, a, b, c)
-
-
-def relabeled_table(seed):
-    """The Cayley-Dickson triples under a fixed basis relabeling, drawn from
-    `seed` (the identity for seed 0), with the global sign flip for odd seeds."""
-    perm = np.arange(1, 8) if seed == 0 else np.random.default_rng(seed).permutation(7) + 1
-    sign = -1 if seed % 2 else 1
-    triples = [((perm[i - 1], perm[j - 1], perm[k - 1]), sign * s)
-               for (i, j, k), s in cayley.CAYLEY_DICKSON_TRIPLES]
-    return cayley.MulTable.from_triples(triples, source=f"relabeled-{seed}")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 97, 240, 479])

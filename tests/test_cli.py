@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nk6 import canonical, cli, geometry, models
+from nk6 import canonical, cli, geometry, models, simons
 from conftest import random_chart_points
 
 
@@ -375,3 +375,26 @@ def test_open_theta_enclosure_is_a_failure(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("failure: Theta enclosure did not close on 512 of 512 node")
+
+
+def test_failures_in_a_block_name_its_nodes(capsys, monkeypatch):
+    # 4096 nodes in four blocks; a pole node in the second one stops its frame
+    monkeypatch.setattr(simons, "_NODE_BLOCK", canonical._CHUNK)
+    nodes_weights = simons.QuadratureRule.nodes_weights
+
+    def with_pole(rule):
+        points, weights = nodes_weights(rule)
+        points[1500, 0] = 0.0
+        return points, weights
+
+    with monkeypatch.context() as m:
+        m.setattr(simons.QuadratureRule, "nodes_weights", with_pole)
+        code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "16,16,16")
+    assert code == 1 and out == ""
+    assert err.startswith("failure: chart Jacobian is rank deficient")
+    assert err.rstrip().endswith("[quadrature nodes 1024-2047 of 4096]")
+    monkeypatch.setattr(canonical, "_MAX_NEWTON", 0)
+    code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "16,16,16")
+    assert code == 1 and out == ""
+    assert err.startswith("failure: Theta enclosure did not close on 1024 of 1024 node")
+    assert err.rstrip().endswith("[quadrature nodes 0-1023 of 4096]")

@@ -8,7 +8,7 @@ import pytest
 
 import nk6
 from nk6 import cli, models
-from conftest import random_chart_points
+from conftest import random_chart_points, relabeled_table
 
 S5 = np.sqrt(5.0)
 
@@ -127,6 +127,18 @@ def test_totally_geodesic_uses_doubled_half(geodesic, table):
     assert np.all(block == 0.0)
     line = [i for i in range(7) if i not in comps]
     assert abs(table.f[line[0], line[1], line[2]]) == 1.0
+
+
+@pytest.mark.parametrize("seed", [1, 97, 240, 479])
+def test_totally_geodesic_plane_exists_for_relabeled_tables(seed):
+    # every valid table is a signed relabeling of Cayley-Dickson, so the
+    # search for W with a zero block f[W, W, W] always succeeds
+    table = relabeled_table(seed)
+    geodesic = nk6.totally_geodesic_immersion(table)
+    comps = sorted({c for c, _, _ in geodesic.terms})
+    assert len(comps) == 4 and not np.any(table.f[np.ix_(comps, comps, comps)])
+    pts = random_chart_points(geodesic, 20, seed=seed)
+    assert nk6.frame(geodesic, pts).lagrangian_residual() < 1e-12
 
 
 def test_berger_curvature_reference_planes(rng):

@@ -1,10 +1,12 @@
 """Decomposition tensors, the Laplacian identity and the certified integral."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import nk6
-from nk6 import cli, simons
+from nk6 import canonical, cli, simons
 from conftest import random_chart_points
 
 S5 = np.sqrt(5.0)
@@ -188,8 +190,8 @@ def test_coarser_rule_has_fewer_nodes_on_every_axis():
 
 def test_quadrature_volume_exactness(dvv):
     # spectral rule: volume already converged at modest sizes
-    coarse = simons._volume(dvv, nk6.QuadratureRule(24, 24, 24))[0]
-    fine = simons._volume(dvv, nk6.QuadratureRule(32, 32, 32))[0]
+    coarse = simons._volume(dvv, nk6.QuadratureRule(24, 24, 24))
+    fine = simons._volume(dvv, nk6.QuadratureRule(32, 32, 32))
     target = 32 * np.pi**2 / 9
     assert abs(fine - target) / target < 1e-12
     assert abs(fine - coarse) / target < 1e-8
@@ -218,6 +220,39 @@ def test_integrate_inequality_evaluates_each_rule_once(counted_dvv):
     # fine nodes at order 2 for frame, density and h; coarse at order 1
     nk6.integrate_inequality(counted_dvv, nk6.QuadratureRule(8, 8, 8))
     assert counted_dvv.jet_calls == [(2, 8**3), (1, 6**3)]
+    # past one block: one call per block of each rule, the last one partial
+    counted_dvv.jet_calls.clear()
+    nk6.integrate_inequality(counted_dvv, nk6.QuadratureRule(28, 28, 28))
+    block = simons._NODE_BLOCK
+    fine, coarse = 28**3, 21**3
+    assert coarse > block
+    assert counted_dvv.jet_calls == (
+        [(2, min(block, fine - lo)) for lo in range(0, fine, block)]
+        + [(1, min(block, coarse - lo)) for lo in range(0, coarse, block)])
+
+
+def test_integrate_inequality_reports_do_not_depend_on_the_block(dvv, monkeypatch):
+    # 13824 nodes: a partial last block for the default and for _CHUNK
+    rule = nk6.QuadratureRule(24, 24, 24)
+    ref = nk6.integrate_inequality(dvv, rule)
+    for block in (canonical._CHUNK, 24**3):
+        monkeypatch.setattr(simons, "_NODE_BLOCK", block)
+        report = nk6.integrate_inequality(dvv, rule)
+        assert report.to_dict() == ref.to_dict()
+        assert np.array_equal(report.samples, ref.samples)
+
+
+def test_integrate_inequality_memory_is_flat_in_the_rule(dvv):
+    # only the report's columns grow with the rule; the layers see one block
+    peaks = []
+    for n in (24, 48):
+        tracemalloc.start()
+        try:
+            nk6.integrate_inequality(dvv, nk6.QuadratureRule(n, n, n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_integrate_inequality_totally_geodesic(geodesic):
