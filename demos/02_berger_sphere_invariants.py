@@ -4,7 +4,7 @@ A topological three-sphere with the squashed metric diag(4/9, 8/3, 8/3) in
 its rotation-field frame embeds into the six-sphere as a Lagrangian
 submanifold through an explicit degree-two polynomial map.  All of its
 extrinsic invariants are constants, which makes it the perfect regression
-target: this script recomputes every one of them from the chart jets.
+target: this script recomputes every one of them from the exact jets.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ pts = imm.chart.random_points(200, rng)
 # ----------------------------------------------------------------------------
 # 1. the embedding is isometric and Lagrangian
 # ----------------------------------------------------------------------------
-jt = nk6.jet(imm, pts, 1)
+jt = imm.jet(imm.chart.to_y(pts), 1)
 print("image on the unit sphere, residual:", jt.unit_image_residual())
 
 pk = nk6.frame(imm, pts)

@@ -39,7 +39,6 @@ from .geometry import (
     curvature_from_sff,
     fd_jet,
     frame,
-    jet,
     laplace_beltrami,
     nabla_h,
     second_fundamental_form,

@@ -456,7 +456,8 @@ def maximize_theta(sff_like):
 
     Returns (maximizer, theta) with f(maximizer) = theta; a vanishing form
     yields (e1, 0).  Raises EnclosureError when the enclosure does not close
-    within its depth and cell caps, so no uncertified theta is returned.
+    within its depth and cell caps, so no uncertified theta is returned; its
+    message ends with the rows of the failing chunk within the batch.
     """
     h = _h_array(sff_like)
     batch = h.shape[:-3]
@@ -475,7 +476,11 @@ def maximize_theta(sff_like):
         F, best = level0[1], level0[3]
         sign = np.where(F[np.arange(len(rows)), best] < 0, -1.0, 1.0)
         seed = _polish(part, _coarse_cells()[0][best] * sign[:, None], sc)
-        u[rows], theta[rows] = _enclose(part, sc, seed, level0)
+        try:
+            u[rows], theta[rows] = _enclose(part, sc, seed, level0)
+        except EnclosureError as exc:
+            exc.args = (f"{exc} [rows {lo}-{min(lo + _CHUNK, len(hs)) - 1} of {len(hs)}]",)
+            raise
     return u.reshape(batch + (3,)), theta.reshape(batch)
 
 

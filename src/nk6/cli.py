@@ -144,28 +144,38 @@ def _rows(packet, index):
     return replace(packet, **rows)
 
 
-def _nabla_h_ambient_residual(pk_shifted, step, pk, sff, nh):
+# step along the X_a flows of the nabla_h_ambient central differences
+_AMBIENT_STEP = 2 * np.pi * cayley.FD_STEP
+
+
+def _shifted_points(imm, y):
+    """Chart points of exp(+-_AMBIENT_STEP X_a) y, rows ordered by axis a,
+    sign and point."""
+    steps = np.array([_AMBIENT_STEP, -_AMBIENT_STEP])
+    return imm.chart.from_y(geometry._flow(y, np.eye(3)[:, None, :], steps).reshape(-1, 4))
+
+
+def _nabla_h_ambient_residual(pk_shifted, pk, sff, nh):
     """Worst deviation of nabla h from a route that shares no Christoffel
     symbol with geometry.nabla_h, at n points.
 
-    `pk_shifted` frames the points shifted by +-step_a along each chart axis
-    a, in rows ordered by point, sign and axis.  The R^7-valued field
+    `pk_shifted` frames the points moved by +-_AMBIENT_STEP along the flow
+    of each field X_a (`_shifted_points`).  The R^7-valued field
     H_ij = sum_l h[l,i,j] J e_l and the frame e are differentiated by
-    central differences; along e_m = C_ma d_a,
+    central differences; along e_m = C_ma X_a,
     (nabla h)[k,i,j,m] = <dH_ij, J e_k> - Gamma_il h[k,l,j] - Gamma_jl h[k,i,l]
     with Gamma_il = <de_i, e_l>.  `pk`, `sff` and `nh` hold the frame, h and
     nabla h with the n points first.
     """
     n = len(pk_shifted.e) // 6
     h_s = geometry.second_fundamental_form(None, None, frame_packet=pk_shifted).h
-    field = np.einsum("nlij,nlc->nijc", h_s, pk_shifted.estar).reshape(n, 2, 3, 3, 3, 7)
-    e_s = pk_shifted.e.reshape(n, 2, 3, 3, 7)
-    width = 2.0 * step[None, :, None, None]
-    d_field = (field[:, 0] - field[:, 1]) / width[..., None]
-    d_e = (e_s[:, 0] - e_s[:, 1]) / width
-    C, h = pk.chart_comps[:n], sff.h[:n]
-    proj = np.einsum("nma,naijc,nkc->nkijm", C, d_field, pk.estar[:n])
-    gamma = np.einsum("nma,naic,nlc->nmil", C, d_e, pk.e[:n])
+    field = np.einsum("nlij,nlc->nijc", h_s, pk_shifted.estar).reshape(3, 2, n, 3, 3, 7)
+    e_s = pk_shifted.e.reshape(3, 2, n, 3, 7)
+    d_field = (field[:, 0] - field[:, 1]) / (2 * _AMBIENT_STEP)
+    d_e = (e_s[:, 0] - e_s[:, 1]) / (2 * _AMBIENT_STEP)
+    C, h = pk.field_comps[:n], sff.h[:n]
+    proj = np.einsum("nma,anijc,nkc->nkijm", C, d_field, pk.estar[:n])
+    gamma = np.einsum("nma,anic,nlc->nmil", C, d_e, pk.e[:n])
     oracle = (proj - np.einsum("nmil,nklj->nkijm", gamma, h)
               - np.einsum("nmjl,nkil->nkijm", gamma, h))
     return float(np.max(np.abs(oracle - nh.coeffs[:n])))
@@ -179,13 +189,15 @@ def _immersion_suite(imm, cfg):
     checks.append(_check(
         "unit_image", "|Psi(q)| = 1", pk.jet.unit_image_residual(), cfg.tol("unit_image")))
 
-    fd_pts = pts[:4]
-    exact = imm.jet(fd_pts, 3)
-    approx = geometry.fd_jet(imm, fd_pts, 3)
+    # the oracle pins each jet's mean over index orders; the commutators of
+    # the fields X_f pin the rest of its ordered entries
+    exact = imm.jet(pk.y[:4], 3)
+    approx = geometry.fd_jet(imm, pk.y[:4], 3)
     dev = max(
         float(np.max(np.abs(exact.d1 - approx.d1))),
-        float(np.max(np.abs(exact.d2 - approx.d2))),
-        float(np.max(np.abs(exact.d3 - approx.d3))),
+        float(np.max(np.abs(geometry._symmetrized(exact.d2, 2) - approx.d2))),
+        float(np.max(np.abs(geometry._symmetrized(exact.d3, 3) - approx.d3))),
+        exact.commutator_residual(),
     )
     checks.append(_check(
         "jet_fd_agreement", "analytic jets match value-only Cauchy-integral jets",
@@ -228,14 +240,12 @@ def _immersion_suite(imm, cfg):
     checks.append(_check(
         "codazzi", "h^{k*}_{ij,l} = h^{k*}_{il,j}",
         nh.codazzi_residual(), cfg.tol("codazzi")))
-    # the first 4 points shifted by +-step along each chart axis, in one call
-    step = cayley.FD_STEP * np.asarray(imm.chart.extents)
-    shifted = (pts[:4, None, :] + np.concatenate([np.diag(step), -np.diag(step)])).reshape(-1, 3)
-    pk_shifted = geometry.frame(imm, shifted, validate=False)
+    # the first 4 points moved both ways along each field's flow, in one call
+    pk_shifted = geometry.frame(imm, _shifted_points(imm, pk.y[:4]), validate=False)
     checks.append(_check(
         "nabla_h_ambient",
         "nabla h = central differences of sum_l h_lij J e_l, less the tangential connection",
-        _nabla_h_ambient_residual(pk_shifted, step, pk, sff, nh), cfg.tol("nabla_h_ambient")))
+        _nabla_h_ambient_residual(pk_shifted, pk, sff, nh), cfg.tol("nabla_h_ambient")))
 
     gj = cayley.frame_products(imm.table, pk_few.e, pk_few.e, pk_few.estar)
     # residual of g((nabla h)(W,X,Z),JY) - g((nabla h)(W,X,Y),JZ) = g(h(W,X),G(Y,Z))
@@ -267,16 +277,11 @@ def _immersion_suite(imm, cfg):
 def _dvv_suite(imm, cfg, samples):
     """Berger-sphere values on the first 50 samples; the Laplacian at the first."""
     checks = []
-    pts, pk, sff, cp, nh = _rows(samples, slice(50))
-    y = imm.chart.to_y(pts)
-    jac = imm.jacobian_y(y)
-    fields = np.einsum("fab,...b->...fa", models.FIELD_MATS, y)
-    push = np.einsum("...ca,...fa->...fc", jac, fields)
-    gram = np.einsum("...ic,...jc->...ij", push, push)
+    _, pk, sff, cp, nh = _rows(samples, slice(50))
     target = np.diag([4 / 9, 8 / 3, 8 / 3])
     checks.append(_check(
         "metric_values", "pullback metric is diag(4/9, 8/3, 8/3) in the X-frame",
-        float(np.max(np.abs(gram - target))), cfg.tol("metric_values")))
+        float(np.max(np.abs(pk.metric - target))), cfg.tol("metric_values")))
 
     s5 = np.sqrt(5.0)
     expected = canonical.reconstruct_sff((s5 / 4, s5 / 4, 0.0, 0.0))
@@ -379,13 +384,7 @@ def _synthetic_suite(model, cfg):
 
 
 def cmd_verify(cfg: RunConfig, table, model):
-    suites = [
-        _suite("multiplication_table", [_check(
-            "table_axioms",
-            "|u x v|^2 = |u|^2 |v|^2 - <u,v>^2 and total antisymmetry",
-            0.0, 1.0, table=table.describe())]),
-        _structure_suite(table, cfg),
-    ]
+    suites = [_structure_suite(table, cfg)]
     if isinstance(model, models.SyntheticH):
         suites.append(_synthetic_suite(model, cfg))
     else:

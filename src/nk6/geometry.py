@@ -1,18 +1,21 @@
 """Immersion framework for Lagrangian three-manifolds in the six-sphere.
 
-Everything here is pointwise and batched: chart points have shape (..., 3)
-and every derived quantity carries the same leading batch shape.  Immersion
-handles (see `models`) supply exact chart jets up to order 3.  Covariant
-derivatives come from one jet at the points themselves, through the
-Christoffel symbols of the induced metric, so h, nabla h and the metric
-terms of the Laplacian are exact to roundoff.  Values alone are
-differentiated by Cauchy's integral formula on complex circles: the
+Everything here is pointwise and batched: chart points have shape (..., 3),
+points of S^3 (..., 4), and every derived quantity carries the same leading
+batch shape.  Immersion handles (see `models`) supply exact jets up to order
+3 along the invariant fields X_f y = FIELD_MATS[f] y of S^3, which vanish
+nowhere, so the geometry has no chart poles.  Covariant derivatives come
+from one jet at the points themselves, through the connection of the frame
+X_f in the induced metric, so h, nabla h and the metric terms of the
+Laplacian are exact to roundoff.  Values alone are differentiated by
+Cauchy's integral formula on complex circles of the flows exp(z c.M) y: the
 immersion's in `fd_jet`, an independent oracle, and the scalar field handed
-to `laplace_beltrami`, which must therefore take complex chart points.
+to `laplace_beltrami`, which must therefore take complex points y.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,7 +32,6 @@ __all__ = [
     "SFF",
     "NablaH",
     "CurvaturePacket",
-    "jet",
     "fd_jet",
     "frame",
     "second_fundamental_form",
@@ -43,22 +45,39 @@ __all__ = [
 
 
 class ChartDegeneracyError(RuntimeError):
-    """Chart-induced frame or Cauchy-circle failure; may carry the distance to the bad locus."""
-
-    def __init__(self, message, distance=None):
-        if distance is not None:
-            message = f"{message} (distance to degeneracy locus: {distance:.3e})"
-        super().__init__(message)
-        self.distance = distance
+    """A rank-deficient tangent frame, or a field that the Cauchy circles
+    cannot differentiate."""
 
 
 # ---------------------------------------------------------------------------
 # jets
 # ---------------------------------------------------------------------------
 
+# The invariant fields X_f y = FIELD_MATS[f] y on S^3, orthonormal for the
+# round metric, with [X_a, X_b] = 2 eps_abc X_c; each M_f squares to -I.
+FIELD_MATS = np.array(
+    [
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+        [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],
+    ],
+    dtype=float,
+)
+
+# the Levi-Civita symbol, EPS[0, 1, 2] = 1
+EPS = np.zeros((3, 3, 3))
+EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+EPS[[1, 2, 0], [0, 1, 2], [2, 0, 1]] = -1.0
+
+
 @dataclass(frozen=True)
 class ImmersionJet:
-    """Value and symmetric mixed partials of an immersion chart at a point."""
+    """Value and ordered derivatives of an immersion along the fields X_f:
+    d1[a] = X_a Psi, d2[a, b] = X_b X_a Psi, d3[a, b, c] = X_c X_b X_a Psi.
+
+    The fields do not commute, so neither do the indices:
+    d2[a, b] - d2[b, a] = 2 eps_bac d1[c], and likewise one order up
+    (`commutator_residual`)."""
 
     order: int
     value: np.ndarray                 # (..., 7)
@@ -66,33 +85,51 @@ class ImmersionJet:
     d2: np.ndarray | None = None      # (..., 3, 3, 7)
     d3: np.ndarray | None = None      # (..., 3, 3, 3, 7)
 
-    def partial(self, alpha):
-        """Mixed partial for a 3-tuple of exponents with |alpha| <= order."""
-        total = sum(alpha)
-        if total > self.order:
-            raise ValueError(f"jet holds order {self.order}, requested {alpha}")
-        if total == 0:
-            return self.value
-        axes = [a for a, m in enumerate(alpha) for _ in range(m)]
-        block = (self.d1, self.d2, self.d3)[total - 1]
-        for ax in axes:
-            block = block[..., ax, :]
-        return block
-
     def unit_image_residual(self):
         return float(np.max(np.abs(np.sum(self.value**2, axis=-1) - 1.0)))
 
+    def commutator_residual(self):
+        """Worst deviation of a jet of order >= 2 from [X_b, X_a] = 2 eps_bac X_c:
+        d2[a, b] - d2[b, a] = 2 eps_bac d1[c], and at order 3
+        d3[a, b, c] - d3[b, a, c] = 2 eps_bae d2[e, c] and
+        d3[a, b, c] - d3[a, c, b] = 2 eps_cbe d2[a, e]."""
+        d1, d2, d3 = self.d1, self.d2, self.d3
+        res = [d2 - np.swapaxes(d2, -2, -3) - 2 * np.einsum("bac,...cx->...abx", EPS, d1)]
+        if self.order == 3:
+            res.append(d3 - np.swapaxes(d3, -3, -4)
+                       - 2 * np.einsum("bae,...ecx->...abcx", EPS, d2))
+            res.append(d3 - np.swapaxes(d3, -2, -3)
+                       - 2 * np.einsum("cbe,...aex->...abcx", EPS, d2))
+        return float(max(np.max(np.abs(r)) for r in res))
 
-def jet(imm, q, order: int) -> ImmersionJet:
-    """Jet of the immersion at chart point(s) q, exact for built-in models."""
-    if not 0 <= order <= 3:
-        raise ValueError("jet order must be in 0..3")
-    return imm.jet(q, order)
+
+def _symmetrized(block, k):
+    """The mean of an order-k derivative block (..., 3, ..., 3, 7) over the
+    orders of its k indices."""
+    lead = block.ndim - 1 - k
+    perms = list(itertools.permutations(range(lead, lead + k)))
+    return sum(np.transpose(block, (*range(lead), *p, lead + k)) for p in perms) / len(perms)
+
+
+def _flow(y, c, z):
+    """Points exp(z c.M) y = cos(z |c|) y + sin(z |c|) / |c| (c.M) y on the
+    flows of the fields c.X = sum_f c_f X_f through the points y (..., 4),
+    for nonzero coefficient rows c (m, ..., 3) and flow times z (nodes,),
+    real or complex: shape (m, nodes) + y.shape."""
+    norm = np.sqrt(np.sum(c * c, axis=-1))[..., None]
+    move = np.einsum("...f,fab,...b->...a", c, FIELD_MATS, y) / norm
+    zr = np.reshape(z, (1, -1) + (1,) * y.ndim) * norm[:, None]
+    return np.cos(zr) * y + np.sin(zr) * move[:, None]
+
+
+def _roots(nodes, radius):
+    """`nodes` roots of unity times `radius`."""
+    return radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
 
 # fd_jet samples circles of radius _CAUCHY_RADIUS at _CAUCHY_NODES roots of
-# unity around each point, along the unit directions e_i, e_i +- e_j (i < j)
-# and e_1 + e_2 + e_3
+# unity on the flows through each point of the fields v.X, for the unit
+# directions v = e_i, e_i +- e_j (i < j) and e_1 + e_2 + e_3
 _CAUCHY_NODES = 24
 _CAUCHY_RADIUS = 0.5
 _CAUCHY_DIRECTIONS = np.array(
@@ -101,21 +138,14 @@ _CAUCHY_DIRECTIONS = np.array(
 _CAUCHY_DIRECTIONS /= np.linalg.norm(_CAUCHY_DIRECTIONS, axis=1, keepdims=True)
 
 
-def _circles(q, directions, nodes, radius):
-    """Complex points q + z v, shape (m, nodes) + q.shape, for directions v
-    (m, ...) and z the `nodes` roots of unity times `radius`."""
-    z = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    return q + directions[:, None] * z.reshape((nodes,) + (1,) * q.ndim)
-
-
 @lru_cache(maxsize=None)
 def _cauchy_maps():
     """Per order k = 1..3, the fixed map (3**k, 10) from the circle
-    coefficients D^kP[v^k]/k! of the ten directions v to the flattened
-    chart partials d_k.
+    coefficients (v.X)^k Psi / k! of the ten directions v to the flattened
+    symmetrized derivatives of order k.
 
     Each direction gives one equation sum_{|alpha|=k} v^alpha/alpha!
-    d^alpha P = D^kP[v^k]/k! in the symmetric partials, which the
+    S^alpha = (v.X)^k Psi / k! in the symmetrized derivatives S, which the
     pseudo-inverse solves (condition numbers 1.2, 1.6 and 3.4) and
     canonical._fold fans out to every index order.
     """
@@ -129,25 +159,29 @@ def _cauchy_maps():
 
 
 def fd_jet(imm, q, order: int) -> ImmersionJet:
-    """Jet from immersion *values* only, by Cauchy's integral formula.
+    """Symmetrized jet from immersion *values* only, by Cauchy's integral
+    formula, at the points q = y of S^3.
 
-    Independent oracle for the analytic jets.  The chart map is entire, so
-    on each of ten fixed unit directions v, z -> P(q + z v) is sampled on a
-    circle of roots of unity in the complex z-plane, and one FFT along the
-    circle returns its Taylor coefficients D^kP[v^k]/k! with no truncation
-    term, only aliasing from orders >= _CAUCHY_NODES and roundoff of about
-    eps max|P| k!/r^k times the condition number of _cauchy_maps (Lyness and
-    Moler, SIAM J. Numer. Anal. 4, 1967).  The centres and every circle go
-    through one order-0 jet call, so the oracle never reads the analytic
-    derivative blocks.
+    Independent oracle for the analytic jets.  On each of ten fixed unit
+    directions v, the flow of v.X is entire in its time z, and so is
+    z -> Psi(exp(z v.M) y); it is sampled on a circle of roots of unity in
+    the complex z-plane, and one FFT along the circle returns its Taylor
+    coefficients (v.X)^k Psi / k! with no truncation term, only aliasing
+    from orders >= _CAUCHY_NODES and roundoff of about eps max|Psi| k!/r^k
+    times the condition number of _cauchy_maps (Lyness and Moler, SIAM J.
+    Numer. Anal. 4, 1967).  These pin the ordered derivatives' means over
+    index orders (`_symmetrized`).  The centres and every circle go through
+    one order-0 jet call, so the oracle never reads the analytic derivative
+    blocks.
     """
     if not 0 <= order <= 3:
         raise ValueError("jet order must be in 0..3")
-    q = np.asarray(q, dtype=float)
-    batch, flat = q.shape[:-1], q.reshape(-1, 3)
-    circles = _circles(flat, _CAUCHY_DIRECTIONS[:, None, :], _CAUCHY_NODES, _CAUCHY_RADIUS)
-    vals = imm.jet(np.concatenate([flat, circles.reshape(-1, 3)]), 0).value
-    # coef[v, k] / (N r^k) = D^kP[v^k]/k! on the circle along direction v
+    y = np.asarray(q, dtype=float)
+    batch, flat = y.shape[:-1], y.reshape(-1, 4)
+    circles = _flow(flat, _CAUCHY_DIRECTIONS[:, None, :],
+                    _roots(_CAUCHY_NODES, _CAUCHY_RADIUS))
+    vals = imm.jet(np.concatenate([flat, circles.reshape(-1, 4)]), 0).value
+    # coef[v, k] / (N r^k) = (v.X)^k Psi / k! on the circle along direction v
     coef = np.fft.fft(vals[len(flat):].reshape(circles.shape[:-1] + (7,)), axis=1)
     blocks = []
     for k, mapping in zip(range(1, order + 1), _cauchy_maps()):
@@ -167,18 +201,19 @@ class FramePacket:
     """Point, adapted orthonormal frames and induced metric data.
 
     e[..., i, :] spans the tangent space of the submanifold, estar_i = J e_i
-    spans its normal space inside the sphere, and chart_comps expresses each
-    e_i in the chart-partial basis: e = chart_comps @ jet.d1, and
-    chart_comps @ metric @ chart_comps^T = I.  `jet` is the order-2 chart jet
-    the frame was built from, so the second fundamental form reuses it.
+    spans its normal space inside the sphere, and field_comps expresses each
+    e_i in the invariant fields: e = field_comps @ jet.d1, and
+    field_comps @ metric @ field_comps^T = I with metric the Gram matrix
+    G_ab = <X_a Psi, X_b Psi>.  `jet` is the order-2 jet at y the frame was
+    built from, so the second fundamental form reuses it.
     """
 
+    y: np.ndarray                     # (..., 4) the point of S^3
     base: np.ndarray                  # (..., 7)
     e: np.ndarray                     # (..., 3, 7)
     estar: np.ndarray                 # (..., 3, 7)
-    metric: np.ndarray                # (..., 3, 3) chart-basis induced metric
-    metric_det: np.ndarray            # (...,) det of the metric
-    chart_comps: np.ndarray           # (..., 3, 3) rows: e_i in chart partials
+    metric: np.ndarray                # (..., 3, 3) induced metric in the X basis
+    field_comps: np.ndarray           # (..., 3, 3) rows: e_i in the X basis
     jet: ImmersionJet = field(repr=False)
     table: MulTable = field(repr=False, default=None)
 
@@ -205,9 +240,9 @@ class FramePacket:
         return worst
 
 
-def _gram_schmidt(rows, metric, degeneracy_distance):
-    """T (..., 3, 3) with T g T^T = I: modified Gram-Schmidt of the rows of
-    `rows` in the inner product <u, v> = u g v^T of the induced metric g, so
+def _gram_schmidt(rows, metric):
+    """T (..., 3, 3) with T G T^T = I: modified Gram-Schmidt of the rows of
+    `rows` in the inner product <u, v> = u G v^T of the induced metric G, so
     the vectors T @ d1 are orthonormal in R^7 and span what rows @ d1 spans."""
     out = []
     for i in range(3):
@@ -220,48 +255,38 @@ def _gram_schmidt(rows, metric, degeneracy_distance):
         nsq = np.sum(v * gv, axis=-1, keepdims=True)
         if np.any(nsq < 1e-16):
             raise ChartDegeneracyError(
-                "chart partials are rank deficient; cannot orthonormalize",
-                float(np.min(degeneracy_distance)),
-            )
+                "tangent frame is rank deficient; cannot orthonormalize")
         n = np.sqrt(nsq)
         out.append((v / n, gv / n))
     return np.stack([t for t, _ in out], axis=-2)
 
 
 def frame(imm, q, validate=True) -> FramePacket:
-    """Adapted frame and induced metric at q, with the order-2 jet they come from.
+    """Adapted frame and induced metric at the chart points q, with the
+    order-2 jet at y = to_y(q) they come from.
 
-    B holds the components of the model's global tangent fields in the chart
-    partials (`imm.tangent_fields`), or is the identity, the chart partials
-    themselves, when the model has none.  Gram-Schmidt on the rows of B in
-    the induced metric gives the chart components T of the frame, and
-    e = T @ d1.  Points outside the chart's domain raise ValueError.
+    The rows to orthonormalize are the model's frame in the X basis
+    (`imm.tangent_fields`), or the fields X_f themselves when the model has
+    none.  Gram-Schmidt on them in G = d1 d1^T gives the X-basis components
+    T of the frame, and e = T @ d1.  Points outside the chart's domain raise
+    ValueError; a map that is not immersed raises ChartDegeneracyError.
     """
     q = np.asarray(q, dtype=float)
     imm.chart.check_domain(q)
-    jt = imm.jet(q, 2)
+    y = imm.chart.to_y(q)
+    jt = imm.jet(y, 2)
     x, d1 = jt.value, jt.d1
     metric = np.einsum("...ac,...bc->...ab", d1, d1)
-    metric_det = np.linalg.det(metric)
-    dist = imm.chart.degeneracy_distance(q)
-    if np.any(np.abs(metric_det) < 1e-12):
-        # the frame vectors may survive a chart pole but the chart components
-        # do not; the tangent fields' components divide by zero there
-        raise ChartDegeneracyError(
-            "chart Jacobian is rank deficient at the requested point",
-            float(np.min(dist)),
-        )
-
     rows = imm.tangent_fields(q)
     if rows is None:
         rows = np.broadcast_to(np.eye(3), metric.shape)
-    chart_comps = _gram_schmidt(rows, metric, dist)
-    e = chart_comps @ d1
+    field_comps = _gram_schmidt(rows, metric)
+    e = field_comps @ d1
     estar = cross(x[..., None, :], e, imm.table)
 
     packet = FramePacket(
-        base=x, e=e, estar=estar, metric=metric, metric_det=metric_det,
-        chart_comps=chart_comps, jet=jt, table=imm.table,
+        y=y, base=x, e=e, estar=estar, metric=metric,
+        field_comps=field_comps, jet=jt, table=imm.table,
     )
     if validate:
         packet.validate(model=f"model {imm.name}")
@@ -302,15 +327,17 @@ def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None) -> 
     """Normal-valued second fundamental form in the adapted frame.
 
     h(e_i, e_j) is the component of the ambient derivative of the immersion
-    orthogonal to both the position vector and the tangent space; only the
-    chart second partials contribute after projecting onto the J-frame.
+    orthogonal to both the position vector and the tangent space: with
+    d2[a, b] = X_b X_a Psi, <d2[a, b], J e_k> = <h(X_a, X_b), J e_k>, as the
+    projection onto the J-frame drops the tangent part, the commutator
+    [X_b, X_a] Psi included.
     """
     pk = frame_packet if frame_packet is not None else frame(imm, q)
     batch = pk.jet.d2.shape[:-3]
     # proj[..., k, a, b] = <d_a d_b Psi, J e_k>, then h_k = C proj_k C^T
     d2 = pk.jet.d2.reshape(batch + (9, 7))
     proj = (pk.estar @ np.swapaxes(d2, -1, -2)).reshape(batch + (3, 3, 3))
-    C = pk.chart_comps[..., None, :, :]
+    C = pk.field_comps[..., None, :, :]
     # a contiguous C^T keeps numpy's stacked matmul on its fast path, and h
     # takes proj's buffer: on 32^3 nodes each of these arrays is 7 MB
     CT = np.ascontiguousarray(np.swapaxes(C, -1, -2))
@@ -362,9 +389,10 @@ def _inv3(m):
 
 
 def _christoffel(jt: ImmersionJet):
-    """Inverse induced metric g^{ab} and Christoffel symbols
-    gamma[..., a, b, d] = Gamma^d_ab = g^{de} <d_a d_b Psi, d_e Psi>
-    of a chart jet of order >= 2."""
+    """Inverse induced metric g^{ab} and connection coefficients
+    gamma[..., a, b, d] = Gamma^d_ab = g^{de} <X_b X_a Psi, X_e Psi> of a jet
+    of order >= 2: the X_d-component of nabla_{X_b} X_a.  The frame X_f is
+    not holonomic, so Gamma^d_ab - Gamma^d_ba = 2 eps_bad."""
     d1t = np.swapaxes(jt.d1, -1, -2)
     ginv = _inv3(jt.d1 @ d1t)
     gamma = (jt.d2 @ d1t[..., None, :, :]) @ ginv[..., None, :, :]
@@ -372,36 +400,37 @@ def _christoffel(jt: ImmersionJet):
 
 
 def nabla_h(imm, q, frame_packet: FramePacket | None = None) -> NablaH:
-    """Covariant derivative of h from one order-3 jet at q.
+    """Covariant derivative of h from one order-3 jet at the chart points q.
 
-    In chart indices, with sigma_ab,k = <d_a d_b Psi, J e_k>,
+    In the X basis, with sigma_ab,k = <X_b X_a Psi, J e_k> = <h(X_a, X_b), J e_k>,
 
-        (nabla sigma)_abc,k = <d_a d_b d_c Psi, J e_k> - Gamma^d_ab sigma_cd,k
-                              - Gamma^d_bc sigma_ad,k - Gamma^d_ca sigma_bd,k,
+        (nabla sigma)_abc,k = <X_c X_b X_a Psi, J e_k> - Gamma^d_ab sigma_dc,k
+                              - Gamma^d_ac sigma_db,k - Gamma^d_bc sigma_ad,k,
 
-    which the chart components C of the frame carry to
-    nh[k, i, j, m] = C_ia C_jb C_mc (nabla sigma)_abc,k.  The pairing with
-    J e_k is taken at q after differentiating the R^7-valued field
-    h(d_a, d_b) = d_a d_b Psi - Gamma^d_ab d_d Psi + g_ab Psi, so neither the
-    frame's derivative nor the normal connection enters.  `frame_packet`,
-    when given, is the frame at q, as for second_fundamental_form.
+    which the X-basis components C of the frame carry to
+    nh[k, i, j, m] = C_ia C_jb C_mc (nabla sigma)_abc,k.  The first two
+    terms are X_c of the R^7-valued field h(X_a, X_b) = X_b X_a Psi
+    - Gamma^d_ab X_d Psi + G_ab Psi paired with J e_k at q, so neither the
+    frame's derivative nor the normal connection enters; the last two are
+    h(nabla_{X_c} X_a, X_b) and h(X_a, nabla_{X_c} X_b), written out since
+    Gamma is not symmetric.  `frame_packet`, when given, is the frame at q,
+    as for second_fundamental_form.
     """
-    q = np.asarray(q, dtype=float)
     pk = frame_packet if frame_packet is not None else frame(imm, q, validate=False)
-    jt = imm.jet(q, 3)
+    jt = imm.jet(pk.y, 3)
     _, gamma = _christoffel(jt)
-    batch = q.shape[:-1]
-    # third[k, a, b, c] = <d_a d_b d_c Psi, J e_k>, sigma[k, c, d] likewise
+    batch = pk.y.shape[:-1]
+    # third[k, a, b, c] = <X_c X_b X_a Psi, J e_k>, sigma[k, c, d] likewise
     third = pk.estar @ np.swapaxes(jt.d3.reshape(batch + (27, 7)), -1, -2)
     sigma = pk.estar @ np.swapaxes(jt.d2.reshape(batch + (9, 7)), -1, -2)
     # x[k, a, b, c] = Gamma^d_ab sigma_cd,k; the other two connection terms
-    # are its cyclic permutations in (a, b, c)
+    # are x[k, a, c, b] and x[k, b, c, a]
     x = (gamma.reshape(batch + (1, 9, 3))
          @ np.swapaxes(sigma.reshape(batch + (3, 3, 3)), -1, -2)).reshape(batch + (3, 3, 3, 3))
     nsigma = (third.reshape(batch + (3, 3, 3, 3)) - x
-              - np.einsum("...kbca->...kabc", x) - np.einsum("...kcab->...kabc", x))
+              - np.einsum("...kacb->...kabc", x) - np.einsum("...kbca->...kabc", x))
     # nh[k, i, j, m] = C_ia C_jb C_mc nsigma[k, a, b, c]
-    C = pk.chart_comps
+    C = pk.field_comps
     inner = C[..., None, None, :, :] @ nsigma @ np.swapaxes(C, -1, -2)[..., None, None, :, :]
     outer = C[..., None, :, :] @ inner.reshape(batch + (3, 3, 9))
     return NablaH(coeffs=outer.reshape(batch + (3, 3, 3, 3)))
@@ -477,7 +506,7 @@ def sectional_curvature(packet: CurvaturePacket, u, v):
 
 
 # ---------------------------------------------------------------------------
-# Laplace-Beltrami operator on chart scalar fields
+# Laplace-Beltrami operator on scalar fields of S^3
 # ---------------------------------------------------------------------------
 
 # Laplacian circles: nodes, radius in frame units, top Taylor term limit
@@ -485,22 +514,24 @@ _LAPLACE_NODES, _LAPLACE_RADIUS, _LAPLACE_TAIL = 16, 0.1875, 1e-11
 
 
 def laplace_beltrami(imm, scalar_field, q, frame_packet: FramePacket | None = None):
-    """Laplacian of a chart scalar field at q, by Cauchy's integral formula.
+    """Laplacian at the chart points q of a scalar field of y, by Cauchy's
+    integral formula.
 
-    The field, holomorphic near q, is called once, on circles z -> q + z C_i
-    along the frame vectors e_i = C_i @ d1; the FFT along circle i gives
-    c1_i = Df[C_i] and c2_i = D^2f[C_i, C_i] / 2.  As sum_i C_ia C_ib = g^{ab},
-    Lap f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f) = sum_i 2 c2_i - <tau, e_i> c1_i
-    with tau = g^{ab} d_a d_b Psi.  A field that is not holomorphic, or is
-    singular inside a circle, makes the top coefficients, which bound the
-    aliasing error, O(1): ChartDegeneracyError.  `frame_packet` is the frame
-    at q, as for second_fundamental_form.
+    The field, holomorphic near y, is called once, on circles of the flows
+    z -> exp(z C_i.M) y of the fields V_i = C_i.X, which equal e_i at y; the
+    FFT along circle i gives c1_i = V_i f and c2_i = V_i V_i f / 2.  As
+    sum_i C_ia C_ib = g^{ab}, Lap f = sum_i 2 c2_i - (sum_i nabla_{V_i} V_i) f
+    = sum_i 2 c2_i - <tau, e_i> c1_i with tau = sum_i V_i V_i Psi.  A field
+    that is not holomorphic, or is singular inside a circle, makes the top
+    coefficients, which bound the aliasing error, O(1):
+    ChartDegeneracyError.  `frame_packet` is the frame at q, as for
+    second_fundamental_form.
     """
-    q = np.asarray(q, dtype=float)
     pk = frame_packet if frame_packet is not None else frame(imm, q, validate=False)
-    C, n, r = pk.chart_comps, _LAPLACE_NODES, _LAPLACE_RADIUS
+    C, n, r = pk.field_comps, _LAPLACE_NODES, _LAPLACE_RADIUS
     # coef[i, k] = c_k r^k on the circle along e_i, shape (3, n) + batch
-    coef = np.fft.fft(scalar_field(_circles(q, np.moveaxis(C, -2, 0), n, r)), axis=1) / n
+    circles = _flow(pk.y, np.moveaxis(C, -2, 0), _roots(n, r))
+    coef = np.fft.fft(scalar_field(circles), axis=1) / n
     tail = np.max(np.abs(coef[:, -2:]), axis=(0, 1)) / np.maximum(1.0, np.abs(coef[0, 0]))
     if not np.all(tail <= _LAPLACE_TAIL):
         raise ChartDegeneracyError(

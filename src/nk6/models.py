@@ -10,10 +10,11 @@ Lagrangian and G(E2,E3) = J E1 but negates the cubic form, so `h_values`
 fails.  A totally geodesic Lagrangian great sphere and pointwise synthetic
 second-fundamental-form data complete the model zoo.
 
-Polynomial immersions have exact chart jets from one derivative table per
-polynomial: in the Hopf chart a monomial in y is a monomial in the cosines
-and sines of the three angles, and so is each of its chart partials, so the
-partials of order k are those monomials times one coefficient matrix.
+Polynomial immersions have exact jets from one derivative table per
+polynomial, taken along the invariant fields X_f y = FIELD_MATS[f] y of S^3:
+each X_f sends a monomial in y to monomials of the same degree, so the
+ordered derivatives of order k are those monomials times one coefficient
+matrix.  The Hopf chart only addresses points.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import canonical, geometry
 from .cayley import MulTable, cayley_dickson_table, load_table
-from .geometry import ImmersionJet
+from .geometry import FIELD_MATS, ImmersionJet
 
 __all__ = [
     "HopfChart",
@@ -50,65 +51,28 @@ __all__ = [
 # chart
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class HopfChart:
-    """Hopf coordinates (eta, xi1, xi2) on the unit three-sphere.
+    """Hopf coordinates (eta, xi1, xi2) on the unit three-sphere,
 
-    y = (cos eta cos xi1, cos eta sin xi1, sin eta cos xi2, sin eta sin xi2);
-    the chart degenerates at eta in {0, pi/2} where one angle becomes idle.
+    y = (cos eta cos xi1, cos eta sin xi1, sin eta cos xi2, sin eta sin xi2),
+
+    with eta in [0, pi/2].  They address quadrature nodes and user points
+    only: jets are taken in y, so the chart's poles eta in {0, pi/2}, where
+    one angle becomes idle, are ordinary points of the geometry.
     """
 
-    extents: tuple = (np.pi / 2, 2 * np.pi, 2 * np.pi)
-
-    def trig(self, q):
-        """x = (cos eta, sin eta, cos xi1, sin xi1, cos xi2, sin xi2) at the
-        chart points q (..., 3), real or complex: (..., 6).  Every y_a, and so
-        every monomial in y, is a monomial in x."""
-        q = np.asarray(q, dtype=complex if np.iscomplexobj(q) else float)
-        return np.stack([np.cos(q), np.sin(q)], axis=-1).reshape(q.shape[:-1] + (6,))
-
     def to_y(self, q):
-        x = self.trig(q)
-        return x[..., [0, 0, 1, 1]] * x[..., 2:]
-
-    def x_exponents(self, e):
-        """Exponents over x of the monomial y^e, as y = (c0 c1, c0 s1, s0 c2, s0 s2)."""
-        return (e[0] + e[1], e[2] + e[3], *e)
-
-    def partial(self, e, axis):
-        """d/dq_axis of x^e as (exponents, factor) pairs.  The angle q_axis
-        enters only its own pair (c, s) = (x[2 axis], x[2 axis + 1]), and
-        d(c^p s^r) = -p c^(p-1) s^(r+1) + r c^(p+1) s^(r-1)."""
-        i = 2 * axis
-        p, r = e[i:i + 2]
-        out = []
-        if p:
-            out.append((e[:i] + (p - 1, r + 1) + e[i + 2:], -p))
-        if r:
-            out.append((e[:i] + (p + 1, r - 1) + e[i + 2:], r))
-        return out
-
-    def field_components(self, q):
-        """Components (..., 3, 3) of the rotation fields FIELD_MATS[f] y in the
-        chart partials, FIELD_MATS[f] y = sum_a B[f, a] d_a y.
-
-        The partials of y are mutually orthogonal, with |d_a y| = 1, cos eta
-        and sin eta, so B[f, a] = <FIELD_MATS[f] y, d_a y> / |d_a y|^2; with
-        phi = xi1 + xi2 and t = tan eta this is
-        B = [[0, -1, -1], [-cos phi, -t sin phi, sin phi / t],
-        [-sin phi, t cos phi, -cos phi / t]], singular at the poles.
-        """
         q = np.asarray(q, dtype=float)
-        t, phi = np.tan(q[..., 0]), q[..., 1] + q[..., 2]
-        c, s = np.cos(phi), np.sin(phi)
-        zero, one = np.zeros_like(t), np.ones_like(t)
-        return np.stack([zero, -one, -one,
-                         -c, -t * s, s / t,
-                         -s, t * c, -c / t], axis=-1).reshape(q.shape[:-1] + (3, 3))
+        c, s = np.cos(q), np.sin(q)
+        return np.stack([c[..., 0] * c[..., 1], c[..., 0] * s[..., 1],
+                         s[..., 0] * c[..., 2], s[..., 0] * s[..., 2]], axis=-1)
 
-    def degeneracy_distance(self, q):
-        eta = np.asarray(q, dtype=float)[..., 0]
-        return np.minimum(np.abs(eta), np.abs(np.pi / 2 - eta))
+    def from_y(self, y):
+        """Chart points of unit y, the inverse of to_y (xi in [0, 2 pi))."""
+        y = np.asarray(y, dtype=float)
+        eta = np.arctan2(np.hypot(y[..., 2], y[..., 3]), np.hypot(y[..., 0], y[..., 1]))
+        xi = np.arctan2(y[..., [1, 3]], y[..., [0, 2]]) % (2 * np.pi)
+        return np.concatenate([eta[..., None], xi], axis=-1)
 
     def check_domain(self, q, slack=1e-12):
         eta = np.real(q)[..., 0]
@@ -129,84 +93,84 @@ HOPF = HopfChart()
 # polynomial immersions of S^3
 # ---------------------------------------------------------------------------
 
-# Right-invariant rotation fields on S^3 with [X1,X2] = 2X3 and cyclic.
-FIELD_MATS = np.array(
-    [
-        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
-        [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],
-        [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],
-    ],
-    dtype=float,
-)
-
-
 # jets evaluate the monomials and their matmuls on this many nodes at a time:
-# a block's monomial array has a column per row of the chart table, 32 for
-# the quadratic DVV map and far more for a degree-6 poly: model
+# a block's monomial array has a column per row of the derivative table, 14
+# for the quadratic DVV map and 84 for a homogeneous degree-6 one
 _NODE_BLOCK = 4096
 
 
-def _y_partial(e, a):
-    """d/dy_a of y^e as (exponents, factor) pairs."""
-    return [(e[:a] + (e[a] - 1,) + e[a + 1:], e[a])] if e[a] else []
+# the nonzero entries (a, b, M_f[a, b]) of each M_f = FIELD_MATS[f]
+_FIELD_ENTRIES = tuple(tuple((int(a), int(b), float(m[a, b])) for a, b in zip(*np.nonzero(m)))
+                       for m in FIELD_MATS)
+
+
+def _x_partial(e, f):
+    """X_f y^e = sum_ab e_a M_f[a, b] y^(e - 1_a + 1_b) as (exponents, factor)
+    pairs."""
+    out = []
+    for a, b, m in _FIELD_ENTRIES[f]:
+        if e[a]:
+            de = list(e)
+            de[a] -= 1
+            de[b] += 1
+            out.append((tuple(de), e[a] * m))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _derivative_table(terms, chart=None):
-    """Exponents (M, d), coefficients and row counts of the partials of the
-    polynomial up to order K, D^k P(x) = x^expo[:rows[k]] @ coef[k] with
-    coef[k] of shape (rows[k], n^k * 7), flattened from (n, ..., n, 7).
+def _derivative_table(terms):
+    """Exponents (M, 4), coefficients and row counts of the ordered
+    derivatives of the polynomial along the fields X_f up to order 3,
+    X_fk ... X_f1 P(y) = y^expo[:rows[k]] @ coef[k] with coef[k] of shape
+    (rows[k], 3^k * 7), flattened from (3, ..., 3, 7) with the last index
+    outermost: the column of (f1, ..., fk) holds X_fk ... X_f1 P.
 
-    Without a chart, x = y, the partials are d/dy_a (n = 4) and K = 1: the
-    table of `embed` and `jacobian_y`.  With one, x = chart.trig(q), the
-    partials are chart.partial's (n = 3) and K = 3: the table of `jet`.
-    Rows come in the order of the first k that reads them, so an order-k jet
-    reads the prefix rows[k].  Cached on (terms, chart) and read-only, so
-    every immersion of one polynomial shares them.
+    Each X_f keeps the degree of a monomial, so a homogeneous polynomial has
+    the same rows at every order.  Rows come in the order of the first k
+    that reads them, so an order-k jet reads the prefix rows[k].  Cached on
+    the terms and read-only, so every immersion of one polynomial shares it.
     """
-    n, top, start, partial = (4, 1, tuple, _y_partial) if chart is None else \
-        (3, 3, chart.x_exponents, chart.partial)
     # column 7 flat + c: component c differentiated along the flat-th index
     # tuple of its order, as {exponents: weight}
     cols = [{} for _ in range(7)]
     for c, e, w in terms:
-        cols[c][start(e)] = cols[c].get(start(e), 0.0) + w
+        cols[c][e] = cols[c].get(e, 0.0) + w
     index, coef, rows = {}, [], []
-    for k in range(top + 1):
+    for k in range(4):
         if k:
-            # tuple n prev + a is tuple prev (of order k - 1) followed by a
-            cols = [_derive(cols[7 * (j // (7 * n)) + j % 7], partial, j // 7 % n)
-                    for j in range(7 * n**k)]
+            # tuple 3 prev + f is tuple prev (of order k - 1) followed by f
+            cols = [_derive(cols[7 * (j // 21) + j % 7], j // 7 % 3) for j in range(7 * 3**k)]
         entries = [(index.setdefault(e, len(index)), j, w)
                    for j, col in enumerate(cols) for e, w in col.items() if w != 0.0]
         rows.append(len(index))
         coef.append(np.zeros((len(index), len(cols))))
         for row, j, w in entries:
             coef[k][row, j] = w
-    expo = np.array(list(index), dtype=int).reshape(-1, len(start((0,) * 4)))
+    expo = np.array(list(index), dtype=int).reshape(-1, 4)
     for a in (expo, *coef):
         a.flags.writeable = False
     return expo, tuple(coef), tuple(rows)
 
 
-def _derive(col, partial, axis):
-    """One column {exponents: weight} differentiated along `axis`."""
+def _derive(col, f):
+    """One column {exponents: weight} differentiated along X_f."""
     out = {}
     for e, w in col.items():
-        for de, factor in partial(e, axis):
+        for de, factor in _x_partial(e, f):
             out[de] = out.get(de, 0.0) + factor * w
     return out
 
 
 class PolynomialSphereImmersion:
-    """Polynomial map R^4 -> R^7 restricted to S^3, addressed in a Hopf chart.
+    """Polynomial map R^4 -> R^7 restricted to S^3.
 
     `terms` is a sequence of (component, exponents, coefficient) with
-    component in 0..6 and exponents a 4-tuple over (y1..y4).  Jets are exact:
-    every monomial in y is a monomial in the chart's cosines and sines, and
-    so is each of its chart partials, so a derivative table over those six
-    variables, built once per polynomial, gives each order's partials as the
-    monomials times one coefficient matrix.
+    component in 0..6 and exponents a 4-tuple over (y1..y4).  Jets are exact
+    and taken along the invariant fields X_f y = FIELD_MATS[f] y, which
+    vanish nowhere: each X_f sends a monomial in y to monomials of the same
+    degree, so one derivative table over those monomials, built once per
+    polynomial, gives each order's ordered derivatives as the monomials times
+    one coefficient matrix.  The chart only addresses points.
     """
 
     def __init__(self, name, terms, table: MulTable, field_scales=None, chart=HOPF):
@@ -215,52 +179,35 @@ class PolynomialSphereImmersion:
         self.chart = chart
         self.terms = tuple((int(c), tuple(int(e) for e in ex), float(co)) for c, ex, co in terms)
         self.field_scales = None if field_scales is None else tuple(field_scales)
-        self._y_table = _derivative_table(self.terms)
-        self._chart_table = _derivative_table(self.terms, chart)
+        self._table = _derivative_table(self.terms)
 
-    # -- pointwise evaluation in y ------------------------------------------------
     def embed(self, y):
-        y = np.asarray(y, dtype=float)
-        expo, coef, rows = self._y_table
-        return (canonical._monomials(y.reshape(-1, 4), expo[:rows[0]]) @ coef[0]
-                ).reshape(y.shape[:-1] + (7,))
+        return self.jet(y, 0).value
 
-    def jacobian_y(self, y):
-        y = np.asarray(y, dtype=float)
-        expo, coef, _ = self._y_table
-        dp = (canonical._monomials(y.reshape(-1, 4), expo) @ coef[1]).reshape(-1, 4, 7)
-        return np.swapaxes(dp, -1, -2).reshape(y.shape[:-1] + (7, 4))
-
-    # -- chart jets ---------------------------------------------------------------
     def jet(self, q, order):
+        """Value and ordered derivatives d1[a] = X_a P, d2[a, b] = X_b X_a P
+        and d3[a, b, c] = X_c X_b X_a P at the points q = y of S^3, shape
+        (..., 4), real or complex."""
         if not 0 <= order <= 3:
             raise ValueError("jet order must be in 0..3")
-        q = np.asarray(q, dtype=complex if np.iscomplexobj(q) else float)
-        expo, coef, rows = self._chart_table
-        flat = q.reshape(-1, 3)
-        out = [np.empty((len(flat), 7 * 3**k), dtype=q.dtype) for k in range(order + 1)]
+        y = np.asarray(q, dtype=complex if np.iscomplexobj(q) else float)
+        expo, coef, rows = self._table
+        flat = y.reshape(-1, 4)
+        out = [np.empty((len(flat), 7 * 3**k), dtype=y.dtype) for k in range(order + 1)]
         for lo in range(0, len(flat), _NODE_BLOCK):
             hi = lo + _NODE_BLOCK
-            mono = canonical._monomials(self.chart.trig(flat[lo:hi]), expo[:rows[order]])
+            mono = canonical._monomials(flat[lo:hi], expo[:rows[order]])
             for k, dst in enumerate(out):
                 np.matmul(mono[:, :rows[k]], coef[k], out=dst[lo:hi])
-        out = [d.reshape(q.shape[:-1] + (3,) * k + (7,)) for k, d in enumerate(out)]
+        out = [d.reshape(y.shape[:-1] + (3,) * k + (7,)) for k, d in enumerate(out)]
         return ImmersionJet(order, *out, *[None] * (3 - order))
 
-    # -- global tangent fields ------------------------------------------------------
     def tangent_fields(self, q):
-        """Components B (..., 3, 3) of the scaled fields X_f = s_f FIELD_MATS[f] y
-        in the chart partials, X_f = sum_a B[f, a] d_a y, or None without
-        field scales.
-
-        B comes from the chart alone (HopfChart.field_components), so the
-        pushforward of X_f is B[f] @ d1 and the polynomial is not evaluated.
-        B is singular at the chart poles, where `frame` stops before calling
-        this.
-        """
+        """Rows (..., 3, 3) of the model's frame in the X basis, the scaled
+        fields s_f X_f, over the batch of q; None without field scales."""
         if self.field_scales is None:
             return None
-        return np.asarray(self.field_scales)[:, None] * self.chart.field_components(q)
+        return np.broadcast_to(np.diag(self.field_scales), np.shape(q)[:-1] + (3, 3))
 
     def __repr__(self):
         return f"PolynomialSphereImmersion({self.name!r}, table={self.table.source!r})"

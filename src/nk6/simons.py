@@ -158,7 +158,7 @@ def j_parallel_defect(nh: NablaH):
 class LaplacianIdentityReport:
     """Both routes to (1/2) Lap |h|^2 and their disagreement.
 
-    residual_pipeline compares the chart Laplacian of the field |h|^2 with
+    residual_pipeline compares the Laplacian of the field |h|^2 with
     |nabla h|^2 + 3|h|^2 - Q computed from the same point's tensors;
     residual_algebra compares that expression with its normal-form regrouping
     evaluated on the extracted invariants plus |T|^2.
@@ -185,12 +185,12 @@ def laplacian_identity_check(imm, q) -> LaplacianIdentityReport:
     return laplacian_identity(imm, q, pk, sff, nh, canonical.canonical_basis(sff.h))
 
 
-def _hsq(imm, q):
-    """|h|^2 = g^{ac} g^{bd} <sigma_ab, sigma_cd> at chart points q, real or
-    complex, from one order-2 jet, with sigma_ab = h(d_a, d_b) = d_a d_b Psi
-    + g_ab Psi - Gamma^e_ab d_e Psi.  Every product is bilinear, so this is
+def _hsq(imm, y):
+    """|h|^2 = g^{ac} g^{bd} <sigma_ab, sigma_cd> at points y of S^3, real or
+    complex, from one order-2 jet, with sigma_ab = h(X_a, X_b) = X_b X_a Psi
+    + g_ab Psi - Gamma^e_ab X_e Psi.  Every product is bilinear, so this is
     the holomorphic extension of |h|^2."""
-    jt = imm.jet(q, 2)
+    jt = imm.jet(y, 2)
     ginv, gamma = geometry._christoffel(jt)
     g = jt.d1 @ np.swapaxes(jt.d1, -1, -2)
     sigma = (jt.d2 + g[..., None] * jt.value[..., None, None, :]
@@ -207,7 +207,7 @@ def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
     packet = t_tensor(nh, f_tensor(sff, pk), sff)
 
     half_lap = 0.5 * float(geometry.laplace_beltrami(
-        imm, lambda qq: _hsq(imm, qq), q, frame_packet=pk))
+        imm, lambda yy: _hsq(imm, yy), q, frame_packet=pk))
 
     inv = canonical.commutator_invariant_direct(canonical.reconstruct_sff(cd))
     hsq = float(sff.norm_sq())
@@ -245,9 +245,10 @@ def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
 class QuadratureRule:
     """Tensor-product rule in the Hopf chart.
 
-    Gauss-Legendre nodes on the polar interval (interior, so the chart
-    degeneracies are never sampled) and periodic trapezoid nodes on the two
-    angles, which is spectrally accurate for smooth periodic integrands.
+    Gauss-Legendre nodes on the polar interval and periodic trapezoid nodes
+    on the two angles, which is spectrally accurate for smooth periodic
+    integrands.  The chart's volume element sin(eta) cos(eta) vanishes at
+    the poles; the geometry at the nodes does not depend on the chart.
     """
 
     n_eta: int = 32
@@ -359,13 +360,20 @@ def _blocks(n):
     return ((lo, min(lo + _NODE_BLOCK, n)) for lo in range(0, n, _NODE_BLOCK))
 
 
+def _density(q, metric):
+    """Chart volume density sqrt(det g) at the chart points q: the induced
+    volume sqrt(det G) in the round-orthonormal X basis times the round
+    sin(eta) cos(eta)."""
+    return np.sqrt(np.linalg.det(metric)) * np.sin(q[..., 0]) * np.cos(q[..., 0])
+
+
 def _volume(imm, rule: QuadratureRule):
     """Chart volume on `rule` from order-1 jets, one node block at a time."""
     points, weights = rule.nodes_weights()
     dens = np.empty(len(points))
     for lo, hi in _blocks(len(points)):
-        d1 = imm.jet(points[lo:hi], 1).d1
-        dens[lo:hi] = np.sqrt(np.linalg.det(np.einsum("...ac,...bc->...ab", d1, d1)))
+        d1 = imm.jet(imm.chart.to_y(points[lo:hi]), 1).d1
+        dens[lo:hi] = _density(points[lo:hi], np.einsum("...ac,...bc->...ab", d1, d1))
     return float(np.sum(weights * dens))
 
 
@@ -373,7 +381,7 @@ def _density_and_sff(imm, q):
     """Volume density and h at the chart points q from one frame, which is
     freed before Theta is maximized."""
     pk = geometry.frame(imm, q)
-    return np.sqrt(pk.metric_det), geometry.second_fundamental_form(imm, q, frame_packet=pk)
+    return _density(q, pk.metric), geometry.second_fundamental_form(imm, q, frame_packet=pk)
 
 
 def integrate_inequality(

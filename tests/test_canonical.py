@@ -272,6 +272,18 @@ def test_enclosure_fails_loudly(monkeypatch):
         nk6.maximize_theta(nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0)))
 
 
+def test_enclosure_error_names_its_rows_in_the_batch(monkeypatch):
+    # zero forms fill the first chunk and are skipped; the second one fails
+    monkeypatch.setattr(canonical, "_MAX_NEWTON", 0)
+    h = np.zeros((2 * canonical._CHUNK, 3, 3, 3))
+    h[canonical._CHUNK:] = nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0))
+    with pytest.raises(canonical.EnclosureError) as err:
+        nk6.maximize_theta(h)
+    message = str(err.value)
+    assert message.startswith("Theta enclosure did not close on 1024 of 1024 node")
+    assert message.endswith(" [rows 1024-2047 of 2048]")
+
+
 def test_canonical_basis_reference_tuples(dvv):
     sff = nk6.second_fundamental_form(dvv, np.array([0.65, 0.4, 5.1]))
     cd = nk6.canonical_basis(sff.h)

@@ -53,7 +53,7 @@ def test_verify_totally_geodesic(capsys):
     assert json.loads(out)["summary"]["passed"] is True
 
 
-@pytest.mark.parametrize("model, checks", [("dvv", 34), ("totally-geodesic", 25)])
+@pytest.mark.parametrize("model, checks", [("dvv", 33), ("totally-geodesic", 24)])
 def test_verify_with_fewer_samples_than_the_model_suites_read(capsys, model, checks):
     # the model suites read the first 50 sample points and nabla h the first
     # 24; with 3 samples every check runs on those 3
@@ -129,12 +129,24 @@ def test_analyze_points_and_csv(capsys, tmp_path):
     assert len(csv_text) == 3
 
 
-def test_analyze_flags_degenerate_point(capsys):
+def test_analyze_flags_degenerate_point(capsys, tmp_path):
+    # the Hopf map S^3 -> S^2 lies on the six-sphere but is immersed nowhere
+    path = tmp_path / "hopf.txt"
+    path.write_text("1 2 0 0 0 1\n1 0 2 0 0 1\n1 0 0 2 0 -1\n1 0 0 0 2 -1\n"
+                    "2 1 0 1 0 2\n2 0 1 0 1 2\n3 0 1 1 0 2\n3 1 0 0 1 -2\n")
     code, out, _ = run_cli(
-        capsys, "analyze", "--model", "dvv", "--points", "0.0,1.0,2.0")
+        capsys, "analyze", "--model", f"poly:{path}", "--points", "0.6,1.0,2.0")
     assert code == 0
     row = json.loads(out)["rows"][0]
-    assert row["error"] != ""
+    assert row["error"].startswith("tangent frame is rank deficient")
+
+
+def test_analyze_frames_the_chart_poles(capsys):
+    code, out, _ = run_cli(
+        capsys, "analyze", "--model", "dvv", "--points", "0.0,1.0,2.0;1.5707963267948966,1,2")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        assert row["error"] == "" and abs(row["hsq"] - 25 / 8) < 1e-12
 
 
 def test_analyze_point_maximizes_theta_once(dvv, monkeypatch):
@@ -194,27 +206,30 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
     third = [q for order, q in seen if order == 3]
     assert len(third) == 2
     assert np.array_equal(third[0], pts[:4]) and np.array_equal(third[1], pts[:24])
-    # the only other order-2 calls: the first 4 points shifted along each
-    # chart axis (nabla_h_ambient), then |h|^2 on the Laplacian's three
-    # complex circles of 16 nodes around the first point, whose metric terms
-    # come from the frame packet
+    # the only other order-2 calls: the first 4 points moved both ways along
+    # each field's flow (nabla_h_ambient), then |h|^2 on the Laplacian's
+    # three complex circles of 16 nodes around the first point, whose metric
+    # terms come from the frame packet
     shifted, circles = [q for order, q in seen if order == 2 and q is not pts]
-    moved = shifted.reshape(4, 6, 3) != pts[:4, None, :]
-    assert np.all(np.count_nonzero(moved, axis=-1) == 1)
-    assert circles.shape == (3, 16, 3) and np.iscomplexobj(circles)
+    t = cli._AMBIENT_STEP
+    move = np.einsum("fab,nb->fna", models.FIELD_MATS, pts[:4])
+    want = np.cos(t) * pts[:4] + np.sin(t) * np.stack([move, -move], axis=1)
+    assert np.allclose(shifted.reshape(3, 2, 4, 4), want, rtol=0, atol=1e-15)
+    assert circles.shape == (3, 16, 4) and np.iscomplexobj(circles)
     assert np.allclose(np.mean(circles, axis=1), pts[0], rtol=0, atol=1e-12)
     assert len(calls) == 6
     assert frames == [200, 24]
 
 
 def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):
-    # Christoffel symbols scaled by 1 + 1e-7 stay symmetric in (a, b), and so
-    # does nabla h: codazzi cannot see the error, the ambient-field route can.
+    # a 1e-7 error in the part of Gamma^d_ab symmetric in (a, b) leaves the
+    # torsion Gamma^d_ab - Gamma^d_ba = 2 eps_bad, and nabla h stays
+    # symmetric: codazzi cannot see the error, the ambient-field route can.
     inner = geometry._christoffel
 
     def wrong(jt):
         ginv, gamma = inner(jt)
-        return ginv, (1.0 + 1e-7) * gamma
+        return ginv, gamma + 0.5e-7 * (gamma + np.swapaxes(gamma, -2, -3))
 
     monkeypatch.setattr(geometry, "_christoffel", wrong)
     code, out, _ = run_cli(capsys, "verify", "--model", "dvv")
@@ -368,6 +383,26 @@ def test_integrate_csv_format_stdout(capsys):
     assert len(lines) == 8 * 8 * 8 + 1
 
 
+def test_jet_fd_agreement_pins_the_index_order(capsys, monkeypatch):
+    # a derivative table with its index order reversed has the right
+    # symmetrized jets but breaks the field commutators
+    inner = models._derivative_table
+
+    def reversed_table(terms):
+        expo, coef, rows = inner(terms)
+        flipped = tuple(
+            np.ascontiguousarray(np.moveaxis(c.reshape((len(c),) + (3,) * k + (7,)),
+                                             range(1, k + 1), range(k, 0, -1)).reshape(c.shape))
+            for k, c in enumerate(coef))
+        return expo, flipped, rows
+
+    monkeypatch.setattr(models, "_derivative_table", reversed_table)
+    code, out, _ = run_cli(capsys, "verify", "--model", "dvv")
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert code == 1
+    assert not checks["jet_fd_agreement"]["passed"]
+
+
 def test_open_theta_enclosure_is_a_failure(capsys, monkeypatch):
     # Newton that stops short leaves no ball to close the enclosure with
     monkeypatch.setattr(canonical, "_MAX_NEWTON", 0)
@@ -378,20 +413,22 @@ def test_open_theta_enclosure_is_a_failure(capsys, monkeypatch):
 
 
 def test_failures_in_a_block_name_its_nodes(capsys, monkeypatch):
-    # 4096 nodes in four blocks; a pole node in the second one stops its frame
+    # 4096 nodes in four blocks; rank-deficient frame rows at node 1500, in
+    # the second one, stop its frame
     monkeypatch.setattr(simons, "_NODE_BLOCK", canonical._CHUNK)
-    nodes_weights = simons.QuadratureRule.nodes_weights
+    bad = simons.QuadratureRule(16, 16, 16).nodes_weights()[0][1500]
+    tangent_fields = models.PolynomialSphereImmersion.tangent_fields
 
-    def with_pole(rule):
-        points, weights = nodes_weights(rule)
-        points[1500, 0] = 0.0
-        return points, weights
+    def degenerate_at_bad(self, q):
+        rows = tangent_fields(self, q).copy()
+        rows[np.all(q == bad, axis=-1), 2] = rows[np.all(q == bad, axis=-1), 1]
+        return rows
 
     with monkeypatch.context() as m:
-        m.setattr(simons.QuadratureRule, "nodes_weights", with_pole)
+        m.setattr(models.PolynomialSphereImmersion, "tangent_fields", degenerate_at_bad)
         code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "16,16,16")
     assert code == 1 and out == ""
-    assert err.startswith("failure: chart Jacobian is rank deficient")
+    assert err.startswith("failure: tangent frame is rank deficient")
     assert err.rstrip().endswith("[quadrature nodes 1024-2047 of 4096]")
     monkeypatch.setattr(canonical, "_MAX_NEWTON", 0)
     code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "16,16,16")

@@ -13,36 +13,34 @@ S5 = np.sqrt(5.0)
 HSQ_DVV = 25 / 8
 
 
+def random_y(imm, n, seed=0, margin=0.05):
+    return imm.chart.to_y(random_chart_points(imm, n, seed=seed, margin=margin))
+
+
 def test_jet_image_is_unit(dvv):
-    pts = random_chart_points(dvv, 200, seed=1)
-    jt = nk6.jet(dvv, pts, 0)
+    jt = dvv.jet(random_y(dvv, 200, seed=1), 0)
     assert jt.unit_image_residual() < 1e-12
 
 
 def test_jet_order_bounds(dvv):
     with pytest.raises(ValueError):
-        nk6.jet(dvv, np.array([0.5, 0.0, 0.0]), 4)
+        dvv.jet(np.array([1.0, 0.0, 0.0, 0.0]), 4)
     with pytest.raises(ValueError):
-        dvv.jet(np.array([0.5, 0.0, 0.0]), 4)
+        nk6.fd_jet(dvv, np.array([1.0, 0.0, 0.0, 0.0]), 4)
     with pytest.raises(ValueError):
         nk6.frame(dvv, np.array([2.0, 0.0, 0.0]))  # eta outside [0, pi/2]
 
 
-def test_jet_degenerate_axis_at_pole(dvv):
-    # at eta = 0 the xi2 angle is idle, so all xi2-partials vanish
-    jt = nk6.jet(dvv, np.array([0.0, 0.7, 1.3]), 2)
-    assert np.max(np.abs(jt.d1[2])) < 1e-14
-    assert np.max(np.abs(jt.d2[2, 2])) < 1e-14
-
-
 def test_analytic_jets_match_fd_oracle(dvv):
-    pts = random_chart_points(dvv, 100, seed=2, margin=0.15)
-    exact = nk6.jet(dvv, pts, 3)
-    approx = nk6.fd_jet(dvv, pts, 3)
+    # the oracle differentiates along the flows of the fields v.X, which
+    # pins the ordered derivatives' means over index orders
+    y = random_y(dvv, 100, seed=2, margin=0.15)
+    exact = dvv.jet(y, 3)
+    approx = nk6.fd_jet(dvv, y, 3)
     assert np.max(np.abs(exact.value - approx.value)) == 0.0
     assert np.max(np.abs(exact.d1 - approx.d1)) < 1e-6
-    assert np.max(np.abs(exact.d2 - approx.d2)) < 1e-6
-    assert np.max(np.abs(exact.d3 - approx.d3)) < 1e-6
+    assert np.max(np.abs(geometry._symmetrized(exact.d2, 2) - approx.d2)) < 1e-6
+    assert np.max(np.abs(geometry._symmetrized(exact.d3, 3) - approx.d3)) < 1e-6
 
 
 def random_polynomial(table, seed=6):
@@ -60,26 +58,43 @@ def test_degree6_jets_match_fd_oracle(table):
     # the oracle has no truncation term, so verify's absolute tolerance holds
     # on a degree-6 map as it does on the quadratic DVV map
     poly = random_polynomial(table)
-    pts = random_chart_points(poly, 50, seed=7, margin=0.15)
-    exact = nk6.jet(poly, pts, 3)
-    approx = nk6.fd_jet(poly, pts, 3)
+    y = random_y(poly, 50, seed=7, margin=0.15)
+    exact = poly.jet(y, 3)
+    approx = nk6.fd_jet(poly, y, 3)
     tol = cli.DEFAULT_TOLERANCES["jet_fd_agreement"]
-    for name in ("value", "d1", "d2", "d3"):
-        assert np.max(np.abs(getattr(exact, name) - getattr(approx, name))) < tol, name
+    for k, name in enumerate(("value", "d1", "d2", "d3")):
+        block = getattr(exact, name)
+        if k > 1:
+            block = geometry._symmetrized(block, k)
+        assert np.max(np.abs(block - getattr(approx, name))) < tol, name
+
+
+def test_ordered_jets_satisfy_the_field_commutators(dvv, table):
+    # [X_b, X_a] = 2 eps_bac X_c fixes every ordered entry from the
+    # symmetrized ones; a jet with its index order reversed breaks it
+    for imm in (dvv, random_polynomial(table)):
+        y = np.concatenate([random_y(imm, 40, seed=9, margin=0.0),
+                            imm.chart.to_y(np.array([[0.0, 0.7, 1.3], [np.pi / 2, 2.0, 0.4]]))])
+        jt = imm.jet(y, 3)
+        scale = max(1.0, float(np.max(np.abs(jt.d3))))
+        assert jt.commutator_residual() < 1e-14 * scale
+        assert imm.jet(y, 2).commutator_residual() < 1e-14 * scale
+        reversed_ = geometry.ImmersionJet(3, jt.value, jt.d1, np.swapaxes(jt.d2, -2, -3),
+                                          np.swapaxes(jt.d3, -2, -4))
+        assert reversed_.commutator_residual() > 0.1
 
 
 def test_fd_jet_makes_one_value_only_call(counted_dvv):
     # the oracle reads only values: one order-0 call on the centres and
     # their ten circles of 24 nodes, never the derivative blocks
-    pts = random_chart_points(counted_dvv, 3, seed=4)
-    jt = nk6.fd_jet(counted_dvv, pts, 3)
+    jt = nk6.fd_jet(counted_dvv, random_y(counted_dvv, 3, seed=4), 3)
     assert counted_dvv.jet_calls == [(0, 3 * (1 + 10 * 24))]
     assert jt.d3.shape == (3, 3, 3, 3, 7)
 
 
 def test_complex_order0_jet_is_bitwise_real_at_real_points(dvv, table):
     for imm in (dvv, random_polynomial(table)):
-        q = random_chart_points(imm, 64, seed=12)
+        q = random_y(imm, 64, seed=12)
         real, cplx = imm.jet(q, 0).value, imm.jet(q.astype(complex), 0).value
         assert real.dtype == np.float64 and cplx.dtype == np.complex128
         assert np.array_equal(cplx.real, real) and not np.any(cplx.imag)
@@ -87,23 +102,13 @@ def test_complex_order0_jet_is_bitwise_real_at_real_points(dvv, table):
 
 def test_jet_node_blocks(table):
     poly = random_polynomial(table)
-    pts = random_chart_points(poly, 4100, seed=8)
+    pts = random_y(poly, 4100, seed=8)
     whole, tail = poly.jet(pts, 3), poly.jet(pts[-4:], 3)
-    shaped, flat = poly.jet(pts[:10].reshape(2, 5, 3), 3), poly.jet(pts[:10], 3)
+    shaped, flat = poly.jet(pts[:10].reshape(2, 5, 4), 3), poly.jet(pts[:10], 3)
     for name in ("value", "d1", "d2", "d3"):
         assert np.array_equal(getattr(whole, name)[-4:], getattr(tail, name))
         assert np.array_equal(getattr(shaped, name).reshape(getattr(flat, name).shape),
                               getattr(flat, name))
-
-
-def test_jet_partial_accessor(dvv):
-    q = np.array([0.4, 1.1, 0.3])
-    jt = nk6.jet(dvv, q, 3)
-    assert np.allclose(jt.partial((0, 0, 0)), jt.value)
-    assert np.allclose(jt.partial((1, 1, 0)), jt.d2[0, 1])
-    assert np.allclose(jt.partial((1, 1, 1)), jt.d3[0, 1, 2])
-    with pytest.raises(ValueError):
-        nk6.jet(dvv, q, 1).partial((1, 1, 0))
 
 
 def test_frame_is_orthonormal_and_lagrangian(dvv):
@@ -115,7 +120,7 @@ def test_frame_is_orthonormal_and_lagrangian(dvv):
 
 def _with_fields(imm, rows=None):
     """The polynomial of `imm` without field scales: its frame starts from
-    the chart partials, or from the constant chart components `rows`."""
+    the fields X_f, or from the constant X-basis components `rows`."""
     out = nk6.PolynomialSphereImmersion(imm.name, imm.terms, imm.table)
     if rows is not None:
         out.tangent_fields = lambda q: np.broadcast_to(rows, np.shape(q)[:-1] + (3, 3))
@@ -129,18 +134,25 @@ def test_frame_from_chart_partials(geodesic):
     assert pk.lagrangian_residual() < 1e-10
 
 
-def test_frame_pole_degeneracy_error(geodesic):
-    with pytest.raises(nk6.ChartDegeneracyError) as err:
-        nk6.frame(_with_fields(geodesic), np.array([0.0, 0.3, 0.9]))
-    assert err.value.distance is not None
-    assert err.value.distance < 1e-12
+# the Hopf map S^3 -> S^2 in the first three components: on the six-sphere,
+# but of rank 2 everywhere, so not immersed
+HOPF_MAP = ((0, (2, 0, 0, 0), 1.0), (0, (0, 2, 0, 0), 1.0), (0, (0, 0, 2, 0), -1.0),
+            (0, (0, 0, 0, 2), -1.0), (1, (1, 0, 1, 0), 2.0), (1, (0, 1, 0, 1), 2.0),
+            (2, (0, 1, 1, 0), 2.0), (2, (1, 0, 0, 1), -2.0))
+
+
+def test_frame_rank_deficiency_error(table):
+    hopf = nk6.PolynomialSphereImmersion("hopf", HOPF_MAP, table)
+    with pytest.raises(nk6.ChartDegeneracyError, match="rank deficient"):
+        nk6.frame(hopf, np.array([0.6, 0.3, 0.9]))
 
 
 def _frame_test_points(imm, seed):
-    """Random chart points and the two Gauss nodes of a 32-point rule nearest
-    the chart poles eta = 0 and pi/2."""
+    """Random chart points, the two Gauss nodes of a 32-point rule nearest
+    the chart poles eta = 0 and pi/2, and points on the poles."""
     eta = nk6.QuadratureRule(32, 2, 2).nodes_weights()[0][:, 0]
-    poles = np.array([[eta.min(), 0.4, 2.2], [eta.max(), 5.1, 1.3]])
+    poles = np.array([[eta.min(), 0.4, 2.2], [eta.max(), 5.1, 1.3],
+                      [0.0, 0.4, 2.2], [np.pi / 2, 5.1, 1.3]])
     return np.concatenate([random_chart_points(imm, 50, seed=seed), poles])
 
 
@@ -149,14 +161,24 @@ def _frame_cases(dvv, geodesic):
     return [dvv, _with_fields(geodesic), _with_fields(dvv, R)]
 
 
-def test_chart_comps_carry_the_frame_and_the_metric(dvv, geodesic):
-    # model fields, chart partials and rotated partials share one path:
-    # e = C @ d1 and C g C^T = I, near the poles too
+def test_field_comps_carry_the_frame_and_the_metric(dvv, geodesic):
+    # model fields, the fields X_f and rotated fields share one path:
+    # e = C @ d1 and C G C^T = I, on the poles too
     for imm in _frame_cases(dvv, geodesic):
         pk = nk6.frame(imm, _frame_test_points(imm, 42))
-        C = pk.chart_comps
+        C = pk.field_comps
         assert np.max(np.abs(C @ pk.jet.d1 - pk.e)) < 1e-14
         assert np.max(np.abs(C @ pk.metric @ np.swapaxes(C, -1, -2) - np.eye(3))) < 1e-13
+
+
+def _jacobian_y(imm, y):
+    """dPsi/dy (..., 7, 4), term by term."""
+    jac = np.zeros(y.shape[:-1] + (7, 4))
+    for c, e, w in imm.terms:
+        for a in np.nonzero(e)[0]:
+            lower = np.array(e) - np.eye(4, dtype=int)[a]
+            jac[..., c, a] += w * e[a] * np.prod(y**lower, axis=-1)
+    return jac
 
 
 def test_tangent_fields_push_forward_to_the_model_fields(dvv):
@@ -165,20 +187,24 @@ def test_tangent_fields_push_forward_to_the_model_fields(dvv):
     pts = _frame_test_points(dvv, 43)
     y = dvv.chart.to_y(pts)
     fields = np.einsum("fab,...b->...fa", models.FIELD_MATS, y) * np.array(dvv.field_scales)[:, None]
-    push = np.einsum("...ca,...fa->...fc", dvv.jacobian_y(y), fields)
+    push = np.einsum("...ca,...fa->...fc", _jacobian_y(dvv, y), fields)
     B = dvv.tangent_fields(pts)
-    assert np.max(np.abs(B @ nk6.jet(dvv, pts, 1).d1 - push)) < 1e-13
+    assert np.max(np.abs(B @ dvv.jet(y, 1).d1 - push)) < 1e-13
 
 
-def test_model_field_frame_at_the_poles_raises_before_dividing(dvv):
-    # the tangent fields' chart components divide by |d_a y|^2, which
-    # vanishes at the poles; the metric check must stop the frame first
-    for eta in (0.0, np.pi / 2):
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            with pytest.raises(nk6.ChartDegeneracyError) as err:
-                nk6.frame(dvv, np.array([eta, 0.3, 0.9]))
-        assert err.value.distance is not None and err.value.distance < 1e-12
+def test_model_field_frame_at_the_poles(dvv, geodesic):
+    # the fields X_f vanish nowhere, so the chart's poles are ordinary
+    # points: no division by zero, and the reference values hold
+    tol = cli.DEFAULT_TOLERANCES
+    expected = {dvv: nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0)), geodesic: 0.0}
+    for imm, h in expected.items():
+        for eta in (0.0, np.pi / 2):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                pk = nk6.frame(imm, np.array([eta, 0.3, 0.9]))
+                sff = nk6.second_fundamental_form(imm, None, frame_packet=pk)
+            assert np.max(np.abs(sff.h - h)) < tol["h_values"]
+            assert abs(float(sff.norm_sq()) - np.sum(np.square(h))) < tol["hsq_value"]
 
 
 def test_frame_evaluates_the_polynomial_once_per_node_block(table, monkeypatch):
@@ -284,7 +310,7 @@ def test_nabla_h_matches_ambient_field_oracle(dvv):
     pk = nk6.frame(dvv, q)
     sff = nk6.second_fundamental_form(dvv, q, frame_packet=pk)
     nh = nk6.nabla_h(dvv, q)
-    step = 3e-6 * np.asarray(dvv.chart.extents)
+    step = 2e-5
 
     def packet_at(qq):
         p = nk6.frame(dvv, qq, validate=False)
@@ -292,18 +318,17 @@ def test_nabla_h_matches_ambient_field_oracle(dvv):
 
     oracle = np.zeros((3, 3, 3, 3))
     for m in range(3):
-        cm = pk.chart_comps[m]
+        cm = pk.field_comps[m]
         dH = np.zeros((3, 3, 7))
         de = np.zeros((3, 7))
         for a in range(3):
-            qp, qm = q.copy(), q.copy()
-            qp[a] += step[a]
-            qm[a] -= step[a]
-            pp, sp = packet_at(qp)
-            pmk, sm = packet_at(qm)
+            # the flow of X_a through y, at times +-step
+            move = np.sin(step) * models.FIELD_MATS[a] @ pk.y
+            pp, sp = packet_at(dvv.chart.from_y(np.cos(step) * pk.y + move))
+            pmk, sm = packet_at(dvv.chart.from_y(np.cos(step) * pk.y - move))
             dH += cm[a] * (np.einsum("lij,lc->ijc", sp.h, pp.estar)
-                           - np.einsum("lij,lc->ijc", sm.h, pmk.estar)) / (2 * step[a])
-            de += cm[a] * (pp.e - pmk.e) / (2 * step[a])
+                           - np.einsum("lij,lc->ijc", sm.h, pmk.estar)) / (2 * step)
+            de += cm[a] * (pp.e - pmk.e) / (2 * step)
         proj = np.einsum("ijc,kc->kij", dH, pk.estar)
         gamma = np.einsum("ic,jc->ij", de, pk.e)
         corr = (np.einsum("il,klj->kij", gamma, sff.h)
@@ -388,8 +413,8 @@ def test_laplace_beltrami_constant_field(dvv):
 def test_laplace_beltrami_hsq_field(dvv):
     # the holomorphic |h|^2 is constant 25/8 on the Berger sphere
     q = np.array([0.75, 2.0, 0.9])
-    field = lambda qq: simons._hsq(dvv, qq)  # noqa: E731
-    assert abs(float(field(q)) - 25 / 8) < 1e-13
+    field = lambda yy: simons._hsq(dvv, yy)  # noqa: E731
+    assert abs(float(field(dvv.chart.to_y(q))) - 25 / 8) < 1e-13
     assert abs(float(nk6.laplace_beltrami(dvv, field, q))) < 1e-10
 
 
@@ -397,7 +422,7 @@ def test_laplace_beltrami_round_sphere_eigenfunction(geodesic):
     # coordinate functions of the round three-sphere have eigenvalue -3
     pts = random_chart_points(geodesic, 10, seed=14, margin=0.2)
     for a in range(4):
-        field = lambda qq: geodesic.chart.to_y(qq)[..., a]  # noqa: E731
+        field = lambda yy: yy[..., a]  # noqa: E731
         lap = nk6.laplace_beltrami(geodesic, field, pts)
         target = -3.0 * geodesic.chart.to_y(pts)[..., a]
         assert np.max(np.abs(lap - target)) < 1e-12
@@ -416,21 +441,23 @@ def test_laplace_beltrami_evaluates_one_stacked_circle_call(counted_dvv):
     q = random_chart_points(counted_dvv, 4, seed=5, margin=0.2)
     shapes = []
 
-    def field(qq):
-        shapes.append(np.shape(qq))
-        return np.sum(qq**2, axis=-1)
+    def field(yy):
+        shapes.append(np.shape(yy))
+        return yy[..., 0]
 
     lap = nk6.laplace_beltrami(counted_dvv, field, q)
     # three circles of 16 complex nodes around each point, in one call
-    assert shapes == [(3, 16, 4, 3)]
+    assert shapes == [(3, 16, 4, 4)]
     assert counted_dvv.jet_calls == [(2, 4)]
     pk = nk6.frame(counted_dvv, q, validate=False)
     counted_dvv.jet_calls.clear()
     assert np.array_equal(nk6.laplace_beltrami(counted_dvv, field, q, frame_packet=pk), lap)
     assert counted_dvv.jet_calls == []
-    # Lap |q|^2 = 2 g^{aa} - 2 g^{ab} Gamma^c_ab q_c
+    # Lap y_0 = g^{ab} (X_b X_a - Gamma^d_ab X_d) y_0, with X_f y = M_f y
     ginv, gamma = geometry._christoffel(pk.jet)
-    want = 2 * np.einsum("...aa->...", ginv) - 2 * np.einsum("...ab,...abc,...c->...", ginv, gamma, q)
+    xy = np.einsum("fab,...b->...fa", models.FIELD_MATS, pk.y)[..., 0]
+    xxy = np.einsum("fab,gbc,...c->...gfa", models.FIELD_MATS, models.FIELD_MATS, pk.y)[..., 0]
+    want = np.einsum("...ab,...ab->...", ginv, xxy - np.einsum("...abd,...d->...ab", gamma, xy))
     assert np.max(np.abs(lap - want)) < 1e-11 * np.max(np.abs(want))
 
 
@@ -456,17 +483,23 @@ def test_closed_form_inverse_matches_numpy():
         np.linalg.inv(singular)
 
 
-def test_laplace_beltrami_near_pole_raises(geodesic):
-    # the frame refuses the pole before any circle is sampled
-    with pytest.raises(nk6.ChartDegeneracyError, match="rank deficient"):
-        nk6.laplace_beltrami(
-            geodesic, lambda qq: np.zeros(np.shape(qq)[:-1]), np.array([1e-9, 0.1, 0.1])
-        )
+def test_laplacian_of_the_immersion_is_minus_three_times_it(dvv, geodesic):
+    # Takahashi (J. Math. Soc. Japan 18, 1966): a minimal immersion into the
+    # unit six-sphere has Lap Psi = -3 Psi, at the chart's poles too
+    poles = np.array([[0.0, 0.7, 1.3], [np.pi / 2, 2.0, 0.4]])
+    for imm in (dvv, geodesic):
+        q = np.concatenate([random_chart_points(imm, 50, seed=15, margin=0.0), poles])
+        pk = nk6.frame(imm, q)
+        for a in range(7):
+            lap = nk6.laplace_beltrami(imm, lambda yy: imm.jet(yy, 0).value[..., a], q,
+                                       frame_packet=pk)
+            assert np.max(np.abs(lap + 3 * pk.base[..., a])) < 1e-12
 
 
 @pytest.mark.parametrize("field", [
-    lambda qq: np.real(qq[..., 0]) ** 2,     # drops the imaginary part
-    lambda qq: 1.0 / (qq[..., 0] - 0.76),    # a pole inside the circles
+    lambda yy: np.real(yy[..., 0]) ** 2,     # drops the imaginary part
+    # a pole inside the circles: y_0 = cos(0.75) cos(2.0) at the point
+    lambda yy: 1.0 / (yy[..., 0] - np.cos(0.75) * np.cos(2.0) - 0.01),
 ], ids=["not-holomorphic", "pole"])
 def test_laplace_beltrami_refuses_a_field_it_cannot_differentiate(dvv, field):
     with pytest.raises(nk6.ChartDegeneracyError, match="not holomorphic"):
@@ -477,6 +510,6 @@ def test_sff_matches_the_einsum_form(dvv):
     q = random_chart_points(dvv, 64, seed=11)
     pk = nk6.frame(dvv, q)
     proj = np.einsum("...abc,...kc->...abk", pk.jet.d2, pk.estar)
-    want = np.einsum("...ia,...jb,...abk->...kij", pk.chart_comps, pk.chart_comps, proj)
+    want = np.einsum("...ia,...jb,...abk->...kij", pk.field_comps, pk.field_comps, proj)
     got = nk6.second_fundamental_form(dvv, q, frame_packet=pk).h
     assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))

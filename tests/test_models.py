@@ -1,6 +1,7 @@
 """Built-in models: embedding data, the default table, Berger curvature."""
 
 import gc
+import itertools
 import json
 
 import numpy as np
@@ -47,9 +48,7 @@ def test_frame_field_brackets_by_flow_composition(rng):
 def test_pullback_metric_is_berger(dvv, rng):
     y = rng.normal(size=(200, 4))
     y /= np.linalg.norm(y, axis=-1, keepdims=True)
-    jac = dvv.jacobian_y(y)
-    fields = np.einsum("fab,...b->...fa", models.FIELD_MATS, y)
-    push = np.einsum("...ca,...fa->...fc", jac, fields)
+    push = dvv.jet(y, 1).d1  # X_f Psi
     gram = np.einsum("...ic,...jc->...ij", push, push)
     assert np.max(np.abs(gram - np.diag([4 / 9, 8 / 3, 8 / 3]))) < 1e-10
 
@@ -88,7 +87,7 @@ def test_verify_rejects_flipped_orientation(table, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     failed = [c["name"] for s in doc["suites"] for c in s["checks"] if not c["passed"]]
     assert code == 1 and failed == ["h_values"]
-    assert doc["summary"] == {"checks": 34, "failures": 1, "passed": False}
+    assert doc["summary"] == {"checks": 33, "failures": 1, "passed": False}
 
 
 def test_env_table_override(tmp_path, monkeypatch, table):
@@ -223,7 +222,8 @@ def test_polynomial_immersion_file_roundtrip(tmp_path, dvv, table):
     path.write_text("# embedding coefficients\n" + "\n".join(rows) + "\n")
     imm = nk6.load_polynomial_immersion(path, table)
     pts = random_chart_points(imm, 10, seed=24)
-    assert np.max(np.abs(imm.jet(pts, 2).value - dvv.jet(pts, 2).value)) < 1e-15
+    y = imm.chart.to_y(pts)
+    assert np.max(np.abs(imm.jet(y, 2).value - dvv.jet(y, 2).value)) < 1e-15
     # no frame fields in the file: Gram-Schmidt frame, gauge-invariant norms agree
     sff = nk6.second_fundamental_form(imm, pts)
     assert np.max(np.abs(sff.norm_sq() - 25 / 8)) < 1e-8
@@ -247,7 +247,7 @@ def test_resolve_model_names(table):
 def test_jet_leaves_no_reference_cycles(dvv):
     # a cycle would keep every intermediate monomial jet of the batch alive
     # until the cyclic collector ran, raising peak memory on large batches
-    q = random_chart_points(dvv, 50, seed=4)
+    q = dvv.chart.to_y(random_chart_points(dvv, 50, seed=4))
     gc.collect()
     gc.disable()
     try:
@@ -262,8 +262,16 @@ def test_dvv_immersions_share_a_read_only_derivative_table(table):
     # object, since tests patch methods such as `jet` on the instance
     a, b = nk6.dvv_immersion(table), nk6.dvv_immersion(table)
     assert a is not b
-    for name in ("_y_table", "_chart_table"):
-        (ea, ca, ra), (eb, cb, rb) = getattr(a, name), getattr(b, name)
-        assert ea is eb and not ea.flags.writeable and ra == rb
-        for x, y in zip(ca, cb):
-            assert x is y and not x.flags.writeable
+    (ea, ca, ra), (eb, cb, rb) = a._table, b._table
+    assert ea is eb and not ea.flags.writeable and ra == rb == (12, 14, 14, 14)
+    for x, y in zip(ca, cb):
+        assert x is y and not x.flags.writeable
+
+
+def test_homogeneous_tables_have_equal_rows_at_every_order(geodesic):
+    # each X_f keeps the degree of a monomial, so a homogeneous map that holds
+    # every monomial of its degree needs no new rows at higher orders
+    assert geodesic._table[2] == (4, 4, 4, 4)
+    cubics = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 3]
+    terms = tuple((c, e, 1.0 + c + i) for i, e in enumerate(cubics) for c in (0, 5))
+    assert models._derivative_table(terms)[2] == (20, 20, 20, 20)
