@@ -196,6 +196,42 @@ def fd_jet(imm, q, order: int) -> ImmersionJet:
 # adapted frames
 # ---------------------------------------------------------------------------
 
+def _node_last(a, k):
+    """The view (t_1, ..., t_k, n) of an array a (..., t_1, ..., t_k) with
+    its batch flattened to the last axis n.  Packets built here hold views
+    of node-last buffers, so this gives back the contiguous buffer."""
+    a = np.asarray(a)
+    return a.reshape((-1,) + a.shape[a.ndim - k:]).transpose((*range(1, k + 1), 0))
+
+
+def _node_first(a, batch):
+    """The view batch + (t_1, ..., t_k) of a node-last array (t_1, ..., t_k, n)."""
+    return a.transpose((a.ndim - 1, *range(a.ndim - 1))).reshape(batch + a.shape[:-1])
+
+
+def _pairings(a, b):
+    """<a_i, b_j> (m, p, n) of node-last vector lists a (m, d, n) and
+    b (p, d, n).  The node axis is innermost, so each product and sum runs
+    over whole rows of nodes."""
+    return np.einsum("icn,jcn->ijn", a, b)
+
+
+def _det3(m):
+    """Determinant of 3 x 3 matrices (3, 3, ...), real or complex: column 0
+    against the cross product of columns 1 and 2, which is row 0 of the
+    adjugate."""
+    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[2, 1] * m[1, 2])
+            + m[1, 0] * (m[2, 1] * m[0, 2] - m[0, 1] * m[2, 2])
+            + m[2, 0] * (m[0, 1] * m[1, 2] - m[1, 1] * m[0, 2]))
+
+
+def _metric(d1):
+    """The node-last copy (3, 7, n) of jet derivatives d1 (..., 3, 7) and
+    the induced metric G_ab = <X_a Psi, X_b Psi> (3, 3, n) from it."""
+    d1 = np.ascontiguousarray(_node_last(d1, 2))
+    return d1, _pairings(d1, d1)
+
+
 @dataclass(frozen=True)
 class FramePacket:
     """Point, adapted orthonormal frames and induced metric data.
@@ -205,7 +241,9 @@ class FramePacket:
     e_i in the invariant fields: e = field_comps @ jet.d1, and
     field_comps @ metric @ field_comps^T = I with metric the Gram matrix
     G_ab = <X_a Psi, X_b Psi>.  `jet` is the order-2 jet at y the frame was
-    built from, so the second fundamental form reuses it.
+    built from, so the second fundamental form reuses it.  `frame` stores
+    base, e, estar, metric and field_comps as views of node-last buffers
+    (`_node_last`).
     """
 
     y: np.ndarray                     # (..., 4) the point of S^3
@@ -218,11 +256,11 @@ class FramePacket:
     table: MulTable = field(repr=False, default=None)
 
     def orthonormality_residual(self):
-        gram = self.e @ np.swapaxes(self.e, -1, -2)
-        return float(np.max(np.abs(gram - np.eye(3))))
+        e = _node_last(self.e, 2)
+        return float(np.max(np.abs(_pairings(e, e) - np.eye(3)[..., None])))
 
     def lagrangian_residual(self):
-        return float(np.max(np.abs(self.estar @ np.swapaxes(self.e, -1, -2))))
+        return float(np.max(np.abs(_pairings(_node_last(self.estar, 2), _node_last(self.e, 2)))))
 
     def validate(self, tol=1e-10, model="frame"):
         """Worst invariant residual; raises ValueError beyond tol, naming
@@ -231,7 +269,8 @@ class FramePacket:
         if lagrangian > tol:
             raise ValueError(f"{model} is not Lagrangian for table {self.table.source} "
                              f"(residual {lagrangian:.3e})")
-        base_tangency = float(np.max(np.abs(self.e @ self.base[..., None])))
+        base = _node_last(self.base, 1)[None]
+        base_tangency = float(np.max(np.abs(_pairings(_node_last(self.e, 2), base))))
         worst = max(self.orthonormality_residual(), lagrangian, base_tangency)
         if worst > tol:
             raise ValueError(
@@ -241,24 +280,25 @@ class FramePacket:
 
 
 def _gram_schmidt(rows, metric):
-    """T (..., 3, 3) with T G T^T = I: modified Gram-Schmidt of the rows of
-    `rows` in the inner product <u, v> = u G v^T of the induced metric G, so
-    the vectors T @ d1 are orthonormal in R^7 and span what rows @ d1 spans."""
+    """T (3, 3, n) with T G T^T = I, node-last: modified Gram-Schmidt of
+    the rows of `rows` (3, 3, n) in the inner product <u, v> = u G v^T of
+    the induced metric G (3, 3, n), so the vectors T @ d1 are orthonormal in
+    R^7 and span what rows @ d1 spans."""
     out = []
     for i in range(3):
-        v = rows[..., i, :]
+        v = rows[i]
         for t, gt in out:
-            v = v - np.sum(v * gt, axis=-1, keepdims=True) * t
-        gv = (metric @ v[..., None])[..., 0]
+            v = v - (v * gt).sum(axis=0) * t
+        gv = np.einsum("abn,bn->an", metric, v)
         # |v @ d1|^2 in R^7; compared squared, so roundoff below 0 cannot
         # reach the square root
-        nsq = np.sum(v * gv, axis=-1, keepdims=True)
+        nsq = (v * gv).sum(axis=0)
         if np.any(nsq < 1e-16):
             raise ChartDegeneracyError(
                 "tangent frame is rank deficient; cannot orthonormalize")
         n = np.sqrt(nsq)
         out.append((v / n, gv / n))
-    return np.stack([t for t, _ in out], axis=-2)
+    return np.stack([t for t, _ in out])
 
 
 def frame(imm, q, validate=True) -> FramePacket:
@@ -270,23 +310,32 @@ def frame(imm, q, validate=True) -> FramePacket:
     none.  Gram-Schmidt on them in G = d1 d1^T gives the X-basis components
     T of the frame, and e = T @ d1.  Points outside the chart's domain raise
     ValueError; a map that is not immersed raises ChartDegeneracyError.
+
+    The work runs node-last: d1 and the value are transposed once to
+    (3, 7, n) and (7, n), and every 3 x 3 and 3 x 7 product is a sum of
+    whole rows of nodes.
     """
     q = np.asarray(q, dtype=float)
     imm.chart.check_domain(q)
     y = imm.chart.to_y(q)
+    batch = y.shape[:-1]
     jt = imm.jet(y, 2)
-    x, d1 = jt.value, jt.d1
-    metric = np.einsum("...ac,...bc->...ab", d1, d1)
+    d1, metric = _metric(jt.d1)
     rows = imm.tangent_fields(q)
     if rows is None:
-        rows = np.broadcast_to(np.eye(3), metric.shape)
+        rows = np.broadcast_to(np.eye(3)[..., None], metric.shape)
+    else:
+        rows = _node_last(rows, 2)
     field_comps = _gram_schmidt(rows, metric)
-    e = field_comps @ d1
-    estar = cross(x[..., None, :], e, imm.table)
+    e = _node_first(np.einsum("ian,acn->icn", field_comps, d1), batch)
+    del d1  # the transposed copy goes before the cross product's temporaries
+    estar = np.ascontiguousarray(_node_last(cross(jt.value[..., None, :], e, imm.table), 2))
+    x = np.ascontiguousarray(_node_last(jt.value, 1))
 
     packet = FramePacket(
-        y=y, base=x, e=e, estar=estar, metric=metric,
-        field_comps=field_comps, jet=jt, table=imm.table,
+        y=y, base=_node_first(x, batch), e=e, estar=_node_first(estar, batch),
+        metric=_node_first(metric, batch), field_comps=_node_first(field_comps, batch),
+        jet=jt, table=imm.table,
     )
     if validate:
         packet.validate(model=f"model {imm.name}")
@@ -334,14 +383,16 @@ def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None) -> 
     """
     pk = frame_packet if frame_packet is not None else frame(imm, q)
     batch = pk.jet.d2.shape[:-3]
-    # proj[..., k, a, b] = <d_a d_b Psi, J e_k>, then h_k = C proj_k C^T
-    d2 = pk.jet.d2.reshape(batch + (9, 7))
-    proj = (pk.estar @ np.swapaxes(d2, -1, -2)).reshape(batch + (3, 3, 3))
-    C = pk.field_comps[..., None, :, :]
-    # a contiguous C^T keeps numpy's stacked matmul on its fast path, and h
-    # takes proj's buffer: on 32^3 nodes each of these arrays is 7 MB
-    CT = np.ascontiguousarray(np.swapaxes(C, -1, -2))
-    return SFF(h=np.matmul(C @ proj, CT, out=proj))
+    estar, C = _node_last(pk.estar, 2), _node_last(pk.field_comps, 2)
+    # proj[a, k, b] = <d_a d_b Psi, J e_k>, node-last; d2 is transposed one
+    # index a at a time, which keeps the copy to a third of the block's d2
+    d2 = _node_last(pk.jet.d2, 3)
+    proj = np.empty((3, 3, 3, estar.shape[-1]))
+    for a in range(3):
+        proj[a] = _pairings(estar, np.ascontiguousarray(d2[a]))
+    # h_k = C proj_k C^T, the second product into proj's buffer
+    h = np.einsum("kibn,jbn->kijn", np.einsum("ian,akbn->kibn", C, proj), C, out=proj)
+    return SFF(h=_node_first(h, batch))
 
 
 def shape_operator(sff: SFF, k: int):
@@ -376,13 +427,13 @@ class NablaH:
 def _inv3(m):
     """Inverse of 3 x 3 matrices (..., 3, 3), real or complex: the adjugate,
     whose row i is the cross product of columns i + 1 and i + 2, over the
-    determinant.  Raises LinAlgError where a determinant is exactly 0, as
-    np.linalg.inv does."""
+    determinant `_det3`.  Raises LinAlgError where a determinant is exactly
+    0, as np.linalg.inv does."""
     nxt, far = [1, 2, 0], [2, 0, 1]
     c1, c2 = m[..., nxt], m[..., far]  # column i of c1 is column i + 1 of m
     cross = c1[..., nxt, :] * c2[..., far, :] - c1[..., far, :] * c2[..., nxt, :]
     adj = np.swapaxes(cross, -1, -2)
-    det = (m[..., :, 0] * adj[..., 0, :]).sum(axis=-1)
+    det = _det3(m.transpose((m.ndim - 2, m.ndim - 1, *range(m.ndim - 2))))
     if (det == 0).any():
         raise np.linalg.LinAlgError("Singular matrix")
     return adj / det[..., None, None]

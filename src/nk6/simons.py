@@ -362,9 +362,11 @@ def _blocks(n):
 
 def _density(q, metric):
     """Chart volume density sqrt(det g) at the chart points q: the induced
-    volume sqrt(det G) in the round-orthonormal X basis times the round
+    volume sqrt(det G) in the round-orthonormal X basis, from the node-last
+    metric G (3, 3, n) over the flattened batch of q, times the round
     sin(eta) cos(eta)."""
-    return np.sqrt(np.linalg.det(metric)) * np.sin(q[..., 0]) * np.cos(q[..., 0])
+    det = geometry._det3(metric).reshape(np.shape(q)[:-1])
+    return np.sqrt(det) * np.sin(q[..., 0]) * np.cos(q[..., 0])
 
 
 def _volume(imm, rule: QuadratureRule):
@@ -372,8 +374,8 @@ def _volume(imm, rule: QuadratureRule):
     points, weights = rule.nodes_weights()
     dens = np.empty(len(points))
     for lo, hi in _blocks(len(points)):
-        d1 = imm.jet(imm.chart.to_y(points[lo:hi]), 1).d1
-        dens[lo:hi] = _density(points[lo:hi], np.einsum("...ac,...bc->...ab", d1, d1))
+        _, metric = geometry._metric(imm.jet(imm.chart.to_y(points[lo:hi]), 1).d1)
+        dens[lo:hi] = _density(points[lo:hi], metric)
     return float(np.sum(weights * dens))
 
 
@@ -381,7 +383,8 @@ def _density_and_sff(imm, q):
     """Volume density and h at the chart points q from one frame, which is
     freed before Theta is maximized."""
     pk = geometry.frame(imm, q)
-    return _density(q, pk.metric), geometry.second_fundamental_form(imm, q, frame_packet=pk)
+    return (_density(q, geometry._node_last(pk.metric, 2)),
+            geometry.second_fundamental_form(imm, q, frame_packet=pk))
 
 
 def integrate_inequality(

@@ -474,6 +474,10 @@ def test_closed_form_inverse_matches_numpy():
         assert got.dtype == want.dtype
         rel = np.max(np.abs(got - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
         assert np.max(rel) < 1e-13
+        # the shared determinant, on the node-last layout (3, 3, ...)
+        det = geometry._det3(np.moveaxis(m, (-2, -1), (0, 1)))
+        assert det.shape == m.shape[:-2]
+        assert np.max(np.abs(det / np.linalg.det(m) - 1.0)) < 1e-13
     # one exactly singular matrix in the batch: row 2 is twice row 1
     singular = real.copy()
     singular[5] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]]
