@@ -11,6 +11,7 @@ against the other in the test suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -513,25 +514,8 @@ class CanonicalData:
         |mu_i| <= theta; nonpositive slack means all constraints hold.
         """
         l1, l2, m1, m2 = self.tuple()
-        violations = [
-            -(l1 + l2),
-            -(3 * l1 + l2),
-            -(3 * l2 + l1),
-            abs(m1) - (l1 + l2),
-            abs(m2) - (l1 + l2),
-        ]
-        return max(violations)
-
-    def validate(self, tol=1e-8):
-        slack = self.constraint_slack()
-        if slack > tol:
-            raise ValueError(f"normal-form constraints violated by {slack:.3e}")
-        if self.reconstruction_residual > tol:
-            raise ReconstructionError(
-                f"normal form does not reproduce input: residual "
-                f"{self.reconstruction_residual:.3e}"
-            )
-        return slack
+        return max(-(l1 + l2), -(3 * l1 + l2), -(3 * l2 + l1), abs(m1) - (l1 + l2),
+                   abs(m2) - (l1 + l2))
 
 
 def _as_tuple4(source):
@@ -545,6 +529,23 @@ def _as_tuple4(source):
     raise ValueError("expected CanonicalData or a (lambda1, lambda2, mu1, mu2) tuple")
 
 
+@lru_cache(maxsize=None)
+def _normal_form_map():
+    """(4, 27) map of a tuple (lambda1, lambda2, mu1, mu2) onto the
+    flattened h[k, i, j] of its normal form, fully symmetric with entries
+    0 and +-1: h_111 = lambda1 + lambda2, h_122 = -lambda1,
+    h_133 = -lambda2, h_222 = mu1, h_223 = mu2, h_233 = -mu1 and
+    h_333 = -mu2.  Each entry of h sums at most two tuple entries, so the
+    product is exact."""
+    C = np.zeros((4, 3, 3, 3))
+    for slot, sign, index in ((0, 1, (0, 0, 0)), (1, 1, (0, 0, 0)), (0, -1, (0, 1, 1)),
+                              (1, -1, (0, 2, 2)), (2, 1, (1, 1, 1)), (3, 1, (1, 1, 2)),
+                              (2, -1, (1, 2, 2)), (3, -1, (2, 2, 2))):
+        for p in itertools.permutations(index):
+            C[(slot,) + p] = sign
+    return C.reshape(4, 27)
+
+
 def reconstruct_sff(source, basis=None):
     """Second-fundamental-form coefficients h[k, i, j] generated by a
     normal-form tuple: the shape-operator matrices H[k] = (h^{k*}_{ij}) of the
@@ -553,24 +554,8 @@ def reconstruct_sff(source, basis=None):
     With `basis` (rows e1, e2, e3 in some ambient frame) the tensor is
     expressed back in that ambient frame.
     """
-    l1, l2, m1, m2 = _as_tuple4(source)
-    batch = np.broadcast(l1, l2, m1, m2).shape
-    z = np.zeros(batch)
-    l1, l2, m1, m2 = (np.broadcast_to(v, batch) for v in (l1, l2, m1, m2))
-    h = np.stack(
-        [
-            np.stack([np.stack([l1 + l2, z, z], -1),
-                      np.stack([z, -l1, z], -1),
-                      np.stack([z, z, -l2], -1)], -2),
-            np.stack([np.stack([z, -l1, z], -1),
-                      np.stack([-l1, m1, m2], -1),
-                      np.stack([z, m2, -m1], -1)], -2),
-            np.stack([np.stack([z, z, -l2], -1),
-                      np.stack([z, m2, -m1], -1),
-                      np.stack([-l2, -m1, -m2], -1)], -2),
-        ],
-        axis=-3,
-    )
+    t = np.stack(np.broadcast_arrays(*_as_tuple4(source)), axis=-1)
+    h = (t @ _normal_form_map()).reshape(t.shape[:-1] + (3, 3, 3))
     if basis is None:
         return h
     R = np.asarray(basis, dtype=float)
@@ -594,25 +579,18 @@ def canonical_basis(sff_like, tol=1e-8) -> CanonicalData:
     if scale < 1e-14:
         return CanonicalData(basis=np.eye(3), lambda1=0.0, lambda2=0.0, mu1=0.0, mu2=0.0)
 
-    e1, theta = maximize_theta(h)
-    B = np.einsum("kij,k->ij", h, e1)
+    e1, _ = maximize_theta(h)
     T = _tangent_basis(e1)
     t1, t2 = T
-    B2 = T @ B @ T.T
-    w, vecs = np.linalg.eigh(B2)
+    w, vecs = np.linalg.eigh(T @ np.einsum("kij,k->ij", h, e1) @ T.T)
     e2 = vecs[0, 0] * t1 + vecs[1, 0] * t2
     e3 = vecs[0, 1] * t1 + vecs[1, 1] * t2
-    lambda1, lambda2 = -w[0], -w[1]
-
-    def mu(e2v, e3v):
-        m1 = cubic_form(h, e2v)
-        m2 = float(np.einsum("kij,k,i,j->", h, e3v, e2v, e2v))
-        return float(m1), m2
-
     for ev in (e2, e3):  # deterministic eigenvector sign
-        lead = np.argmax(np.abs(ev))
-        if ev[lead] < 0:
+        if ev[np.argmax(np.abs(ev))] < 0:
             ev *= -1.0
+
+    def mu(e2, e3):
+        return float(cubic_form(h, e2)), float(np.einsum("kij,k,i,j->", h, e3, e2, e2))
 
     if abs(w[0] - w[1]) < 1e-8 * max(1.0, scale):
         m1, m2 = mu(e2, e3)
@@ -622,38 +600,22 @@ def canonical_basis(sff_like, tol=1e-8) -> CanonicalData:
             -np.sin(ang) * e2 + np.cos(ang) * e3,
         )
     m1, m2 = mu(e2, e3)
+    # mu1 is odd in e2 and even in e3, mu2 the reverse, so a flip negates
+    # one of them exactly
     if m1 < -1e-12 * max(1.0, scale):
-        e2 = -e2
-        m1, m2 = mu(e2, e3)
+        e2, m1 = -e2, -m1
     if m2 < -1e-12 * max(1.0, scale):
-        e3 = -e3
-        m1, m2 = mu(e2, e3)
+        e3, m2 = -e3, -m2
 
     basis = np.stack([e1, e2, e3])
-    data = CanonicalData(
-        basis=basis,
-        lambda1=float(lambda1),
-        lambda2=float(lambda2),
-        mu1=m1,
-        mu2=m2,
-    )
-    residual = float(
-        np.sqrt(np.sum((h - reconstruct_sff(data.tuple(), basis)) ** 2))
-    )
-    data = CanonicalData(
-        basis=basis,
-        lambda1=float(lambda1),
-        lambda2=float(lambda2),
-        mu1=m1,
-        mu2=m2,
-        reconstruction_residual=residual,
-    )
+    tup = (float(-w[0]), float(-w[1]), m1, m2)
+    residual = float(np.sqrt(np.sum((h - reconstruct_sff(tup, basis)) ** 2)))
     if residual > tol * max(1.0, scale):
         raise ReconstructionError(
             f"normal form failed to reproduce the input tensor "
             f"(residual {residual:.3e}, scale {scale:.3e})"
         )
-    return data
+    return CanonicalData(basis, *tup, reconstruction_residual=residual)
 
 
 # ---------------------------------------------------------------------------

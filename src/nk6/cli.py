@@ -218,7 +218,7 @@ def _immersion_suite(imm, cfg):
         "minimality", "sum_i h(e_i, e_i) = 0",
         sff.trace_residual(), cfg.tol("minimality")))
 
-    g12 = cayley.g_tensor(pk.base, pk.e[..., 0, :], pk.e[..., 1, :], imm.table, check=False)
+    g12 = cayley.g_tensor(pk.jet.value, pk.e[..., 0, :], pk.e[..., 1, :], imm.table, check=False)
     vol = np.einsum("...c,...c->...", g12, pk.estar[..., 2, :])
     checks.append(_check(
         "volume_form", "g(G(e1,e2), J e3) = +-1 with constant sign",
@@ -289,7 +289,7 @@ def _dvv_suite(imm, cfg, samples):
         "h_values", "second fundamental form matches the Berger-sphere table",
         float(np.max(np.abs(sff.h - expected))), cfg.tol("h_values")))
 
-    g23 = cayley.g_tensor(pk.base, pk.e[..., 1, :], pk.e[..., 2, :], imm.table, check=False)
+    g23 = cayley.g_tensor(pk.jet.value, pk.e[..., 1, :], pk.e[..., 2, :], imm.table, check=False)
     checks.append(_check(
         "g_orientation", "G(E2, E3) = J E1",
         float(np.max(np.abs(g23 - pk.estar[..., 0, :]))), cfg.tol("g_orientation")))

@@ -241,13 +241,12 @@ class FramePacket:
     e_i in the invariant fields: e = field_comps @ jet.d1, and
     field_comps @ metric @ field_comps^T = I with metric the Gram matrix
     G_ab = <X_a Psi, X_b Psi>.  `jet` is the order-2 jet at y the frame was
-    built from, so the second fundamental form reuses it.  `frame` stores
-    base, e, estar, metric and field_comps as views of node-last buffers
-    (`_node_last`).
+    built from, so the second fundamental form reuses it, and its value is
+    the point Psi(y) of the six-sphere.  `frame` stores e, estar, metric and
+    field_comps as views of node-last buffers (`_node_last`).
     """
 
     y: np.ndarray                     # (..., 4) the point of S^3
-    base: np.ndarray                  # (..., 7)
     e: np.ndarray                     # (..., 3, 7)
     estar: np.ndarray                 # (..., 3, 7)
     metric: np.ndarray                # (..., 3, 3) induced metric in the X basis
@@ -269,8 +268,8 @@ class FramePacket:
         if lagrangian > tol:
             raise ValueError(f"{model} is not Lagrangian for table {self.table.source} "
                              f"(residual {lagrangian:.3e})")
-        base = _node_last(self.base, 1)[None]
-        base_tangency = float(np.max(np.abs(_pairings(_node_last(self.e, 2), base))))
+        base_tangency = float(np.max(np.abs(
+            _pairings(_node_last(self.e, 2), _node_last(self.jet.value, 1)[None]))))
         worst = max(self.orthonormality_residual(), lagrangian, base_tangency)
         if worst > tol:
             raise ValueError(
@@ -311,9 +310,8 @@ def frame(imm, q, validate=True) -> FramePacket:
     T of the frame, and e = T @ d1.  Points outside the chart's domain raise
     ValueError; a map that is not immersed raises ChartDegeneracyError.
 
-    The work runs node-last: d1 and the value are transposed once to
-    (3, 7, n) and (7, n), and every 3 x 3 and 3 x 7 product is a sum of
-    whole rows of nodes.
+    The work runs node-last: d1 is transposed once to (3, 7, n), and every
+    3 x 3 and 3 x 7 product is a sum of whole rows of nodes.
     """
     q = np.asarray(q, dtype=float)
     imm.chart.check_domain(q)
@@ -330,10 +328,9 @@ def frame(imm, q, validate=True) -> FramePacket:
     e = _node_first(np.einsum("ian,acn->icn", field_comps, d1), batch)
     del d1  # the transposed copy goes before the cross product's temporaries
     estar = np.ascontiguousarray(_node_last(cross(jt.value[..., None, :], e, imm.table), 2))
-    x = np.ascontiguousarray(_node_last(jt.value, 1))
 
     packet = FramePacket(
-        y=y, base=_node_first(x, batch), e=e, estar=_node_first(estar, batch),
+        y=y, e=e, estar=_node_first(estar, batch),
         metric=_node_first(metric, batch), field_comps=_node_first(field_comps, batch),
         jet=jt, table=imm.table,
     )

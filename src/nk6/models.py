@@ -74,10 +74,13 @@ class HopfChart:
         xi = np.arctan2(y[..., [1, 3]], y[..., [0, 2]]) % (2 * np.pi)
         return np.concatenate([eta[..., None], xi], axis=-1)
 
-    def check_domain(self, q, slack=1e-12):
-        eta = np.real(q)[..., 0]
-        if np.any(eta < -slack) or np.any(eta > np.pi / 2 + slack):
-            raise ValueError("chart point outside domain: eta must lie in [0, pi/2]")
+    def check_domain(self, q):
+        """Refuse chart points with a non-finite coordinate or with eta
+        outside [0, pi/2] by more than 1e-12."""
+        eta = q[..., 0]
+        if not (np.isfinite(q).all() and ((eta >= -1e-12) & (eta <= np.pi / 2 + 1e-12)).all()):
+            raise ValueError("chart point outside domain: coordinates must be finite "
+                             "and eta must lie in [0, pi/2]")
 
     def random_points(self, n, rng, margin=0.05):
         lo, hi = margin, np.pi / 2 - margin
@@ -86,18 +89,9 @@ class HopfChart:
         return np.stack([eta, xi[0], xi[1]], axis=-1)
 
 
-HOPF = HopfChart()
-
-
 # ---------------------------------------------------------------------------
 # polynomial immersions of S^3
 # ---------------------------------------------------------------------------
-
-# jets evaluate the monomials and their matmuls on this many nodes at a time:
-# a block's monomial array has a column per row of the derivative table, 14
-# for the quadratic DVV map and 84 for a homogeneous degree-6 one
-_NODE_BLOCK = 4096
-
 
 # the nonzero entries (a, b, M_f[a, b]) of each M_f = FIELD_MATS[f]
 _FIELD_ENTRIES = tuple(tuple((int(a), int(b), float(m[a, b])) for a, b in zip(*np.nonzero(m)))
@@ -173,10 +167,11 @@ class PolynomialSphereImmersion:
     one coefficient matrix.  The chart only addresses points.
     """
 
-    def __init__(self, name, terms, table: MulTable, field_scales=None, chart=HOPF):
+    chart = HopfChart()
+
+    def __init__(self, name, terms, table: MulTable, field_scales=None):
         self.name = name
         self.table = table
-        self.chart = chart
         self.terms = tuple((int(c), tuple(int(e) for e in ex), float(co)) for c, ex, co in terms)
         self.field_scales = None if field_scales is None else tuple(field_scales)
         self._table = _derivative_table(self.terms)
@@ -193,12 +188,13 @@ class PolynomialSphereImmersion:
         y = np.asarray(q, dtype=complex if np.iscomplexobj(q) else float)
         expo, coef, rows = self._table
         flat = y.reshape(-1, 4)
+        # the outputs are allocated before the monomials: with the products
+        # allocated after them, integrate --rule 32,32,32 ran about 4% slower
+        # in the benchmark (heap layout; no in-process A/B saw the difference)
         out = [np.empty((len(flat), 7 * 3**k), dtype=y.dtype) for k in range(order + 1)]
-        for lo in range(0, len(flat), _NODE_BLOCK):
-            hi = lo + _NODE_BLOCK
-            mono = canonical._monomials(flat[lo:hi], expo[:rows[order]])
-            for k, dst in enumerate(out):
-                np.matmul(mono[:, :rows[k]], coef[k], out=dst[lo:hi])
+        mono = canonical._monomials(flat, expo[:rows[order]])
+        for k, dst in enumerate(out):
+            np.matmul(mono[:, :rows[k]], coef[k], out=dst)
         out = [d.reshape(y.shape[:-1] + (3,) * k + (7,)) for k, d in enumerate(out)]
         return ImmersionJet(order, *out, *[None] * (3 - order))
 

@@ -48,7 +48,7 @@ def test_criterion_2_berger_embedding_structure(dvv, table):
     h_dev = float(np.max(np.abs(
         sff.h - nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0)))))
 
-    g23 = nk6.g_tensor(pk.base, pk.e[..., 1, :], pk.e[..., 2, :], table, check=False)
+    g23 = nk6.g_tensor(pk.jet.value, pk.e[..., 1, :], pk.e[..., 2, :], table, check=False)
     orient = float(np.max(np.abs(g23 - pk.estar[..., 0, :])))
 
     ok = lag < 1e-10 and metric_dev < 1e-10 and h_dev < 1e-8 and orient < 1e-8

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,6 +347,35 @@ def test_analyze_rejects_points_outside_the_chart(capsys):
     code, out, err = run_cli(capsys, "analyze", "--model", "dvv", "--points", "2.0,1.0,1.0")
     assert code == 2 and out == ""
     assert "outside domain" in err
+
+
+@pytest.mark.parametrize("point", ["nan,0.3,0.4", "0.5,inf,0.4"])
+def test_analyze_rejects_non_finite_points(capsys, point):
+    # NaN fails every comparison, so a test of the bounds alone lets it through
+    code, out, err = run_cli(capsys, "analyze", "--model", "dvv", "--points", point)
+    assert code == 2 and out == ""
+    assert "outside domain" in err
+
+
+@pytest.mark.parametrize("model, shift, failing", [
+    ("dvv", 1e-6, {"normal_form"}),
+    ("synthetic:b", 1e-6, {"normal_form"}),
+    # 5e-8 is within normal_form's 1e-7, but on the zero form it breaks
+    # |mu1| <= theta = 0 beyond the constraints' 1e-8
+    ("synthetic:a", 5e-8, {"constraints"}),
+])
+def test_normal_form_checks_fail_on_a_shifted_mu1(capsys, monkeypatch, model, shift, failing):
+    inner = canonical.canonical_basis
+
+    def shifted(*args, **kwargs):
+        cd = inner(*args, **kwargs)
+        return replace(cd, mu1=cd.mu1 + shift)
+
+    monkeypatch.setattr(canonical, "canonical_basis", shifted)
+    code, out, _ = run_cli(capsys, "verify", "--model", model)
+    checks = [c for s in json.loads(out)["suites"] for c in s["checks"]]
+    assert code == 1
+    assert {c["name"] for c in checks if not c["passed"]} == failing
 
 
 def test_reports_name_their_table(capsys, tmp_path, monkeypatch):

@@ -207,10 +207,9 @@ def test_model_field_frame_at_the_poles(dvv, geodesic):
             assert abs(float(sff.norm_sq()) - np.sum(np.square(h))) < tol["hsq_value"]
 
 
-def test_frame_evaluates_the_polynomial_once_per_node_block(table, monkeypatch):
-    # the tangent fields come from the chart alone, so the order-2 jet's
-    # blocks are the only polynomial evaluations of a frame call
-    monkeypatch.setattr(models, "_NODE_BLOCK", 8)
+def test_frame_evaluates_the_polynomial_once(table, monkeypatch):
+    # the tangent fields come from the chart alone, so the order-2 jet is the
+    # only polynomial evaluation of a frame call, on all its points at once
     imm = nk6.dvv_immersion(table)
     inner, calls = canonical._monomials, []
 
@@ -220,7 +219,7 @@ def test_frame_evaluates_the_polynomial_once_per_node_block(table, monkeypatch):
 
     monkeypatch.setattr(canonical, "_monomials", counting)
     nk6.frame(imm, random_chart_points(imm, 20, seed=44))
-    assert calls == [8, 8, 4]
+    assert calls == [20]
 
 
 def test_sff_vanishes_on_totally_geodesic(geodesic):
@@ -378,7 +377,7 @@ def test_totally_geodesic_constant_curvature(geodesic):
 def test_volume_form_and_normality(dvv, table):
     pts = random_chart_points(dvv, 50, seed=13)
     pk = nk6.frame(dvv, pts)
-    g12 = nk6.g_tensor(pk.base, pk.e[..., 0, :], pk.e[..., 1, :], table, check=False)
+    g12 = nk6.g_tensor(pk.jet.value, pk.e[..., 0, :], pk.e[..., 1, :], table, check=False)
     vol = np.einsum("...c,...c->...", g12, pk.estar[..., 2, :])
     assert np.max(np.abs(np.abs(vol) - 1.0)) < 1e-9
     assert np.ptp(np.sign(vol)) == 0.0  # constant sign per orientation
@@ -497,7 +496,7 @@ def test_laplacian_of_the_immersion_is_minus_three_times_it(dvv, geodesic):
         for a in range(7):
             lap = nk6.laplace_beltrami(imm, lambda yy: imm.jet(yy, 0).value[..., a], q,
                                        frame_packet=pk)
-            assert np.max(np.abs(lap + 3 * pk.base[..., a])) < 1e-12
+            assert np.max(np.abs(lap + 3 * pk.jet.value[..., a])) < 1e-12
 
 
 @pytest.mark.parametrize("field", [

@@ -82,7 +82,7 @@ def test_frame_sff_and_density_match_the_node_first_formulas(dvv, geodesic, shap
                                 ("density", dens, reference_density(q, metric))):
             assert got.shape == want.shape, name
             assert np.max(np.abs(got - want)) < 1e-14, name
-        assert pk.base.shape == shape + (7,) and pk.y.shape == shape + (4,)
+        assert pk.jet.value.shape == shape + (7,) and pk.y.shape == shape + (4,)
         assert pk.validate() < 1e-14
 
 
@@ -113,11 +113,12 @@ def test_coarse_volume_matches_the_einsum_metric(dvv, geodesic):
 @pytest.mark.parametrize("shape", [(), (2, 3)], ids=str)
 def test_each_frame_residual_fails_on_a_doctored_packet(dvv, shape):
     pk = nk6.frame(dvv, _points(dvv, shape, 7))
-    e, base = pk.e.copy(), pk.base.copy()
+    e, value = pk.e.copy(), pk.jet.value.copy()
     e[..., 0, :] *= 1 + 1e-8                      # e_0 no longer a unit vector
-    base[..., :] += 1e-8 * pk.e[..., 1, :]        # the point leans on e_1
+    value[..., :] += 1e-8 * pk.e[..., 1, :]       # the point leans on e_1
     for doctored, message in ((replace(pk, e=e), "adapted-frame invariants"),
-                              (replace(pk, base=base), "adapted-frame invariants"),
+                              (replace(pk, jet=replace(pk.jet, value=value)),
+                               "adapted-frame invariants"),
                               (replace(pk, estar=pk.estar + 1e-8 * pk.e), "not Lagrangian")):
         with pytest.raises(ValueError, match=message):
             doctored.validate()

@@ -56,7 +56,7 @@ def test_pullback_metric_is_berger(dvv, rng):
 def test_structure_alignment(dvv, table):
     pts = random_chart_points(dvv, 25, seed=21)
     pk = nk6.frame(dvv, pts)
-    g23 = nk6.g_tensor(pk.base, pk.e[..., 1, :], pk.e[..., 2, :], table, check=False)
+    g23 = nk6.g_tensor(pk.jet.value, pk.e[..., 1, :], pk.e[..., 2, :], table, check=False)
     assert np.max(np.abs(g23 - pk.estar[..., 0, :])) < 1e-8
 
 
