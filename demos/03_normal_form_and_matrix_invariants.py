@@ -45,8 +45,8 @@ print("  reconstruction residual:", cd.reconstruction_residual)
 # ----------------------------------------------------------------------------
 tuples = rng.normal(size=(100000, 4))
 cf = nk6.closed_forms(tuples)
-direct = nk6.commutator_invariant_direct(nk6.reconstruct_sff(tuples))
-rel = np.abs(cf.q_closed - direct.Q) / np.maximum(1.0, np.abs(direct.Q))
+q_direct = nk6.commutator_invariant_direct(nk6.reconstruct_sff(tuples))
+rel = np.abs(cf.q_closed - q_direct) / np.maximum(1.0, np.abs(q_direct))
 print("\nQ closed vs direct on 1e5 random tuples: max relative deviation",
       rel.max())
 

@@ -7,7 +7,6 @@ integral inequality together with its equality cases.
 from .canonical import (
     CanonicalData,
     ClosedForms,
-    CommutatorInvariants,
     ReconstructionError,
     canonical_basis,
     closed_forms,

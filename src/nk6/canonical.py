@@ -4,8 +4,8 @@ At a point, the cubic form f(u) = <h(u,u), Ju> attains a maximum Theta on the
 unit tangent sphere; the maximizer e1, together with the eigenvectors of the
 associated shape operator on its orthogonal complement, normalizes h to a
 four-parameter form (lambda1, lambda2, mu1, mu2).  This module extracts that
-normal form deterministically and provides both the direct matrix invariants
-(commutators, mutual traces) and their closed polynomial forms, each checked
+normal form deterministically and provides both the direct matrix invariant
+Q (commutators, mutual traces) and its closed polynomial form, each checked
 against the other in the test suite.
 """
 
@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "CanonicalData",
-    "CommutatorInvariants",
     "ClosedForms",
     "ReconstructionError",
     "EnclosureError",
@@ -562,7 +561,7 @@ def reconstruct_sff(source, basis=None):
     return np.einsum("...KIJ,...Ka,...Ib,...Jc->...abc", h, R, R, R)
 
 
-def canonical_basis(sff_like, tol=1e-8) -> CanonicalData:
+def canonical_basis(sff_like) -> CanonicalData:
     """Extract the normal form of a single second fundamental form.
 
     e1 maximizes the cubic form; e2, e3 diagonalize the shape operator of
@@ -570,7 +569,7 @@ def canonical_basis(sff_like, tol=1e-8) -> CanonicalData:
     -lambda2 with lambda1 >= lambda2).  When that restriction is umbilic the
     pair is rotated so that mu2 = 0 and mu1 >= 0; remaining sign freedom is
     fixed by making mu1 and mu2 nonnegative.  Raises ReconstructionError when
-    the reassembled tensor misses the input beyond `tol`.
+    the reassembled tensor misses the input by more than 1e-8 max(1, |h|).
     """
     h = _h_array(sff_like)
     if h.ndim != 3:
@@ -610,7 +609,7 @@ def canonical_basis(sff_like, tol=1e-8) -> CanonicalData:
     basis = np.stack([e1, e2, e3])
     tup = (float(-w[0]), float(-w[1]), m1, m2)
     residual = float(np.sqrt(np.sum((h - reconstruct_sff(tup, basis)) ** 2)))
-    if residual > tol * max(1.0, scale):
+    if residual > 1e-8 * max(1.0, scale):
         raise ReconstructionError(
             f"normal form failed to reproduce the input tensor "
             f"(residual {residual:.3e}, scale {scale:.3e})"
@@ -622,26 +621,16 @@ def canonical_basis(sff_like, tol=1e-8) -> CanonicalData:
 # matrix invariants: direct and closed forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CommutatorInvariants:
-    """Q = sum_{ij} N([H_i,H_j]) + sum_{ij} trace(H_i H_j)^2 by direct matrix work."""
-
-    Q: np.ndarray
-    S: np.ndarray          # (..., 3, 3) mutual traces
-    N_terms: np.ndarray    # (..., 3) squared norms of the three commutators
-
-
-def commutator_invariant_direct(H) -> CommutatorInvariants:
-    """Q, the mutual traces and the commutator norms of the shape-operator
-    matrices H (..., 3, 3, 3), such as `reconstruct_sff` of a normal form."""
+def commutator_invariant_direct(H):
+    """Q = sum_{ij} N([H_i,H_j]) + sum_{ij} trace(H_i H_j)^2 of the
+    shape-operator matrices H (..., 3, 3, 3), such as `reconstruct_sff` of a
+    normal form, by direct matrix work."""
     H = np.asarray(H, dtype=float)
     HH = np.einsum("...iab,...jbc->...ijac", H, H)
     comm = HH - np.swapaxes(HH, -4, -3)
     N = np.sum(comm**2, axis=(-2, -1))
     S = np.einsum("...ijaa->...ij", HH)
-    Q = np.sum(N, axis=(-2, -1)) + np.sum(S**2, axis=(-2, -1))
-    N_terms = np.stack([N[..., 0, 1], N[..., 0, 2], N[..., 1, 2]], axis=-1)
-    return CommutatorInvariants(Q=Q, S=S, N_terms=N_terms)
+    return np.sum(N, axis=(-2, -1)) + np.sum(S**2, axis=(-2, -1))
 
 
 @dataclass(frozen=True)

@@ -283,55 +283,50 @@ def parallel_transport(x, X, t, v):
     return v_perp + a * velocity
 
 
-def _geodesic_data(x, X_dir, step):
+def _geodesic_data(x, X_dir):
     n = np.linalg.norm(X_dir, axis=-1, keepdims=True)
     Xu = X_dir / n
-    return Xu, n[..., 0], geodesic(x, Xu, step), geodesic(x, Xu, -step)
+    return Xu, n[..., 0], geodesic(x, Xu, FD_STEP), geodesic(x, Xu, -FD_STEP)
 
 
-def g_tensor_fd(x, X, Y, table: MulTable, step=FD_STEP):
+def g_tensor_fd(x, X, Y, table: MulTable):
     """Difference-quotient evaluation of (covariant derivative of J)(Y) along X.
 
     Y is parallel-transported along the geodesic with velocity X, so the
     J-correction term vanishes and the central difference of J(Y) projected
     back to the tangent space at x approximates G(X, Y).
     """
-    Xu, speed, xp, xm = _geodesic_data(x, X, step)
-    Yp = parallel_transport(x, Xu, step, Y)
-    Ym = parallel_transport(x, Xu, -step, Y)
-    dJY = (cross(xp, Yp, table) - cross(xm, Ym, table)) / (2 * step)
+    Xu, speed, xp, xm = _geodesic_data(x, X)
+    Yp = parallel_transport(x, Xu, FD_STEP, Y)
+    Ym = parallel_transport(x, Xu, -FD_STEP, Y)
+    dJY = (cross(xp, Yp, table) - cross(xm, Ym, table)) / (2 * FD_STEP)
     return tangent_project(x, dJY) * speed[..., None]
 
 
-def nabla_g_fd(x, X, Y, Z, table: MulTable, step=FD_STEP):
+def nabla_g_fd(x, X, Y, Z, table: MulTable):
     """Central difference of the covariant derivative of G along X.
 
     Transports Y and Z in parallel, differentiates t -> G(Y(t), Z(t)) along
     the geodesic, and projects to the tangent space at x.
     """
-    Xu, speed, xp, xm = _geodesic_data(x, X, step)
-    Yp, Ym = (parallel_transport(x, Xu, s, Y) for s in (step, -step))
-    Zp, Zm = (parallel_transport(x, Xu, s, Z) for s in (step, -step))
+    Xu, speed, xp, xm = _geodesic_data(x, X)
+    Yp, Ym = (parallel_transport(x, Xu, s, Y) for s in (FD_STEP, -FD_STEP))
+    Zp, Zm = (parallel_transport(x, Xu, s, Z) for s in (FD_STEP, -FD_STEP))
     Gp = g_tensor(xp, Yp, Zp, table, check=False)
     Gm = g_tensor(xm, Ym, Zm, table, check=False)
-    return tangent_project(x, (Gp - Gm) / (2 * step)) * speed[..., None]
+    return tangent_project(x, (Gp - Gm) / (2 * FD_STEP)) * speed[..., None]
 
 
-def random_tangent(x, rng, unit=False):
-    v = tangent_project(x, rng.normal(size=x.shape))
-    if unit:
-        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    return v
+def random_tangent(x, rng):
+    return tangent_project(x, rng.normal(size=x.shape))
 
 
-def lagrangian_frame(x, table: MulTable, rng=None):
+def lagrangian_frame(x, table: MulTable, rng):
     """Orthonormal tangent triples (..., 3, 7) at points x (..., 7) with
     J e_i orthogonal to every e_j.  Such a frame spans a Lagrangian subspace
     of the tangent space and exists at every point: each e_i is a random
     vector with x and the earlier e_j, J e_j projected out, and since J is an
     isometry on the tangent space those five vectors are orthonormal."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     x = check_sphere_point(x)
     frame, span = [], [x]
     for _ in range(3):

@@ -155,20 +155,22 @@ def _shifted_points(imm, y):
     return imm.chart.from_y(geometry._flow(y, np.eye(3)[:, None, :], steps).reshape(-1, 4))
 
 
-def _nabla_h_ambient_residual(pk_shifted, pk, sff, nh):
+def _nabla_h_ambient_residual(imm, pk, sff, nh):
     """Worst deviation of nabla h from a route that shares no Christoffel
-    symbol with geometry.nabla_h, at n points.
+    symbol with geometry.nabla_h, at the first n <= 4 points.
 
-    `pk_shifted` frames the points moved by +-_AMBIENT_STEP along the flow
-    of each field X_a (`_shifted_points`).  The R^7-valued field
+    Those points are moved by +-_AMBIENT_STEP along the flow of each field
+    X_a (`_shifted_points`) and framed there, in one call.  The R^7-valued field
     H_ij = sum_l h[l,i,j] J e_l and the frame e are differentiated by
     central differences; along e_m = C_ma X_a,
     (nabla h)[k,i,j,m] = <dH_ij, J e_k> - Gamma_il h[k,l,j] - Gamma_jl h[k,i,l]
     with Gamma_il = <de_i, e_l>.  `pk`, `sff` and `nh` hold the frame, h and
-    nabla h with the n points first.
+    nabla h with those points first.
     """
-    n = len(pk_shifted.e) // 6
-    h_s = geometry.second_fundamental_form(None, None, frame_packet=pk_shifted).h
+    shifted = _shifted_points(imm, pk.y[:4])
+    n = len(shifted) // 6
+    pk_shifted = geometry.frame(imm, shifted, validate=False)
+    h_s = geometry.second_fundamental_form(imm, shifted, frame_packet=pk_shifted).h
     field = np.einsum("nlij,nlc->nijc", h_s, pk_shifted.estar).reshape(3, 2, n, 3, 3, 7)
     e_s = pk_shifted.e.reshape(3, 2, n, 3, 7)
     d_field = (field[:, 0] - field[:, 1]) / (2 * _AMBIENT_STEP)
@@ -240,12 +242,10 @@ def _immersion_suite(imm, cfg):
     checks.append(_check(
         "codazzi", "h^{k*}_{ij,l} = h^{k*}_{il,j}",
         nh.codazzi_residual(), cfg.tol("codazzi")))
-    # the first 4 points moved both ways along each field's flow, in one call
-    pk_shifted = geometry.frame(imm, _shifted_points(imm, pk.y[:4]), validate=False)
     checks.append(_check(
         "nabla_h_ambient",
         "nabla h = central differences of sum_l h_lij J e_l, less the tangential connection",
-        _nabla_h_ambient_residual(pk_shifted, pk, sff, nh), cfg.tol("nabla_h_ambient")))
+        _nabla_h_ambient_residual(imm, pk, sff, nh), cfg.tol("nabla_h_ambient")))
 
     gj = cayley.frame_products(imm.table, pk_few.e, pk_few.e, pk_few.estar)
     # residual of g((nabla h)(W,X,Z),JY) - g((nabla h)(W,X,Y),JZ) = g(h(W,X),G(Y,Z))
@@ -357,10 +357,10 @@ def _synthetic_suite(model, cfg):
     rng = np.random.default_rng(cfg.seed)
     sff = model.sff()
     cf = canonical.closed_forms(model.tuple())
-    inv = canonical.commutator_invariant_direct(sff.h)
+    q_direct = canonical.commutator_invariant_direct(sff.h)
     checks.append(_check(
         "closed_form_match", "closed-form Q equals the direct matrix invariant",
-        float(np.abs(cf.q_closed - inv.Q) / max(1.0, abs(float(inv.Q)))),
+        float(np.abs(cf.q_closed - q_direct) / max(1.0, abs(float(q_direct)))),
         cfg.tol("closed_form_match")))
     cd = canonical.canonical_basis(sff.h)
     dev = np.max(np.abs(np.array(cd.tuple()) - np.array(model.tuple())))
@@ -372,8 +372,8 @@ def _synthetic_suite(model, cfg):
         max(0.0, cd.constraint_slack()), cfg.tol("constraints")))
     tuples = rng.normal(size=(min(cfg.samples, 10000), 4))
     rand = canonical.closed_forms(tuples)
-    randinv = canonical.commutator_invariant_direct(canonical.reconstruct_sff(tuples))
-    rel = np.max(np.abs(rand.q_closed - randinv.Q) / np.maximum(1.0, np.abs(randinv.Q)))
+    rand_q = canonical.commutator_invariant_direct(canonical.reconstruct_sff(tuples))
+    rel = np.max(np.abs(rand.q_closed - rand_q) / np.maximum(1.0, np.abs(rand_q)))
     checks.append(_check(
         "closed_form_match_random", "closed-form Q matches direct matrices on random tuples",
         float(rel), cfg.tol("closed_form_match")))

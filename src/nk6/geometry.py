@@ -261,17 +261,20 @@ class FramePacket:
     def lagrangian_residual(self):
         return float(np.max(np.abs(_pairings(_node_last(self.estar, 2), _node_last(self.e, 2)))))
 
-    def validate(self, tol=1e-10, model="frame"):
-        """Worst invariant residual; raises ValueError beyond tol, naming
-        `model` and the table when the Lagrangian condition is what fails."""
+    def validate(self, model="frame"):
+        """Worst invariant residual; raises ValueError beyond 1e-10 or on a
+        NaN, naming `model` and the table when the Lagrangian condition is
+        what fails."""
+        tol = 1e-10
         lagrangian = self.lagrangian_residual()
-        if lagrangian > tol:
+        if not lagrangian <= tol:
             raise ValueError(f"{model} is not Lagrangian for table {self.table.source} "
                              f"(residual {lagrangian:.3e})")
         base_tangency = float(np.max(np.abs(
             _pairings(_node_last(self.e, 2), _node_last(self.jet.value, 1)[None]))))
-        worst = max(self.orthonormality_residual(), lagrangian, base_tangency)
-        if worst > tol:
+        # np.max, unlike max, returns a NaN wherever it stands
+        worst = float(np.max([self.orthonormality_residual(), lagrangian, base_tangency]))
+        if not worst <= tol:
             raise ValueError(
                 f"frame violates adapted-frame invariants: residual {worst:.3e} > {tol:g}"
             )
@@ -362,12 +365,6 @@ class SFF:
     def trace_residual(self):
         return float(np.max(np.abs(np.einsum("...kii->...k", self.h))))
 
-    def validate(self, tol=1e-9):
-        worst = max(self.symmetry_residual(), self.trace_residual())
-        if worst > tol:
-            raise ValueError(f"second fundamental form invariants violated: {worst:.3e}")
-        return worst
-
 
 def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None) -> SFF:
     """Normal-valued second fundamental form in the adapted frame.
@@ -413,12 +410,6 @@ class NablaH:
     def codazzi_residual(self):
         swapped = np.swapaxes(self.coeffs, -1, -2)
         return float(np.max(np.abs(self.coeffs - swapped)))
-
-    def validate(self, tol=1e-7):
-        r = self.codazzi_residual()
-        if r > tol:
-            raise ValueError(f"Codazzi symmetry violated: residual {r:.3e}")
-        return r
 
 
 def _inv3(m):
@@ -499,7 +490,6 @@ class CurvaturePacket:
     R: np.ndarray                      # (..., 3, 3, 3, 3)
     ricci: np.ndarray                  # (..., 3, 3)
     tau: np.ndarray                    # (...,) scalar curvature (= 2 sum_{i<j} K_ij)
-    sectional_sum: np.ndarray          # (...,) sum_{i<j} K_ij = tau / 2
     tau_from_h: np.ndarray             # (...,) 6 - |h|^2
     hsq: np.ndarray
 
@@ -534,7 +524,6 @@ def curvature_from_sff(sff: SFF) -> CurvaturePacket:
         R=R,
         ricci=ricci,
         tau=tau,
-        sectional_sum=tau / 2.0,
         tau_from_h=6.0 - hsq,
         hsq=hsq,
     )

@@ -417,6 +417,8 @@ def load_polynomial_immersion(path, table: MulTable | None = None) -> Polynomial
             raise ValueError(f"{path}:{lineno}: component must be in 1..7")
         if any(e < 0 for e in expo):
             raise ValueError(f"{path}:{lineno}: exponents must be nonnegative")
+        if not np.isfinite(coeff):
+            raise ValueError(f"{path}:{lineno}: coefficient must be finite")
         terms.append((comp - 1, expo, coeff))
     if not terms:
         raise ValueError(f"{path}: no coefficient rows found")
@@ -425,7 +427,7 @@ def load_polynomial_immersion(path, table: MulTable | None = None) -> Polynomial
     y = rng.normal(size=(64, 4))
     y /= np.linalg.norm(y, axis=-1, keepdims=True)
     residual = np.max(np.abs(np.sum(imm.embed(y) ** 2, axis=-1) - 1.0))
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise ValueError(
             f"{path}: image does not lie on the unit six-sphere (residual {residual:.3e})"
         )

@@ -72,10 +72,8 @@ def f_tensor(sff: SFF, pk: FramePacket):
 
 @dataclass(frozen=True)
 class TTensorPacket:
-    """Norms and components of the decomposition nabla h = T + F."""
+    """Norms of the decomposition nabla h = T + F."""
 
-    f_comp: np.ndarray        # (..., 3, 3, 3, 3) F[l,i,j,k]
-    t_comp: np.ndarray        # (..., 3, 3, 3, 3) T[l,i,j,m], m the derivative slot
     nabla_h_sq: np.ndarray
     f_sq: np.ndarray
     t_sq: np.ndarray
@@ -92,10 +90,6 @@ class TTensorPacket:
     def f_norm_residual(self):
         return float(np.max(np.abs(self.f_sq - 0.75 * self.hsq)))
 
-    def pythagoras_residual(self):
-        expect = self.nabla_h_sq + self.f_sq - 2.0 * self.cross_term
-        return float(np.max(np.abs(self.t_sq - expect)))
-
 
 def t_tensor(nh: NablaH, f_comp, sff: SFF) -> TTensorPacket:
     """Split nabla h into its G-generated part F and the remainder T.
@@ -108,8 +102,6 @@ def t_tensor(nh: NablaH, f_comp, sff: SFF) -> TTensorPacket:
     f_aligned = np.moveaxis(f_comp, -3, -1)
     t_comp = nh_c - f_aligned
     return TTensorPacket(
-        f_comp=f_comp,
-        t_comp=t_comp,
         nabla_h_sq=np.sum(nh_c**2, axis=(-4, -3, -2, -1)),
         f_sq=np.sum(f_comp**2, axis=(-4, -3, -2, -1)),
         t_sq=np.sum(t_comp**2, axis=(-4, -3, -2, -1)),
@@ -165,8 +157,6 @@ class LaplacianIdentityReport:
     """
 
     half_laplacian: float
-    rhs_direct: float
-    rhs_regrouped: float
     residual_pipeline: float
     residual_algebra: float
     nabla_h_sq: float
@@ -209,10 +199,9 @@ def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
     half_lap = 0.5 * float(geometry.laplace_beltrami(
         imm, lambda yy: _hsq(imm, yy), q, frame_packet=pk))
 
-    inv = canonical.commutator_invariant_direct(canonical.reconstruct_sff(cd))
     hsq = float(sff.norm_sq())
     nhsq = float(packet.nabla_h_sq)
-    q_direct = float(inv.Q)
+    q_direct = float(canonical.commutator_invariant_direct(canonical.reconstruct_sff(cd)))
     rhs_direct = nhsq + 3.0 * hsq - q_direct
 
     cf = canonical.closed_forms(cd)
@@ -226,8 +215,6 @@ def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
     )
     return LaplacianIdentityReport(
         half_laplacian=half_lap,
-        rhs_direct=rhs_direct,
-        rhs_regrouped=rhs_regrouped,
         residual_pipeline=abs(half_lap - rhs_direct),
         residual_algebra=abs(rhs_direct - rhs_regrouped),
         nabla_h_sq=nhsq,

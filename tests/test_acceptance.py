@@ -162,8 +162,8 @@ def test_criterion_7_closed_form_oracle_equivalence():
     rng = np.random.default_rng(107)
     tuples = rng.normal(size=(10000, 4)) * 2.0
     cf = nk6.closed_forms(tuples)
-    inv = nk6.commutator_invariant_direct(nk6.reconstruct_sff(tuples))
-    q_rel = float(np.max(np.abs(cf.q_closed - inv.Q) / np.maximum(1.0, np.abs(inv.Q))))
+    q_direct = nk6.commutator_invariant_direct(nk6.reconstruct_sff(tuples))
+    q_rel = float(np.max(np.abs(cf.q_closed - q_direct) / np.maximum(1.0, np.abs(q_direct))))
     h = nk6.reconstruct_sff(tuples)
     hsq_rel = float(np.max(
         np.abs(np.sum(h * h, axis=(-3, -2, -1)) - cf.hsq)
@@ -199,11 +199,11 @@ def test_criterion_8_integral_certification(dvv, geodesic):
 def test_criterion_9_synthetic_cases(dvv):
     b = nk6.synthetic_case("b")
     cf_b = nk6.closed_forms(b.tuple())
-    inv_b = nk6.commutator_invariant_direct(nk6.reconstruct_sff(b.tuple()))
+    q_b = float(nk6.commutator_invariant_direct(nk6.reconstruct_sff(b.tuple())))
     hsq_dev = abs(float(cf_b.hsq) - 45 / 8)
-    q_dev = abs(float(inv_b.Q) - 675 / 32)
+    q_dev = abs(q_b - 675 / 32)
     # stationary |h|^2 forces |nabla h|^2 = Q - 3|h|^2 = (3/4)|h|^2 in case (b)
-    consistency = abs((float(inv_b.Q) - 3 * float(cf_b.hsq)) - 0.75 * float(cf_b.hsq))
+    consistency = abs((q_b - 3 * float(cf_b.hsq)) - 0.75 * float(cf_b.hsq))
 
     c = nk6.synthetic_case("c")
     sff_dvv = nk6.second_fundamental_form(dvv, np.array([0.55, 3.0, 0.2]))

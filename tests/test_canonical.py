@@ -387,13 +387,13 @@ def test_canonical_basis_signs_are_the_recomputed_mu(rng):
 
 
 def test_commutator_invariant_reference_values():
-    inv = nk6.commutator_invariant_direct(nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0)))
-    assert abs(float(inv.Q) - 750 / 64) < 1e-12
-    inv_b = nk6.commutator_invariant_direct(
+    q = nk6.commutator_invariant_direct(nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0)))
+    assert abs(float(q) - 750 / 64) < 1e-12
+    q_b = nk6.commutator_invariant_direct(
         nk6.reconstruct_sff((S5 / 4, S5 / 4, S10 / 4, 0.0)))
-    assert abs(float(inv_b.Q) - 675 / 32) < 1e-12
+    assert abs(float(q_b) - 675 / 32) < 1e-12
     assert np.allclose(
-        nk6.commutator_invariant_direct(nk6.reconstruct_sff((0, 0, 0, 0))).Q, 0.0)
+        nk6.commutator_invariant_direct(nk6.reconstruct_sff((0, 0, 0, 0))), 0.0)
 
 
 def test_commutator_invariant_against_loop_oracle(rng):
@@ -401,16 +401,11 @@ def test_commutator_invariant_against_loop_oracle(rng):
     t = rng.normal(size=4)
     H = nk6.reconstruct_sff(tuple(t))
     q = 0.0
-    n_terms = []
     for i in range(3):
         for j in range(3):
             C = H[i] @ H[j] - H[j] @ H[i]
             q += np.sum(C * C) + np.trace(H[i] @ H[j]) ** 2
-            if i < j:
-                n_terms.append(np.sum(C * C))
-    inv = nk6.commutator_invariant_direct(H)
-    assert abs(float(inv.Q) - q) < 1e-12 * max(1.0, abs(q))
-    assert np.allclose(inv.N_terms, n_terms, rtol=1e-12)
+    assert abs(float(nk6.commutator_invariant_direct(H)) - q) < 1e-12 * max(1.0, abs(q))
 
 
 def test_closed_forms_reference_values():
@@ -425,8 +420,8 @@ def test_closed_forms_reference_values():
 def test_closed_forms_match_direct_on_random_tuples(rng):
     tuples = rng.normal(size=(10000, 4)) * 2.0
     cf = nk6.closed_forms(tuples)
-    inv = nk6.commutator_invariant_direct(nk6.reconstruct_sff(tuples))
-    rel = np.abs(cf.q_closed - inv.Q) / np.maximum(1.0, np.abs(inv.Q))
+    q_direct = nk6.commutator_invariant_direct(nk6.reconstruct_sff(tuples))
+    rel = np.abs(cf.q_closed - q_direct) / np.maximum(1.0, np.abs(q_direct))
     assert np.max(rel) < 1e-12
     # hsq closed form against the tensor norm
     h = nk6.reconstruct_sff(tuples)
@@ -451,7 +446,7 @@ def test_closed_forms_are_exact_on_the_integer_grid():
     tuples = np.array(list(itertools.product(range(-2, 3), repeat=4)), dtype=float)
     cf = nk6.closed_forms(tuples)
     H = nk6.reconstruct_sff(tuples)
-    q_direct = nk6.commutator_invariant_direct(H).Q
+    q_direct = nk6.commutator_invariant_direct(H)
     assert np.max(np.abs(q_direct)) <= 4224
     assert np.max(np.abs(cf.q_closed - q_direct)) == 0.0
     assert np.max(np.abs(cf.q_from_regrouping - cf.q_closed)) == 0.0

@@ -106,7 +106,7 @@ def test_g_tensor_matches_difference_quotient(rng):
     X = cayley.random_tangent(x, rng)
     Y = cayley.random_tangent(x, rng)
     closed = cayley.g_tensor(x, X, Y, table)
-    fd = cayley.g_tensor_fd(x, X, Y, table, step=1e-5)
+    fd = cayley.g_tensor_fd(x, X, Y, table)
     assert np.max(np.abs(closed - fd)) < 1e-6
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nk6 import canonical, cli, geometry, models, simons
+from nk6 import canonical, cayley, cli, geometry, models, simons
 from conftest import random_chart_points
 
 
@@ -192,6 +192,14 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
         return inner_frame(imm, q, validate=validate)
 
     monkeypatch.setattr(geometry, "frame", frame)
+    sffs = []
+    inner_sff = geometry.second_fundamental_form
+
+    def sff(imm, q, frame_packet=None):
+        sffs.append(len(q))  # a traced run reads a call's batch from its points
+        return inner_sff(imm, q, frame_packet=frame_packet)
+
+    monkeypatch.setattr(geometry, "second_fundamental_form", sff)
     suites = cli.cmd_verify(cli.RunConfig(command="verify"), counted_dvv.table, counted_dvv)
     assert [s["name"] for s in suites][-1] == "berger_sphere_reference"
     assert all(check["passed"] for s in suites for check in s["checks"])
@@ -220,6 +228,7 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
     assert np.allclose(np.mean(circles, axis=1), pts[0], rtol=0, atol=1e-12)
     assert len(calls) == 6
     assert frames == [200, 24]
+    assert sffs == frames
 
 
 def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):
@@ -281,6 +290,20 @@ def test_non_lagrangian_poly_file_is_named(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--model", f"poly:{path}")
     checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
     assert code == 1 and not checks["lagrangian"]["passed"]
+
+
+def test_a_non_finite_coefficient_is_refused(capsys, tmp_path, geodesic):
+    # a NaN compares false against every bound: loaded, the great sphere
+    # with a NaN term would pass the unit-sphere and frame checks, and
+    # integrate would classify its NaN integral as strict
+    rows = [f"{c + 1} {' '.join(map(str, e))} {co!r}" for c, e, co in geodesic.terms]
+    rows[-1] = rows[-1].rsplit(" ", 1)[0] + " nan"
+    path = tmp_path / "nan.txt"
+    path.write_text("\n".join(rows) + "\n")
+    for args in (("verify",), ("analyze",), ("integrate", "--rule", "8,8,8")):
+        code, out, err = run_cli(capsys, *args, "--model", f"poly:{path}")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:{len(rows)}: coefficient must be finite\n"
 
 
 def test_analyze_rejects_synthetic(capsys):
@@ -465,3 +488,100 @@ def test_failures_in_a_block_name_its_nodes(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("failure: Theta enclosure did not close on 1024 of 1024 node")
     assert err.rstrip().endswith("[quadrature nodes 0-1023 of 4096]")
+
+
+def _shifted_entry(index, delta):
+    """Doctor an array by adding delta at index (trailing axes), every row."""
+    def doctor(a):
+        a = np.array(a)
+        a[(Ellipsis,) + index] += delta
+        return a
+    return doctor
+
+
+def _flip_e3_at_first_point(pk):
+    # e3, J e3 and e3's X-basis row reversed at one point: a frame of the
+    # other orientation there, still orthonormal and Lagrangian
+    sign = np.ones(pk.e.shape[:-1])
+    sign[(0,) * (sign.ndim - 1) + (2,)] = -1.0
+    return replace(pk, e=pk.e * sign[..., None], estar=pk.estar * sign[..., None],
+                   field_comps=pk.field_comps * sign[..., None])
+
+
+# check name -> (model, module, function, doctoring of the function's result,
+# every check that then fails).  h and nabla h vanish on the great sphere,
+# so there a doctored frame or h reaches no check that multiplies by them.
+DOCTORINGS = {
+    "unit_image": (
+        "dvv", models.PolynomialSphereImmersion, "jet",
+        lambda jt: replace(jt, value=jt.value * (1 + 1e-11)), {"unit_image"}),
+    "frame_orthonormal": (
+        "totally-geodesic", geometry, "frame",
+        lambda pk: replace(pk, e=pk.e * (1 + 2e-10)), {"frame_orthonormal"}),
+    "volume_form": (
+        "totally-geodesic", geometry, "frame", _flip_e3_at_first_point, {"volume_form"}),
+    "metric_values": (
+        "dvv", geometry, "frame",
+        lambda pk: replace(pk, metric=pk.metric * (1 + 1e-9)), {"metric_values"}),
+    "g_normality": (
+        "totally-geodesic", cayley, "frame_products", lambda g: g + 2e-10, {"g_normality"}),
+    "sff_full_symmetry": (
+        "totally-geodesic", geometry, "second_fundamental_form",
+        lambda sff: geometry.SFF(h=_shifted_entry((0, 1, 2), 3e-9)(sff.h)),
+        {"sff_full_symmetry"}),
+    "minimality": (
+        "totally-geodesic", geometry, "second_fundamental_form",
+        lambda sff: geometry.SFF(h=_shifted_entry((0, 0, 0), 3e-9)(sff.h)),
+        {"minimality"}),
+    "gauss_scalar": (
+        "dvv", geometry, "curvature_from_sff",
+        lambda cp: replace(cp, tau=cp.tau + 2e-8), {"gauss_scalar"}),
+    "sectional_values": (
+        "dvv", geometry, "curvature_from_sff",
+        lambda cp: replace(cp, R=_shifted_entry((1, 2, 1, 2), 2e-8)(cp.R)),
+        {"sectional_values"}),
+    "theta_value": (
+        "dvv", canonical, "maximize_theta",
+        lambda ut: (ut[0], ut[1] + 2e-6), {"theta_value"}),
+    # nabla h on the Berger sphere is F, whose fully symmetric part vanishes:
+    # a term along e1^4 moves only what sees nabla h's values, and a term
+    # symmetric in the derivative slots only what tests the other exchange
+    "j_parallel": (
+        "dvv", geometry, "nabla_h",
+        lambda nh: geometry.NablaH(coeffs=_shifted_entry((0, 0, 0, 0), 2e-7)(nh.coeffs)),
+        {"j_parallel", "nabla_h_ambient"}),
+    "covariant_exchange": (
+        "totally-geodesic", geometry, "nabla_h",
+        lambda nh: geometry.NablaH(coeffs=_shifted_entry((0, 0, 1, 1), 2e-7)(nh.coeffs)),
+        {"covariant_exchange", "nabla_h_ambient"}),
+    "t_norm": (
+        "dvv", geometry, "nabla_h",
+        lambda nh: geometry.NablaH(coeffs=nh.coeffs * (1 + 1e-8)), {"t_norm"}),
+    "gradient_bound": (
+        "dvv", geometry, "nabla_h",
+        lambda nh: geometry.NablaH(coeffs=nh.coeffs * (1 - 1e-8)),
+        {"gradient_bound", "t_norm"}),
+    "f_norm": (
+        "dvv", simons, "f_tensor", lambda F: F * (1 + 1e-10), {"f_norm"}),
+    # Q of synthetic:a's zero tuple is 0 under any relative error
+    "closed_form_match_random": (
+        "synthetic:a", canonical, "closed_forms",
+        lambda cf: replace(cf, q_closed=cf.q_closed * (1 + 1e-11)),
+        {"closed_form_match_random"}),
+    # the shear term of the remainder with its sign reversed
+    "remainder_sign": (
+        "synthetic:a", canonical, "closed_forms",
+        lambda cf: replace(cf, r_residual=cf.r_terms[0] - cf.r_terms[1] + cf.r_terms[2]),
+        {"remainder_sign"}),
+}
+
+
+@pytest.mark.parametrize("check", DOCTORINGS)
+def test_each_verify_check_fails_on_its_doctoring(capsys, monkeypatch, check):
+    model, owner, name, doctor, failing = DOCTORINGS[check]
+    inner = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: doctor(inner(*args, **kwargs)))
+    code, out, _ = run_cli(capsys, "verify", "--model", model)
+    checks = [c for s in json.loads(out)["suites"] for c in s["checks"]]
+    assert code == 1
+    assert {c["name"] for c in checks if not c["passed"]} == failing
