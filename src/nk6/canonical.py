@@ -84,7 +84,6 @@ def _tangent_basis(u):
 _SPLIT = 10            # level-0 cells per edge of each cube face
 _MAX_DEPTH = 12        # quadtree depth at which an open enclosure fails
 _MAX_OPEN = 512        # open cells per node at which an enclosure fails
-_POLISH_DEPTH = 3      # open cells this deep get a Newton polish of their own
 _MAX_NEWTON = 60
 _CHUNK = 1024          # nodes per pass: bounds the level-0 and open-cell arrays
 
@@ -296,15 +295,18 @@ def _ball_radius(f, g, mu, sigma, theta, tol):
     return np.where((mu > 0) & (f > 0) & (f + g * r <= theta + tol), r, -1.0)
 
 
-def _covered(c, node, u, r, own_u, own_r, delta):
-    """Rows whose cell (centre c, angular radius delta) lies inside the ball
-    of radius r[node] around +-u[node] or of radius own_r around +-own_u."""
-    limit = np.where(r > delta, np.cos(r - delta), 2.0)
-    out = np.abs(np.einsum("na,na->n", c, u[node])) >= limit[node]
-    rows = np.nonzero(own_r > delta)[0]
-    dots = np.abs(np.einsum("na,na->n", c[rows], own_u[rows]))
-    out[rows] |= dots >= np.cos(own_r[rows] - delta)
-    return out
+def _best_per_node(node, value):
+    """Per node present, its row with the largest value (the last on ties)."""
+    order = np.lexsort((value, node))
+    return order[np.diff(node[order], append=-1) != 0]
+
+
+def _covered(c, node, ball_u, ball_r, delta, slots):
+    """Rows whose cell (centre c, angular radius delta) lies inside a ball of
+    its node: radius ball_r[node, s] around +-ball_u[node, s] for s in slots."""
+    r = ball_r[node[:, None], slots]
+    dots = np.abs(np.einsum("na,nsa->ns", c, ball_u[node[:, None], slots]))
+    return (dots >= np.where(r > delta, np.cos(r - delta), 2.0)).any(axis=-1)
 
 
 def _curvature_term(sigma, half):
@@ -342,24 +344,25 @@ def _enclose(hs, scale, seed, level0):
 
     Branch and bound over the coarse cells: cells whose bound is within
     tolerance of theta are dropped, as are cells inside a ball of
-    _ball_radius around a polished maximum.  At level 0 both tests run on
-    the vertices first: a cell stays open only at a vertex above
-    theta + tol - 9 sigma^ half0^2 that lies outside the seed's ball by
-    more than a cell diameter.  The open cells are split in four,
-    which evaluates f at the four edge midpoints and the centre of each.  A
-    cell whose best corner beats theta is polished from that corner and
-    raises theta.  Open cells from _POLISH_DEPTH on are polished too, and
-    their polished points give balls of their own: maxima tied with theta
-    can only be closed that way.  Returns the certified (u, theta); raises
-    EnclosureError when cells stay open at _MAX_DEPTH or more than
-    _MAX_OPEN stay open on one row.
+    _ball_radius around a point polished for their node.  A node keeps one
+    ball per depth: the seed's in slot 0, the largest from depth d in slot
+    d + 1 (radius -1: none).  A ball stays valid as theta rises, as on it
+    f <= f(u) + g r <= theta_then + tol <= theta_now + tol.  At level 0 both
+    tests run on the vertices first: a cell stays open only at a vertex
+    above theta + tol - 9 sigma^ half0^2 outside the seed's ball by more
+    than a cell diameter.  At each depth a node polishes its open cell with
+    the largest |corner|, and every cell whose best corner beats theta,
+    which raises theta; then the open cells are split in four, which
+    evaluates f at the four edge midpoints and the centre of each.  Returns
+    the certified (u, theta); raises EnclosureError when cells stay open at
+    _MAX_DEPTH or more than _MAX_OPEN stay open on one row.
     """
     u, theta, g, mu = seed
     u, theta = u.copy(), theta.copy()
     tol = 1e-12 * np.maximum(scale, 1.0)
     coef, F, absF, best = level0
     sigma = _spectral_bound(scale, absF[np.arange(len(best)), best])
-    main_r = _ball_radius(theta, g, mu, sigma, theta, tol)
+    seed_r = _ball_radius(theta, g, mu, sigma, theta, tol)
 
     vertex, _, cells, face0, point0, corner0 = _coarse_cells()
     half = 1.0 / _SPLIT  # planar half-side of the cells at the current depth
@@ -369,7 +372,7 @@ def _enclose(hs, scale, seed, level0):
     node, vert = np.divmod(flat, F.shape[1])
     # the cells at a corner within r - 2 delta0 of +-u lie in the ball of
     # radius r: delta0 = sqrt(2) half0 bounds their angular radius
-    reach = main_r - 2.0 * np.sqrt(2.0) * half
+    reach = seed_r - 2.0 * np.sqrt(2.0) * half
     near = np.abs(np.einsum("na,na->n", np.take(vertex, vert, axis=0), u[node]))
     far = near < np.where(reach > 0, np.cos(reach), 2.0)[node]
     if not far.any():
@@ -378,41 +381,37 @@ def _enclose(hs, scale, seed, level0):
     node, cell = np.divmod(pair, len(face0))
     face, point = np.take(face0, cell), np.take(point0, cell, axis=0)
     corner = np.take(F, node[:, None] * F.shape[1] + np.take(corner0, cell, axis=0))
-    own_u, own_r = np.zeros((len(node), 3)), np.full(len(node), -1.0)
+    ball_u = np.repeat(u[:, None], _MAX_DEPTH + 2, axis=1)
+    ball_r = np.where(np.arange(_MAX_DEPTH + 2) == 0, seed_r[:, None], -1.0)
 
     for depth in range(_MAX_DEPTH + 1):
         delta = np.sqrt(2.0) * half  # the gnomonic map shrinks distances
         c = _unit(point)
         best = np.argmax(np.abs(corner), axis=-1)
         fbest = np.take_along_axis(corner, best[:, None], axis=-1)[:, 0]
-        polish = np.abs(fbest) > theta[node]
-        if depth >= _POLISH_DEPTH:
-            polish |= ~_covered(c, node, u, main_r, own_u, own_r, delta)
-        if polish.any():
-            idx = np.nonzero(polish)[0]
+        bound = np.abs(fbest) + _curvature_term(sigma[node], half)
+        keep = bound - theta[node] > tol[node]
+        keep[keep] = ~_covered(c[keep], node[keep], ball_u, ball_r, delta, np.arange(depth + 1))
+        pick = _best_per_node(node, np.where(keep, np.abs(fbest), -1.0))
+        idx = np.union1d(pick[keep[pick]], np.flatnonzero(np.abs(fbest) > theta[node]))
+        if idx.size:
             start = _unit(point[idx] + half * _CORNERS[face[idx], best[idx]])
             start *= np.where(fbest[idx] < 0, -1.0, 1.0)[:, None]
-            hp = hs[node[idx]]
-            pu, pf, pg, pmu = _polish(hp, start, scale[node[idx]])
+            pnode = node[idx]
+            pu, pf, pg, pmu = _polish(hs[pnode], start, scale[pnode])
             # the best polished point of each row that beats its theta wins
-            order = np.lexsort((pf, node[idx]))
-            last = np.r_[node[idx][order][1:] != node[idx][order][:-1], True]
-            win = order[last]
-            win = win[pf[win] > theta[node[idx[win]]]]
-            rows = node[idx[win]]
-            u[rows], theta[rows] = pu[win], pf[win]
-            main_r[rows] = _ball_radius(pf[win], pg[win], pmu[win], sigma[rows],
-                                        theta[rows], tol[rows])
-            own_u[idx] = pu
-            own_r[idx] = _ball_radius(pf, pg, pmu, sigma[node[idx]],
-                                      theta[node[idx]], tol[node[idx]])
-        excess = np.abs(fbest) + _curvature_term(sigma[node], half) - theta[node]
-        keep = excess > tol[node]
-        keep[keep] = ~_covered(c[keep], node[keep], u, main_r, own_u[keep], own_r[keep], delta)
+            win = _best_per_node(pnode, pf)
+            win = win[pf[win] > theta[pnode[win]]]
+            u[pnode[win]], theta[pnode[win]] = pu[win], pf[win]
+            pr = _ball_radius(pf, pg, pmu, sigma[pnode], theta[pnode], tol[pnode])
+            top = _best_per_node(pnode, pr)
+            ball_u[pnode[top], depth + 1], ball_r[pnode[top], depth + 1] = pu[top], pr[top]
+        excess = bound - theta[node]
+        keep &= excess > tol[node]
+        keep[keep] = ~_covered(c[keep], node[keep], ball_u, ball_r, delta, [depth + 1])
         if not keep.any():
             return u, theta
-        node, face, point, corner, own_u, own_r, excess = (
-            x[keep] for x in (node, face, point, corner, own_u, own_r, excess))
+        node, face, point, corner, excess = (x[keep] for x in (node, face, point, corner, excess))
         if depth == _MAX_DEPTH or np.bincount(node).max() > _MAX_OPEN:
             raise EnclosureError(
                 f"Theta enclosure did not close on {np.unique(node).size} of "
@@ -430,8 +429,7 @@ def _enclose(hs, scale, seed, level0):
         corner = np.lib.stride_tricks.sliding_window_view(grid, (2, 2), axis=(1, 2)).reshape(-1, 4)
         half /= 2.0
         point = (point[:, None, :] + half * _CORNERS[face]).reshape(-1, 3)
-        node, face, own_r = (np.repeat(x, 4) for x in (node, face, own_r))
-        own_u = np.repeat(own_u, 4, axis=0)
+        node, face = np.repeat(node, 4), np.repeat(face, 4)
 
 
 def maximize_theta(sff_like):
@@ -449,18 +447,26 @@ def maximize_theta(sff_like):
     3. Enclose: branch and bound over the cells proves that no point beats
        the polished value by more than 1e-12 max(1, |h|); a cell whose best
        corner does beat it is polished in turn and raises it.  A cell is
-       bounded by its largest corner value plus a curvature term, and the
-       balls around polished maxima use a bound on the spectral norm
-       max |h(a,b,c)| read off the vertices, which by Banach's theorem
-       (Studia Math. 7, 1938) is max |f| itself; see _enclose.
+       bounded by its largest corner value plus a curvature term, or by a
+       ball around a polished point, valid however theta rises later: one
+       per node and depth, so tied maxima close with one polish each.  Both
+       use a bound on the spectral norm max |h(a,b,c)| read off the vertices,
+       which by Banach's theorem (Studia Math. 7, 1938) is max |f|; see _enclose.
 
     Returns (maximizer, theta) with f(maximizer) = theta; a vanishing form
-    yields (e1, 0).  Raises EnclosureError when the enclosure does not close
-    within its depth and cell caps, so no uncertified theta is returned; its
-    message ends with the rows of the failing chunk within the batch.
+    yields (e1, 0).  Raises ValueError, naming the first row, on a form with
+    a non-finite entry.  Raises EnclosureError when the enclosure does not
+    close within its depth and cell caps, so no uncertified theta is
+    returned; its message ends with the rows of the failing chunk within the
+    batch.
     """
     h = _h_array(sff_like)
     batch = h.shape[:-3]
+    # min and max need no temporary the size of h; a NaN anywhere makes them NaN
+    if not np.isfinite([h.min(initial=0.0), h.max(initial=0.0)]).all():
+        bad = np.flatnonzero(~np.isfinite(h.reshape(-1, 27)).all(axis=-1))
+        raise ValueError(f"second fundamental form row {bad[0]} of {h.size // 27} "
+                         "has a non-finite entry")
     hs = (h.reshape(-1, 27) @ _symmetrizer()).reshape(-1, 3, 3, 3)
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
     u = np.zeros((len(hs), 3))

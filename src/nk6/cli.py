@@ -149,32 +149,41 @@ _AMBIENT_STEP = 2 * np.pi * cayley.FD_STEP
 
 
 def _shifted_points(imm, y):
-    """Chart points of exp(+-_AMBIENT_STEP X_a) y, rows ordered by axis a,
-    sign and point."""
-    steps = np.array([_AMBIENT_STEP, -_AMBIENT_STEP])
+    """Chart points of exp(t X_a) y for t = s, -s, s/2, -s/2 with
+    s = _AMBIENT_STEP, rows ordered by axis a, t and point."""
+    steps = _AMBIENT_STEP * np.array([1.0, -1.0, 0.5, -0.5])
     return imm.chart.from_y(geometry._flow(y, np.eye(3)[:, None, :], steps).reshape(-1, 4))
+
+
+def _flow_derivative(v):
+    """d/dt at t = 0 of samples v (3, 4, ...) laid out as `_shifted_points`:
+    the Richardson combination (4 D(s/2) - D(s)) / 3 of the central
+    differences D(t) = (v(t) - v(-t)) / 2t, in which their O(s^2) errors
+    cancel."""
+    d_full = (v[:, 0] - v[:, 1]) / (2 * _AMBIENT_STEP)
+    d_half = (v[:, 2] - v[:, 3]) / _AMBIENT_STEP
+    return (4 * d_half - d_full) / 3
 
 
 def _nabla_h_ambient_residual(imm, pk, sff, nh):
     """Worst deviation of nabla h from a route that shares no Christoffel
     symbol with geometry.nabla_h, at the first n <= 4 points.
 
-    Those points are moved by +-_AMBIENT_STEP along the flow of each field
-    X_a (`_shifted_points`) and framed there, in one call.  The R^7-valued field
-    H_ij = sum_l h[l,i,j] J e_l and the frame e are differentiated by
-    central differences; along e_m = C_ma X_a,
+    Those points are moved by +-_AMBIENT_STEP and +-_AMBIENT_STEP / 2 along
+    the flow of each field X_a (`_shifted_points`) and framed there, in one
+    call.  The R^7-valued field H_ij = sum_l h[l,i,j] J e_l and the frame e
+    are differentiated by `_flow_derivative`; along e_m = C_ma X_a,
     (nabla h)[k,i,j,m] = <dH_ij, J e_k> - Gamma_il h[k,l,j] - Gamma_jl h[k,i,l]
     with Gamma_il = <de_i, e_l>.  `pk`, `sff` and `nh` hold the frame, h and
     nabla h with those points first.
     """
     shifted = _shifted_points(imm, pk.y[:4])
-    n = len(shifted) // 6
+    n = len(shifted) // 12
     pk_shifted = geometry.frame(imm, shifted, validate=False)
     h_s = geometry.second_fundamental_form(imm, shifted, frame_packet=pk_shifted).h
-    field = np.einsum("nlij,nlc->nijc", h_s, pk_shifted.estar).reshape(3, 2, n, 3, 3, 7)
-    e_s = pk_shifted.e.reshape(3, 2, n, 3, 7)
-    d_field = (field[:, 0] - field[:, 1]) / (2 * _AMBIENT_STEP)
-    d_e = (e_s[:, 0] - e_s[:, 1]) / (2 * _AMBIENT_STEP)
+    field = np.einsum("nlij,nlc->nijc", h_s, pk_shifted.estar).reshape(3, 4, n, 3, 3, 7)
+    d_field = _flow_derivative(field)
+    d_e = _flow_derivative(pk_shifted.e.reshape(3, 4, n, 3, 7))
     C, h = pk.field_comps[:n], sff.h[:n]
     proj = np.einsum("nma,anijc,nkc->nkijm", C, d_field, pk.estar[:n])
     gamma = np.einsum("nma,anic,nlc->nmil", C, d_e, pk.e[:n])

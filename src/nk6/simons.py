@@ -47,7 +47,7 @@ TOL_INDETERMINATE = 1e-4  # integrand sups from tol_equality up to this are inde
 
 
 class ResolutionError(RuntimeError):
-    """Quadrature refinement failed to converge."""
+    """Quadrature refinement failed to converge, or a sampled sup is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +325,9 @@ class InequalityReport:
 
 
 def _classify(hsq_sup, integrand_sup, tol_equality):
+    if not (np.isfinite(hsq_sup) and np.isfinite(integrand_sup)):
+        raise ResolutionError(f"cannot classify non-finite sups: |h|^2 {hsq_sup}, "
+                              f"integrand {integrand_sup}")
     if hsq_sup < tol_equality:
         return "geodesic"
     if integrand_sup < tol_equality:
@@ -390,7 +393,8 @@ def integrate_inequality(
     |h|^2, Theta) are kept for every node, and the sums run once over them.
     An EnclosureError or ChartDegeneracyError in a block names the block's
     nodes.  The volume is recomputed on a coarser rule; disagreement beyond
-    `refine_tol` (relative) raises ResolutionError, and a rule with an axis
+    `refine_tol` (relative) or a NaN volume raises ResolutionError, as does
+    a non-finite sup of |h|^2 or of the integrand, and a rule with an axis
     too short to coarsen raises ValueError.
     """
     coarse = rule.coarser()
@@ -408,7 +412,7 @@ def integrate_inequality(
     volume = float(np.sum(weights * dens))
     volume_coarse = _volume(imm, coarse)
     delta = abs(volume - volume_coarse) / max(abs(volume), 1e-300)
-    if delta > refine_tol:
+    if not delta <= refine_tol:  # a NaN delta fails too
         raise ResolutionError(
             f"volume changed by {delta:.3e} (relative) under refinement; "
             "increase the rule"

@@ -75,6 +75,21 @@ def test_zero_form():
     assert cd.tuple() == (0.0, 0.0, 0.0, 0.0)
 
 
+def test_maximize_theta_refuses_non_finite_forms():
+    # unrefused, a NaN row would be skipped as a vanishing form and read (e1, 0)
+    with pytest.raises(ValueError, match=r"row 0 of 2 has a non-finite entry"):
+        nk6.maximize_theta(np.full((2, 3, 3, 3), np.nan))
+    h = np.zeros((2, 4, 3, 3, 3))
+    h[1, 2, 0, 1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"row 6 of 8 has a non-finite entry"):
+        nk6.maximize_theta(h)
+    h[1, 2, 0, 1, 2] = np.inf
+    with pytest.raises(ValueError, match=r"row 6 of 8"):
+        nk6.maximize_theta(h)
+    u, theta = nk6.maximize_theta(np.zeros((2, 3, 3, 3)))
+    assert np.array_equal(u, [[1.0, 0.0, 0.0]] * 2) and np.array_equal(theta, [0.0, 0.0])
+
+
 def test_maximize_theta_on_reference_model(dvv):
     sff = nk6.second_fundamental_form(dvv, np.array([0.55, 1.4, 2.8]))
     u, theta = nk6.maximize_theta(sff.h)
@@ -256,9 +271,33 @@ def test_larger_of_two_close_maxima_wins():
     assert float(u @ ubrute) > 0.99 and float(u @ v) > 1 - 1e-12
 
 
+@pytest.mark.parametrize("form, want", [
+    ((S5 / 4, S5 / 4, S10 / 4, 0.0), S5 / 2),  # the xyz orbit's: 4 tied maxima
+    ((np.sqrt(5.0 / 3.0), 0.0, 0.0, 0.0), np.sqrt(5.0 / 3.0)),  # x^3 - 3xy^2: 3
+], ids=["xyz-orbit", "x3-3xy2-orbit"])
+def test_tied_maxima_close_with_one_polish_per_maximum(form, want, monkeypatch):
+    # a node polishes one open cell per depth besides those that beat theta,
+    # and each polished maximum closes its cells with a ball of its own
+    rows = []
+    polish = canonical._polish
+
+    def counted(hs, u, scale):
+        rows.append(len(u))
+        return polish(hs, u, scale)
+
+    monkeypatch.setattr(canonical, "_polish", counted)
+    R = np.linalg.qr(np.random.default_rng(11).normal(size=(512, 3, 3)))[0]
+    R *= np.sign(np.linalg.det(R))[:, None, None]  # rotations
+    h = nk6.reconstruct_sff(form, R)
+    _, theta = nk6.maximize_theta(h)
+    scale = np.sqrt(np.sum(h**2, axis=(-3, -2, -1)))
+    assert np.all(np.abs(theta - want) <= 1e-12 * np.maximum(1.0, scale))
+    assert sum(rows) <= 8 * len(h)
+
+
 def test_enclosure_fails_loudly(monkeypatch):
-    # u1 u2 u3 has four tied maxima, which only the own balls of open cells
-    # polished from _POLISH_DEPTH on can close
+    # u1 u2 u3 has four tied maxima; at depth 0 a node has the seed's ball
+    # and one more, so the cells around the other two stay open
     tied = np.zeros((3, 3, 3))
     for i, j, k in itertools.permutations(range(3)):
         tied[i, j, k] = 1.0 / 6.0

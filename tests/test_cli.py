@@ -216,18 +216,18 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
     assert len(third) == 2
     assert np.array_equal(third[0], pts[:4]) and np.array_equal(third[1], pts[:24])
     # the only other order-2 calls: the first 4 points moved both ways along
-    # each field's flow (nabla_h_ambient), then |h|^2 on the Laplacian's
-    # three complex circles of 16 nodes around the first point, whose metric
-    # terms come from the frame packet
+    # each field's flow by the step and by half of it (nabla_h_ambient), then
+    # |h|^2 on the Laplacian's three complex circles of 16 nodes around the
+    # first point, whose metric terms come from the frame packet
     shifted, circles = [q for order, q in seen if order == 2 and q is not pts]
-    t = cli._AMBIENT_STEP
+    t = cli._AMBIENT_STEP * np.array([1.0, -1.0, 0.5, -0.5])[:, None, None]
     move = np.einsum("fab,nb->fna", models.FIELD_MATS, pts[:4])
-    want = np.cos(t) * pts[:4] + np.sin(t) * np.stack([move, -move], axis=1)
-    assert np.allclose(shifted.reshape(3, 2, 4, 4), want, rtol=0, atol=1e-15)
+    want = np.cos(t) * pts[:4] + np.sin(t) * move[:, None]
+    assert np.allclose(shifted.reshape(3, 4, 4, 4), want, rtol=0, atol=1e-15)
     assert circles.shape == (3, 16, 4) and np.iscomplexobj(circles)
     assert np.allclose(np.mean(circles, axis=1), pts[0], rtol=0, atol=1e-12)
     assert len(calls) == 6
-    assert frames == [200, 24]
+    assert frames == [200, 48]
     assert sffs == frames
 
 
@@ -463,6 +463,14 @@ def test_open_theta_enclosure_is_a_failure(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("failure: Theta enclosure did not close on 512 of 512 node")
+
+
+def test_a_nan_coarse_volume_is_a_failure(capsys, monkeypatch):
+    # a NaN delta passes a `delta > tol` gate; the refinement check must fail
+    monkeypatch.setattr(simons, "_volume", lambda imm, rule: float("nan"))
+    code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "8,8,8")
+    assert code == 1 and out == ""
+    assert err.startswith("failure: volume changed by nan (relative) under refinement")
 
 
 def test_failures_in_a_block_name_its_nodes(capsys, monkeypatch):

@@ -215,6 +215,14 @@ def test_classify_reaches_every_branch():
     assert simons._classify(3.125, simons.TOL_INDETERMINATE, 1e-8) == "strict"
 
 
+def test_classify_refuses_non_finite_sups():
+    # NaN compares false against every bound: unrefused, it would read "strict"
+    for hsq_sup, integrand_sup in ((np.nan, np.nan), (5.625, np.nan), (np.nan, 1e-2),
+                                   (np.inf, 1e-2)):
+        with pytest.raises(simons.ResolutionError, match="non-finite"):
+            simons._classify(hsq_sup, integrand_sup, 1e-8)
+
+
 def test_integrate_inequality_evaluates_each_rule_once(counted_dvv):
     # fine nodes at order 2 for frame, density and h; coarse at order 1
     nk6.integrate_inequality(counted_dvv, nk6.QuadratureRule(8, 8, 8))
