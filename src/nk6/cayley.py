@@ -192,7 +192,7 @@ def load_table(path) -> MulTable:
 # ---------------------------------------------------------------------------
 
 def cross(u, v, table: MulTable):
-    """Cross product of batched 7-vectors, u x v.
+    """Cross product of batched 7-vectors, u x v, real or complex.
 
     u x . is built as a 7 x 7 matrix per row of u (one matmul of u against
     the table flattened to 7 x 49), and v is applied to it by a second
@@ -200,8 +200,7 @@ def cross(u, v, table: MulTable):
     place of a dense 343-term einsum per row, and no (..., 49) outer product
     of u and v is formed.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.asarray(u), np.asarray(v)
     L = (u @ table.f.reshape(7, 49)).reshape(u.shape[:-1] + (7, 7))
     return (v[..., None, :] @ L)[..., 0, :]
 

@@ -63,7 +63,7 @@ DEFAULT_TOLERANCES = {
 @dataclass
 class RunConfig:
     """Echoed into every report, `table` as the source of the table in use;
-    a fixed config fixes the output."""
+    a fixed config fixes the output.  Its defaults are the command line's."""
 
     command: str
     model: str = "dvv"
@@ -144,49 +144,33 @@ def _rows(packet, index):
     return replace(packet, **rows)
 
 
-# step along the X_a flows of the nabla_h_ambient central differences
-_AMBIENT_STEP = 2 * np.pi * cayley.FD_STEP
-
-
-def _shifted_points(imm, y):
-    """Chart points of exp(t X_a) y for t = s, -s, s/2, -s/2 with
-    s = _AMBIENT_STEP, rows ordered by axis a, t and point."""
-    steps = _AMBIENT_STEP * np.array([1.0, -1.0, 0.5, -0.5])
-    return imm.chart.from_y(geometry._flow(y, np.eye(3)[:, None, :], steps).reshape(-1, 4))
-
-
-def _flow_derivative(v):
-    """d/dt at t = 0 of samples v (3, 4, ...) laid out as `_shifted_points`:
-    the Richardson combination (4 D(s/2) - D(s)) / 3 of the central
-    differences D(t) = (v(t) - v(-t)) / 2t, in which their O(s^2) errors
-    cancel."""
-    d_full = (v[:, 0] - v[:, 1]) / (2 * _AMBIENT_STEP)
-    d_half = (v[:, 2] - v[:, 3]) / _AMBIENT_STEP
-    return (4 * d_half - d_full) / 3
+# imaginary flow time of the nabla_h_ambient complex step
+_COMPLEX_STEP = 1e-20
 
 
 def _nabla_h_ambient_residual(imm, pk, sff, nh):
-    """Worst deviation of nabla h from a route that shares no Christoffel
-    symbol with geometry.nabla_h, at the first n <= 4 points.
+    """Worst deviation of nabla h from a route that shares no connection
+    coefficient with geometry.nabla_h, at the first n <= 4 points.
 
-    Those points are moved by +-_AMBIENT_STEP and +-_AMBIENT_STEP / 2 along
-    the flow of each field X_a (`_shifted_points`) and framed there, in one
-    call.  The R^7-valued field H_ij = sum_l h[l,i,j] J e_l and the frame e
-    are differentiated by `_flow_derivative`; along e_m = C_ma X_a,
-    (nabla h)[k,i,j,m] = <dH_ij, J e_k> - Gamma_il h[k,l,j] - Gamma_jl h[k,i,l]
-    with Gamma_il = <de_i, e_l>.  `pk`, `sff` and `nh` hold the frame, h and
-    nabla h with those points first.
+    The R^7-valued field H_ij = sum_l h[l,i,j] J e_l and the frame e are
+    differentiated along the fields V_m = C_m.X, which equal e_m at each
+    point, by the complex step (Squire and Trapp, SIAM Rev. 40, 1998):
+    d/dt f(exp(t C_m.M) y) at t = 0 is Im f(exp(i s C_m.M) y) / s to
+    O(s^2), with no difference to cancel.  The frame and h continued to
+    those 3n complex points come from one geometry._frame_at call; paired
+    with the real J e_k and e_l at the point, they give
+    (nabla h)[k,i,j,m] = <V_m H_ij, J e_k> - Gamma_mil h[k,l,j]
+    - Gamma_mjl h[k,i,l] with Gamma_mil = <V_m e_i, e_l>.  `pk`, `sff` and
+    `nh` hold the frame, h and nabla h with those points first.
     """
-    shifted = _shifted_points(imm, pk.y[:4])
-    n = len(shifted) // 12
-    pk_shifted = geometry.frame(imm, shifted, validate=False)
-    h_s = geometry.second_fundamental_form(imm, shifted, frame_packet=pk_shifted).h
-    field = np.einsum("nlij,nlc->nijc", h_s, pk_shifted.estar).reshape(3, 4, n, 3, 3, 7)
-    d_field = _flow_derivative(field)
-    d_e = _flow_derivative(pk_shifted.e.reshape(3, 4, n, 3, 7))
-    C, h = pk.field_comps[:n], sff.h[:n]
-    proj = np.einsum("nma,anijc,nkc->nkijm", C, d_field, pk.estar[:n])
-    gamma = np.einsum("nma,anic,nlc->nmil", C, d_e, pk.e[:n])
+    n, s = min(4, len(pk.y)), _COMPLEX_STEP
+    C, h, estar, e = pk.field_comps[:n], sff.h[:n], pk.estar[:n], pk.e[:n]
+    moved = geometry._flow(pk.y[:n], np.moveaxis(C, -2, 0), np.array([1j * s]))[:, 0]
+    pk_c = geometry._frame_at(imm, moved, imm.tangent_fields(moved))
+    h_c = geometry.second_fundamental_form(imm, moved, frame_packet=pk_c).h
+    field = np.einsum("mnlij,mnlc->mnijc", h_c, pk_c.estar)
+    proj = np.einsum("mnijc,nkc->nkijm", field, estar).imag / s
+    gamma = np.einsum("mnic,nlc->nmil", pk_c.e, e).imag / s
     oracle = (proj - np.einsum("nmil,nklj->nkijm", gamma, h)
               - np.einsum("nmjl,nkil->nkijm", gamma, h))
     return float(np.max(np.abs(oracle - nh.coeffs[:n])))
@@ -622,7 +606,10 @@ def _parse_tol(pairs):
 
 @lru_cache(maxsize=None)
 def build_parser():
-    """The command-line parser, built once: parsing leaves it unchanged."""
+    """The command-line parser, built once: parsing leaves it unchanged.
+
+    An option left out is left out of the parsed namespace, so every
+    default is RunConfig's (the rule's, QuadratureRule's)."""
     parser = argparse.ArgumentParser(
         prog="nk6",
         description="Invariants and inequality certification for Lagrangian "
@@ -630,59 +617,45 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_rule=False):
-        p.add_argument("--model", default="dvv",
-                       help="dvv | totally-geodesic | synthetic:a|b|c | poly:<path>")
-        p.add_argument("--table", default=None,
+    def command(name, help, with_rule=False, with_points=False):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--model", help="dvv | totally-geodesic | synthetic:a|b|c | poly:<path>")
+        p.add_argument("--table",
                        help="multiplication-table file, or 'auto' (default): the "
                        "file NK6_TABLE_PATH names, else the Cayley-Dickson table")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
         p.add_argument("--tol", action="append", metavar="KEY=VAL",
                        help="override a named tolerance (repeatable)")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        p.add_argument("--out", type=Path, help="output directory")
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"))
         if with_rule:
-            p.add_argument("--rule", default="32,32,32",
-                           help="quadrature nodes 'n_eta,n_xi1,n_xi2'")
+            p.add_argument("--rule", help="quadrature nodes 'n_eta,n_xi1,n_xi2'")
+        if with_points:
+            p.add_argument("--points", type=_parse_points,
+                           help="semicolon-separated chart points 'eta,xi1,xi2;...'")
+            p.add_argument("--random", dest="random_points", type=int,
+                           help="number of random chart points when --points is absent")
 
-    def point_args(p):
-        p.add_argument("--points", type=_parse_points, default=None,
-                       help="semicolon-separated chart points 'eta,xi1,xi2;...'")
-        p.add_argument("--random", dest="random_points", type=int, default=10,
-                       help="number of random chart points when --points is absent")
-
-    common(sub.add_parser("verify", help="run the identity and invariant suites"))
-    pa = sub.add_parser("analyze", help="per-point invariant table")
-    common(pa)
-    point_args(pa)
-    common(sub.add_parser("integrate", help="certify the integral inequality"),
-           with_rule=True)
-    pr = sub.add_parser("report", help="verify + analyze + integrate in one document")
-    common(pr, with_rule=True)
-    point_args(pr)
+    command("verify", "run the identity and invariant suites")
+    command("analyze", "per-point invariant table", with_points=True)
+    command("integrate", "certify the integral inequality", with_rule=True)
+    command("report", "verify + analyze + integrate in one document",
+            with_rule=True, with_points=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        cfg = RunConfig(
-            command=args.command,
-            model=args.model,
-            table=args.table if args.table is not None else "auto",
-            seed=args.seed,
-            samples=args.samples,
-            rule=simons.QuadratureRule.parse(getattr(args, "rule", "32,32,32")),
-            tolerances=_parse_tol(args.tol),
-            out=args.out,
-            fmt=args.fmt,
-            points=getattr(args, "points", None),
-            random_points=getattr(args, "random_points", 10),
-        )
-        if cfg.samples < 1:
-            raise ConfigError("--samples must be positive")
+        if "rule" in args:
+            args["rule"] = simons.QuadratureRule.parse(args["rule"])
+        args["tolerances"] = _parse_tol(args.pop("tol", None))
+        cfg = RunConfig(**args)
+        for flag, value, least in (("--samples", cfg.samples, 1), ("--seed", cfg.seed, 0),
+                                   ("--random", cfg.random_points, 1)):
+            if value < least:
+                raise ConfigError(f"{flag} must be at least {least}")
         return run(cfg)
     except (ConfigError, cayley.TableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

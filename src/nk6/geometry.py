@@ -10,7 +10,11 @@ X_f in the induced metric, so h, nabla h and the metric terms of the
 Laplacian are exact to roundoff.  Values alone are differentiated by
 Cauchy's integral formula on complex circles of the flows exp(z c.M) y: the
 immersion's in `fd_jet`, an independent oracle, and the scalar field handed
-to `laplace_beltrami`, which must therefore take complex points y.
+to `laplace_beltrami`, which must therefore take complex points y.  The
+frame, and the h built from it, take complex points too (`_frame_at`): with
+no conjugate anywhere they continue holomorphically, which gives the
+Laplacian its field |h|^2 and `verify` a complex-step derivative of h and
+the frame, neither through the connection that `nabla_h` uses.
 """
 
 from __future__ import annotations
@@ -285,7 +289,8 @@ def _gram_schmidt(rows, metric):
     """T (3, 3, n) with T G T^T = I, node-last: modified Gram-Schmidt of
     the rows of `rows` (3, 3, n) in the inner product <u, v> = u G v^T of
     the induced metric G (3, 3, n), so the vectors T @ d1 are orthonormal in
-    R^7 and span what rows @ d1 spans."""
+    R^7 and span what rows @ d1 spans.  The products are bilinear, with no
+    conjugate, so at complex points T is the holomorphic continuation."""
     out = []
     for i in range(3):
         v = rows[i]
@@ -293,9 +298,10 @@ def _gram_schmidt(rows, metric):
             v = v - (v * gt).sum(axis=0) * t
         gv = np.einsum("abn,bn->an", metric, v)
         # |v @ d1|^2 in R^7; compared squared, so roundoff below 0 cannot
-        # reach the square root
+        # reach the square root.  At complex points its real part is
+        # compared, and the principal root continues the real one.
         nsq = (v * gv).sum(axis=0)
-        if np.any(nsq < 1e-16):
+        if np.any(nsq.real < 1e-16):
             raise ChartDegeneracyError(
                 "tangent frame is rank deficient; cannot orthonormalize")
         n = np.sqrt(nsq)
@@ -312,17 +318,29 @@ def frame(imm, q, validate=True) -> FramePacket:
     none.  Gram-Schmidt on them in G = d1 d1^T gives the X-basis components
     T of the frame, and e = T @ d1.  Points outside the chart's domain raise
     ValueError; a map that is not immersed raises ChartDegeneracyError.
-
-    The work runs node-last: d1 is transposed once to (3, 7, n), and every
-    3 x 3 and 3 x 7 product is a sum of whole rows of nodes.
     """
     q = np.asarray(q, dtype=float)
     imm.chart.check_domain(q)
-    y = imm.chart.to_y(q)
+    packet = _frame_at(imm, imm.chart.to_y(q), imm.tangent_fields(q))
+    if validate:
+        packet.validate(model=f"model {imm.name}")
+    return packet
+
+
+def _frame_at(imm, y, rows):
+    """The frame packet of `frame` at points y of S^3, real or complex, from
+    the model's tangent-field rows there (None for the fields X_f).
+
+    Every step is a polynomial in the jet but for the square roots of
+    `_gram_schmidt`, so at complex y the packet is the holomorphic
+    continuation of the real frame, and so is the h that
+    second_fundamental_form builds from it.  The work runs node-last: d1 is
+    transposed once to (3, 7, n), and every 3 x 3 and 3 x 7 product is a
+    sum of whole rows of nodes.
+    """
     batch = y.shape[:-1]
     jt = imm.jet(y, 2)
     d1, metric = _metric(jt.d1)
-    rows = imm.tangent_fields(q)
     if rows is None:
         rows = np.broadcast_to(np.eye(3)[..., None], metric.shape)
     else:
@@ -331,15 +349,11 @@ def frame(imm, q, validate=True) -> FramePacket:
     e = _node_first(np.einsum("ian,acn->icn", field_comps, d1), batch)
     del d1  # the transposed copy goes before the cross product's temporaries
     estar = np.ascontiguousarray(_node_last(cross(jt.value[..., None, :], e, imm.table), 2))
-
-    packet = FramePacket(
+    return FramePacket(
         y=y, e=e, estar=_node_first(estar, batch),
         metric=_node_first(metric, batch), field_comps=_node_first(field_comps, batch),
         jet=jt, table=imm.table,
     )
-    if validate:
-        packet.validate(model=f"model {imm.name}")
-    return packet
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +387,8 @@ def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None) -> 
     orthogonal to both the position vector and the tangent space: with
     d2[a, b] = X_b X_a Psi, <d2[a, b], J e_k> = <h(X_a, X_b), J e_k>, as the
     projection onto the J-frame drops the tangent part, the commutator
-    [X_b, X_a] Psi included.
+    [X_b, X_a] Psi included.  A packet from `_frame_at` at complex points
+    gives the holomorphic continuation of h there.
     """
     pk = frame_packet if frame_packet is not None else frame(imm, q)
     batch = pk.jet.d2.shape[:-3]
@@ -381,7 +396,7 @@ def second_fundamental_form(imm, q, frame_packet: FramePacket | None = None) -> 
     # proj[a, k, b] = <d_a d_b Psi, J e_k>, node-last; d2 is transposed one
     # index a at a time, which keeps the copy to a third of the block's d2
     d2 = _node_last(pk.jet.d2, 3)
-    proj = np.empty((3, 3, 3, estar.shape[-1]))
+    proj = np.empty((3, 3, 3, estar.shape[-1]), dtype=estar.dtype)
     for a in range(3):
         proj[a] = _pairings(estar, np.ascontiguousarray(d2[a]))
     # h_k = C proj_k C^T, the second product into proj's buffer

@@ -200,7 +200,8 @@ class PolynomialSphereImmersion:
 
     def tangent_fields(self, q):
         """Rows (..., 3, 3) of the model's frame in the X basis, the scaled
-        fields s_f X_f, over the batch of q; None without field scales."""
+        fields s_f X_f, over the batch of q: chart points, or points y of
+        S^3, complex ones included; None without field scales."""
         if self.field_scales is None:
             return None
         return np.broadcast_to(np.diag(self.field_scales), np.shape(q)[:-1] + (3, 3))

@@ -175,29 +175,19 @@ def laplacian_identity_check(imm, q) -> LaplacianIdentityReport:
     return laplacian_identity(imm, q, pk, sff, nh, canonical.canonical_basis(sff.h))
 
 
-def _hsq(imm, y):
-    """|h|^2 = g^{ac} g^{bd} <sigma_ab, sigma_cd> at points y of S^3, real or
-    complex, from one order-2 jet, with sigma_ab = h(X_a, X_b) = X_b X_a Psi
-    + g_ab Psi - Gamma^e_ab X_e Psi.  Every product is bilinear, so this is
-    the holomorphic extension of |h|^2."""
-    jt = imm.jet(y, 2)
-    ginv, gamma = geometry._christoffel(jt)
-    g = jt.d1 @ np.swapaxes(jt.d1, -1, -2)
-    sigma = (jt.d2 + g[..., None] * jt.value[..., None, None, :]
-             - np.einsum("...abe,...ek->...abk", gamma, jt.d1))
-    # |h|^2 = sum_k tr(g^-1 sigma_k g^-1 sigma_k), by einsum: faster than complex matmul
-    gs = np.einsum("...ac,...cbk->...abk", ginv, sigma)
-    return np.sum(gs * np.swapaxes(gs, -2, -3), axis=(-3, -2, -1))
-
-
 def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
                        cd: canonical.CanonicalData) -> LaplacianIdentityReport:
     """Both routes of laplacian_identity_check at one chart point q, from
     the frame, h, nabla h and normal form already evaluated there."""
     packet = t_tensor(nh, f_tensor(sff, pk), sff)
 
-    half_lap = 0.5 * float(geometry.laplace_beltrami(
-        imm, lambda yy: _hsq(imm, yy), q, frame_packet=pk))
+    # |h|^2 as the sum of h^2 with no conjugate, from the frame continued to
+    # the complex circle points: the holomorphic continuation of |h|^2
+    def hsq(yy):
+        pk_c = geometry._frame_at(imm, yy, imm.tangent_fields(yy))
+        return geometry.second_fundamental_form(imm, yy, frame_packet=pk_c).norm_sq()
+
+    half_lap = 0.5 * float(geometry.laplace_beltrami(imm, hsq, q, frame_packet=pk))
 
     hsq = float(sff.norm_sq())
     nhsq = float(packet.nabla_h_sq)

@@ -38,6 +38,23 @@ def test_fd_step_option_is_gone(capsys):
     assert "--fd-step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--seed", "-1"), "--seed"),
+    (("integrate", "--rule", "8,8,8", "--seed", "-1"), "--seed"),
+    (("analyze", "--seed", "-2"), "--seed"),
+    (("analyze", "--random", "0"), "--random"),
+    (("analyze", "--random", "-1"), "--random"),
+    (("report", "--random", "0"), "--random"),
+    (("verify", "--samples", "0"), "--samples"),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv, flag):
+    # a negative seed reached numpy, a negative count numpy's shape check,
+    # and --random 0 gave a report with no rows
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be ")
+
+
 def test_verify_synthetic_runs_matrix_suite_only(capsys):
     code, out, _ = run_cli(capsys, "verify", "--model", "synthetic:c")
     assert code == 0
@@ -196,7 +213,7 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
     inner_sff = geometry.second_fundamental_form
 
     def sff(imm, q, frame_packet=None):
-        sffs.append(len(q))  # a traced run reads a call's batch from its points
+        sffs.append(np.shape(q)[:-1])  # a traced run reads a call's batch from its points
         return inner_sff(imm, q, frame_packet=frame_packet)
 
     monkeypatch.setattr(geometry, "second_fundamental_form", sff)
@@ -215,20 +232,24 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
     third = [q for order, q in seen if order == 3]
     assert len(third) == 2
     assert np.array_equal(third[0], pts[:4]) and np.array_equal(third[1], pts[:24])
-    # the only other order-2 calls: the first 4 points moved both ways along
-    # each field's flow by the step and by half of it (nabla_h_ambient), then
-    # |h|^2 on the Laplacian's three complex circles of 16 nodes around the
-    # first point, whose metric terms come from the frame packet
-    shifted, circles = [q for order, q in seen if order == 2 and q is not pts]
-    t = cli._AMBIENT_STEP * np.array([1.0, -1.0, 0.5, -0.5])[:, None, None]
-    move = np.einsum("fab,nb->fna", models.FIELD_MATS, pts[:4])
-    want = np.cos(t) * pts[:4] + np.sin(t) * move[:, None]
-    assert np.allclose(shifted.reshape(3, 4, 4, 4), want, rtol=0, atol=1e-15)
-    assert circles.shape == (3, 16, 4) and np.iscomplexobj(circles)
+    # the other order-2 calls are on complex points, in two calls: the
+    # first 4 points moved by the imaginary step i s along the flow of each
+    # frame field V_m = C_m.X (nabla_h_ambient), then |h|^2 on the
+    # Laplacian's three circles of 16 nodes around the first point, whose
+    # metric terms come from the frame packet
+    real, moved, circles = [q for order, q in seen if order == 2]
+    assert real is pts and np.iscomplexobj(moved) and np.iscomplexobj(circles)
+    plain = models.dvv_immersion(counted_dvv.table)
+    C = inner_frame(plain, plain.chart.from_y(pts[:4])).field_comps
+    assert moved.shape == (3, 4, 4)
+    assert np.array_equal(moved.real, np.broadcast_to(pts[:4], moved.shape))
+    step = np.einsum("nmf,fab,nb->mna", C, models.FIELD_MATS, pts[:4])
+    assert np.allclose(moved.imag / cli._COMPLEX_STEP, step, rtol=0, atol=1e-12)
+    assert circles.shape == (3, 16, 4)
     assert np.allclose(np.mean(circles, axis=1), pts[0], rtol=0, atol=1e-12)
     assert len(calls) == 6
-    assert frames == [200, 48]
-    assert sffs == frames
+    assert frames == [200]
+    assert sffs == [(200,), (3, 4), (3, 16)]
 
 
 def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):
@@ -247,6 +268,57 @@ def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):
     assert code == 1
     assert not checks["nabla_h_ambient"]["passed"]
     assert checks["codazzi"]["passed"]
+
+
+def test_derivative_oracles_share_no_christoffel_symbol_with_nabla_h(dvv, monkeypatch):
+    # with the connection of nabla_h doctored, the Laplacian's field values
+    # and the frame and h that nabla_h_ambient differentiates at its complex
+    # points stay bit for bit what they were
+    def oracle_inputs(doctored):
+        seen = []
+        inner_lap, inner_core = geometry.laplace_beltrami, geometry._frame_at
+        inner_sff, inner_christoffel = geometry.second_fundamental_form, geometry._christoffel
+
+        def laplace_beltrami(imm, field, q, frame_packet=None):
+            def logged(yy):
+                seen.append(field(yy))
+                return seen[-1]
+            return inner_lap(imm, logged, q, frame_packet=frame_packet)
+
+        def core(imm, y, rows):
+            pk = inner_core(imm, y, rows)
+            if np.iscomplexobj(y):
+                seen.extend([pk.e, pk.estar])
+            return pk
+
+        def sff(imm, q, frame_packet=None):
+            out = inner_sff(imm, q, frame_packet=frame_packet)
+            if np.iscomplexobj(q):
+                seen.append(out.h)
+            return out
+
+        def wrong(jt):
+            ginv, gamma = inner_christoffel(jt)
+            return ginv, (1.0 + 1e-3) * gamma
+
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "laplace_beltrami", laplace_beltrami)
+            m.setattr(geometry, "_frame_at", core)
+            m.setattr(geometry, "second_fundamental_form", sff)
+            if doctored:
+                m.setattr(geometry, "_christoffel", wrong)
+            suites = cli.cmd_verify(cli.RunConfig(command="verify"), dvv.table, dvv)
+        checks = {c["name"]: c["passed"] for s in suites for c in s["checks"]}
+        return seen, checks
+
+    clean, clean_checks = oracle_inputs(False)
+    doctored, doctored_checks = oracle_inputs(True)
+    assert all(clean_checks.values())
+    assert not doctored_checks["nabla_h_ambient"] and not doctored_checks["laplacian"]
+    # e, J e and h at the 12 moved points, then e, J e, h and |h|^2 on the
+    # Laplacian's circles
+    assert [a.shape[:2] for a in clean] == [(3, 4)] * 3 + [(3, 16)] * 4
+    assert all(np.array_equal(a, b) for a, b in zip(clean, doctored, strict=True))
 
 
 def test_verify_reports_a_large_nabla_h_error(capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """Jets, frames, second fundamental form, covariant derivative, curvature."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nk6
-from nk6 import canonical, cli, geometry, models, simons
+from nk6 import canonical, cli, geometry, models
 from conftest import random_chart_points
 
 S5 = np.sqrt(5.0)
@@ -222,6 +224,54 @@ def test_frame_evaluates_the_polynomial_once(table, monkeypatch):
     assert calls == [20]
 
 
+def test_frame_core_at_real_points_is_the_frame(dvv, geodesic):
+    # frame is the chart's domain check and to_y around the core on points
+    # y, which at real y returns frame's packet bit for bit
+    for imm in (dvv, geodesic, _with_fields(dvv)):
+        q = random_chart_points(imm, 33, seed=4)
+        want = nk6.frame(imm, q)
+        got = geometry._frame_at(imm, imm.chart.to_y(q), imm.tangent_fields(q))
+        for name in ("y", "e", "estar", "metric", "field_comps"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == float and np.array_equal(a, b)
+        for name in ("value", "d1", "d2"):
+            assert np.array_equal(getattr(got.jet, name), getattr(want.jet, name))
+        assert got.table is want.table
+
+
+def test_only_nabla_h_reads_the_christoffel_symbols():
+    # verify's derivative oracles, nabla_h_ambient and the Laplacian's |h|^2
+    # field, must share no connection coefficient with the nabla_h they check
+    class References(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope, self.found = [module], set()
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Name(self, node):
+            if node.id == "_christoffel":
+                self.found.add(".".join(self.scope))
+
+        def visit_Attribute(self, node):
+            if node.attr == "_christoffel":
+                self.found.add(".".join(self.scope))
+            self.generic_visit(node)
+
+        def visit_Constant(self, node):
+            if node.value == "_christoffel":
+                self.found.add(".".join(self.scope))
+
+    found = set()
+    for path in sorted(Path(nk6.__file__).parent.glob("*.py")):
+        refs = References(path.stem)
+        refs.visit(ast.parse(path.read_text()))
+        found |= refs.found
+    assert found == {"geometry.nabla_h"}
+
+
 def test_sff_vanishes_on_totally_geodesic(geodesic):
     pts = random_chart_points(geodesic, 100, seed=5)
     sff = nk6.second_fundamental_form(geodesic, pts)
@@ -406,10 +456,19 @@ def test_laplace_beltrami_constant_field(dvv):
     assert abs(val) < 1e-8
 
 
+def _hsq_field(imm):
+    """|h|^2 as a field of points y, real or complex: the sum of h^2 from
+    the frame at y, as the Laplacian identity check builds it."""
+    def field(yy):
+        pk = geometry._frame_at(imm, yy, imm.tangent_fields(yy))
+        return nk6.second_fundamental_form(imm, yy, frame_packet=pk).norm_sq()
+    return field
+
+
 def test_laplace_beltrami_hsq_field(dvv):
     # the holomorphic |h|^2 is constant 25/8 on the Berger sphere
     q = np.array([0.75, 2.0, 0.9])
-    field = lambda yy: simons._hsq(dvv, yy)  # noqa: E731
+    field = _hsq_field(dvv)
     assert abs(float(field(dvv.chart.to_y(q))) - 25 / 8) < 1e-13
     assert abs(float(nk6.laplace_beltrami(dvv, field, q))) < 1e-10
 

@@ -145,6 +145,41 @@ def test_laplacian_identity_on_reference_model(dvv):
     assert rep.t_sq < 1e-8
 
 
+def test_hsq_field_is_holomorphic_on_the_laplacian_circles(dvv, monkeypatch):
+    # the Laplacian's field is the sum of h^2 from the frame continued to its
+    # complex circle points; holomorphic there, it averages over every circle
+    # to |h|^2 at the centre, and its top Taylor terms stay under the gate.
+    # The frame vectors themselves vary along the circles and average to
+    # their values at the centre too.
+    circles = []
+    inner_lap, inner_core = nk6.geometry.laplace_beltrami, nk6.geometry._frame_at
+
+    def laplace_beltrami(imm, field, q, frame_packet=None):
+        def logged(yy):
+            circles.append(field(yy))
+            return circles[-1]
+        return inner_lap(imm, logged, q, frame_packet=frame_packet)
+
+    def core(imm, y, rows):
+        pk = inner_core(imm, y, rows)
+        circles.append(pk.e)
+        return pk
+
+    monkeypatch.setattr(nk6.geometry, "laplace_beltrami", laplace_beltrami)
+    monkeypatch.setattr(nk6.geometry, "_frame_at", core)
+    for q in random_chart_points(dvv, 8, seed=21):
+        rep = simons.laplacian_identity_check(dvv, q)
+        centre, e, hsq = circles[0], circles[1], circles[2]
+        circles.clear()
+        assert hsq.shape == (3, 16) and e.shape == (3, 16, 3, 7)
+        assert np.max(np.abs(np.mean(hsq, axis=1) - rep.hsq)) < 1e-13
+        assert np.max(np.abs(np.mean(e, axis=1) - centre)) < 1e-13
+        assert np.max(np.abs(np.fft.fft(e, axis=1)[:, 1])) / 16 > 0.1
+        for values, scale in ((hsq, max(1.0, rep.hsq)), (e, 1.0)):
+            top = np.fft.fft(values, axis=1)[:, -2:] / 16
+            assert np.max(np.abs(top)) / scale < nk6.geometry._LAPLACE_TAIL
+
+
 def test_laplacian_identity_on_totally_geodesic(geodesic):
     rep = nk6.laplacian_identity_check(geodesic, np.array([0.7, 1.0, 1.0]))
     assert abs(rep.half_laplacian) < 1e-8
