@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 TOL_UNIT = 1e-12
-# step of the parallel-transport difference quotients along unit geodesics
-FD_STEP = 1e-5
+# imaginary time of the complex-step derivatives along unit geodesics
+COMPLEX_STEP = 1e-20
 
 # One oriented Fano line per row; the sign fixes e_i x e_j = +-e_k.
 # This is the Cayley-Dickson doubling of the quaternions: units 1..3 are
@@ -250,7 +250,8 @@ def g_tensor(x, X, Y, table: MulTable, check=True):
     """G(X, Y) at x: the tangential part of X cross Y.
 
     Closed form for the covariant derivative of J applied to Y; the
-    difference-quotient oracle `g_tensor_fd` guards this formula.
+    complex-step oracle `g_tensor_fd` guards this formula.  With check=False
+    it has no conjugate, so it takes complex points and vectors too.
     """
     if check:
         x = check_sphere_point(x)
@@ -260,11 +261,12 @@ def g_tensor(x, X, Y, table: MulTable, check=True):
 
 
 # ---------------------------------------------------------------------------
-# sphere transport and finite-difference oracles
+# sphere transport and complex-step oracles
 # ---------------------------------------------------------------------------
 
 def geodesic(x, X, t):
-    """Unit-speed great circle through x with initial unit velocity X."""
+    """Unit-speed great circle through x with initial unit velocity X, at
+    real or complex times t."""
     t = np.asarray(t)[..., None]
     return np.cos(t) * x + np.sin(t) * X
 
@@ -282,38 +284,40 @@ def parallel_transport(x, X, t, v):
     return v_perp + a * velocity
 
 
-def _geodesic_data(x, X_dir):
-    n = np.linalg.norm(X_dir, axis=-1, keepdims=True)
-    Xu = X_dir / n
-    return Xu, n[..., 0], geodesic(x, Xu, FD_STEP), geodesic(x, Xu, -FD_STEP)
+def _transported_derivative(f, x, X, *vectors):
+    """d/dt at t = 0 of f(x(t), v(t), ...) along the geodesic x(t) with
+    initial velocity X, every v parallel-transported, projected to the
+    tangent space at x.
+
+    f must continue holomorphically in t, as every product here does: one
+    evaluation at the imaginary time i COMPLEX_STEP along the unit geodesic
+    gives the derivative as Im(.) / COMPLEX_STEP to O(COMPLEX_STEP^2), with
+    no difference to cancel (Squire and Trapp, SIAM Rev. 40, 1998).
+    """
+    speed = np.linalg.norm(X, axis=-1, keepdims=True)
+    Xu, t = X / speed, 1j * COMPLEX_STEP
+    moved = f(geodesic(x, Xu, t), *(parallel_transport(x, Xu, t, v) for v in vectors))
+    return tangent_project(x, moved.imag / COMPLEX_STEP) * speed
 
 
 def g_tensor_fd(x, X, Y, table: MulTable):
-    """Difference-quotient evaluation of (covariant derivative of J)(Y) along X.
+    """Complex-step evaluation of (covariant derivative of J)(Y) along X.
 
     Y is parallel-transported along the geodesic with velocity X, so the
-    J-correction term vanishes and the central difference of J(Y) projected
-    back to the tangent space at x approximates G(X, Y).
+    J-correction term vanishes and the derivative of J(Y) projected back to
+    the tangent space at x is G(X, Y).
     """
-    Xu, speed, xp, xm = _geodesic_data(x, X)
-    Yp = parallel_transport(x, Xu, FD_STEP, Y)
-    Ym = parallel_transport(x, Xu, -FD_STEP, Y)
-    dJY = (cross(xp, Yp, table) - cross(xm, Ym, table)) / (2 * FD_STEP)
-    return tangent_project(x, dJY) * speed[..., None]
+    return _transported_derivative(lambda xt, Yt: cross(xt, Yt, table), x, X, Y)
 
 
 def nabla_g_fd(x, X, Y, Z, table: MulTable):
-    """Central difference of the covariant derivative of G along X.
+    """Complex-step evaluation of the covariant derivative of G along X.
 
     Transports Y and Z in parallel, differentiates t -> G(Y(t), Z(t)) along
     the geodesic, and projects to the tangent space at x.
     """
-    Xu, speed, xp, xm = _geodesic_data(x, X)
-    Yp, Ym = (parallel_transport(x, Xu, s, Y) for s in (FD_STEP, -FD_STEP))
-    Zp, Zm = (parallel_transport(x, Xu, s, Z) for s in (FD_STEP, -FD_STEP))
-    Gp = g_tensor(xp, Yp, Zp, table, check=False)
-    Gm = g_tensor(xm, Ym, Zm, table, check=False)
-    return tangent_project(x, (Gp - Gm) / (2 * FD_STEP)) * speed[..., None]
+    return _transported_derivative(
+        lambda xt, Yt, Zt: g_tensor(xt, Yt, Zt, table, check=False), x, X, Y, Z)
 
 
 def random_tangent(x, rng):
@@ -359,9 +363,9 @@ def verify_nk_identities(table: MulTable, n_samples: int = 1000, seed: int = 0) 
     """Worst residual of each identity in IDENTITY_FORMULAS, in its order,
     at n_samples random points and tangent vectors X, Y, Z, W.
 
-    The covariant-derivative identity uses the parallel-transport difference
-    quotient with step FD_STEP; the frame identity runs on Lagrangian frames
-    at the first 8 points.  Residuals are reported, never raised.
+    The covariant-derivative identity uses the parallel-transport complex
+    step `nabla_g_fd`; the frame identity runs on Lagrangian frames at the
+    first 8 points.  Residuals are reported, never raised.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

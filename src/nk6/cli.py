@@ -25,7 +25,6 @@ from .simons import SCHEMA_VERSION
 
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-12,
-    "fd_identity": 1e-6,
     "unit_image": 1e-12,
     "jet_fd_agreement": 1e-6,
     "orthonormal": 1e-10,
@@ -124,8 +123,7 @@ def _resolve_table(cfg: RunConfig):
 def _structure_suite(table, cfg):
     residuals = cayley.verify_nk_identities(table, cfg.samples, cfg.seed)
     return _suite("structure_identities", [
-        _check(name, cayley.IDENTITY_FORMULAS[name], residual,
-               cfg.tol("fd_identity" if name == "covariant_derivative" else "algebraic"))
+        _check(name, cayley.IDENTITY_FORMULAS[name], residual, cfg.tol("algebraic"))
         for name, residual in residuals.items()])
 
 
@@ -144,10 +142,6 @@ def _rows(packet, index):
     return replace(packet, **rows)
 
 
-# imaginary flow time of the nabla_h_ambient complex step
-_COMPLEX_STEP = 1e-20
-
-
 def _nabla_h_ambient_residual(imm, pk, sff, nh):
     """Worst deviation of nabla h from a route that shares no connection
     coefficient with geometry.nabla_h, at the first n <= 4 points.
@@ -163,10 +157,10 @@ def _nabla_h_ambient_residual(imm, pk, sff, nh):
     - Gamma_mjl h[k,i,l] with Gamma_mil = <V_m e_i, e_l>.  `pk`, `sff` and
     `nh` hold the frame, h and nabla h with those points first.
     """
-    n, s = min(4, len(pk.y)), _COMPLEX_STEP
+    n, s = min(4, len(pk.y)), cayley.COMPLEX_STEP
     C, h, estar, e = pk.field_comps[:n], sff.h[:n], pk.estar[:n], pk.e[:n]
     moved = geometry._flow(pk.y[:n], np.moveaxis(C, -2, 0), np.array([1j * s]))[:, 0]
-    pk_c = geometry._frame_at(imm, moved, imm.tangent_fields(moved))
+    pk_c = geometry._frame_at(imm, moved)
     h_c = geometry.second_fundamental_form(imm, moved, frame_packet=pk_c).h
     field = np.einsum("mnlij,mnlc->mnijc", h_c, pk_c.estar)
     proj = np.einsum("mnijc,nkc->nkijm", field, estar).imag / s
@@ -237,7 +231,8 @@ def _immersion_suite(imm, cfg):
         nh.codazzi_residual(), cfg.tol("codazzi")))
     checks.append(_check(
         "nabla_h_ambient",
-        "nabla h = central differences of sum_l h_lij J e_l, less the tangential connection",
+        "nabla h = complex step of sum_l h_lij J e_l along V_m = C_m.X,"
+        " less the tangential connection",
         _nabla_h_ambient_residual(imm, pk, sff, nh), cfg.tol("nabla_h_ambient")))
 
     gj = cayley.frame_products(imm.table, pk_few.e, pk_few.e, pk_few.estar)
@@ -552,11 +547,10 @@ def run(cfg: RunConfig) -> int:
     if cfg.command in ("verify", "report"):
         suites = cmd_verify(cfg, table, model)
         document.update(suites=suites, summary=_summary(suites))
-        if cfg.command == "verify" and cfg.fmt == "csv":
-            csv_blobs["verify_checks.csv"] = lambda: _rows_to_csv(
-                [c for s in suites for c in s["checks"]],
-                ("name", "formula", "max_residual", "tolerance", "passed"),
-            )
+        csv_blobs["verify_checks.csv"] = lambda: _rows_to_csv(
+            [c for s in suites for c in s["checks"]],
+            ("name", "formula", "max_residual", "tolerance", "passed"),
+        )
     if cfg.command == "analyze" or full_report:
         rows = cmd_analyze(cfg, model)
         document["rows"] = rows
@@ -597,7 +591,10 @@ def _parse_tol(pairs):
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(
                 f"unknown tolerance key {key!r}; known: {', '.join(sorted(DEFAULT_TOLERANCES))}")
-        tols[key] = float(value)
+        try:
+            tols[key] = float(value)
+        except ValueError:
+            tols[key] = np.nan  # not a number: refused below, by its key
         # a NaN passes any check, infinity switches one off; neither is JSON
         if not 0 <= tols[key] < np.inf:
             raise ConfigError(f"tolerance {key!r} must be finite and nonnegative, got {value!r}")

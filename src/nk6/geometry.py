@@ -11,10 +11,11 @@ Laplacian are exact to roundoff.  Values alone are differentiated by
 Cauchy's integral formula on complex circles of the flows exp(z c.M) y: the
 immersion's in `fd_jet`, an independent oracle, and the scalar field handed
 to `laplace_beltrami`, which must therefore take complex points y.  The
-frame, and the h built from it, take complex points too (`_frame_at`): with
-no conjugate anywhere they continue holomorphically, which gives the
-Laplacian its field |h|^2 and `verify` a complex-step derivative of h and
-the frame, neither through the connection that `nabla_h` uses.
+frame, and the h built from it, are built on points y of S^3, real or
+complex (`_frame_at`; `frame` maps chart points to y first): with no
+conjugate anywhere they continue holomorphically, which gives the Laplacian
+its field |h|^2 and `verify` a complex-step derivative of h and the frame,
+neither through the connection that `nabla_h` uses.
 """
 
 from __future__ import annotations
@@ -314,22 +315,22 @@ def frame(imm, q, validate=True) -> FramePacket:
     order-2 jet at y = to_y(q) they come from.
 
     The rows to orthonormalize are the model's frame in the X basis
-    (`imm.tangent_fields`), or the fields X_f themselves when the model has
-    none.  Gram-Schmidt on them in G = d1 d1^T gives the X-basis components
-    T of the frame, and e = T @ d1.  Points outside the chart's domain raise
-    ValueError; a map that is not immersed raises ChartDegeneracyError.
+    (`imm.tangent_fields`).  Gram-Schmidt on them in G = d1 d1^T gives the
+    X-basis components T of the frame, and e = T @ d1.  Points outside the
+    chart's domain raise ValueError; a map that is not immersed raises
+    ChartDegeneracyError.
     """
     q = np.asarray(q, dtype=float)
     imm.chart.check_domain(q)
-    packet = _frame_at(imm, imm.chart.to_y(q), imm.tangent_fields(q))
+    packet = _frame_at(imm, imm.chart.to_y(q))
     if validate:
         packet.validate(model=f"model {imm.name}")
     return packet
 
 
-def _frame_at(imm, y, rows):
+def _frame_at(imm, y):
     """The frame packet of `frame` at points y of S^3, real or complex, from
-    the model's tangent-field rows there (None for the fields X_f).
+    the model's tangent-field rows at y.
 
     Every step is a polynomial in the jet but for the square roots of
     `_gram_schmidt`, so at complex y the packet is the holomorphic
@@ -341,11 +342,7 @@ def _frame_at(imm, y, rows):
     batch = y.shape[:-1]
     jt = imm.jet(y, 2)
     d1, metric = _metric(jt.d1)
-    if rows is None:
-        rows = np.broadcast_to(np.eye(3)[..., None], metric.shape)
-    else:
-        rows = _node_last(rows, 2)
-    field_comps = _gram_schmidt(rows, metric)
+    field_comps = _gram_schmidt(_node_last(imm.tangent_fields(y), 2), metric)
     e = _node_first(np.einsum("ian,acn->icn", field_comps, d1), batch)
     del d1  # the transposed copy goes before the cross product's temporaries
     estar = np.ascontiguousarray(_node_last(cross(jt.value[..., None, :], e, imm.table), 2))

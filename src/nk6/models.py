@@ -164,16 +164,18 @@ class PolynomialSphereImmersion:
     vanish nowhere: each X_f sends a monomial in y to monomials of the same
     degree, so one derivative table over those monomials, built once per
     polynomial, gives each order's ordered derivatives as the monomials times
-    one coefficient matrix.  The chart only addresses points.
+    one coefficient matrix.  The chart only addresses points.  The model's
+    frame is the scaled fields s_f X_f, `field_scales` (1, 1, 1) unless
+    given.
     """
 
     chart = HopfChart()
 
-    def __init__(self, name, terms, table: MulTable, field_scales=None):
+    def __init__(self, name, terms, table: MulTable, field_scales=(1.0, 1.0, 1.0)):
         self.name = name
         self.table = table
         self.terms = tuple((int(c), tuple(int(e) for e in ex), float(co)) for c, ex, co in terms)
-        self.field_scales = None if field_scales is None else tuple(field_scales)
+        self.field_scales = tuple(field_scales)
         self._table = _derivative_table(self.terms)
 
     def embed(self, y):
@@ -200,10 +202,8 @@ class PolynomialSphereImmersion:
 
     def tangent_fields(self, q):
         """Rows (..., 3, 3) of the model's frame in the X basis, the scaled
-        fields s_f X_f, over the batch of q: chart points, or points y of
-        S^3, complex ones included; None without field scales."""
-        if self.field_scales is None:
-            return None
+        fields s_f X_f, over the batch of the points q = y of S^3, real or
+        complex."""
         return np.broadcast_to(np.diag(self.field_scales), np.shape(q)[:-1] + (3, 3))
 
     def __repr__(self):
@@ -279,8 +279,7 @@ def totally_geodesic_immersion(table: MulTable | None = None) -> PolynomialSpher
     W = next(w for w in itertools.combinations(range(7), 4)
              if not np.any(table.f[np.ix_(w, w, w)]))
     terms = [(W[a], tuple(np.eye(4, dtype=int)[a]), 1.0) for a in range(4)]
-    return PolynomialSphereImmersion(
-        "totally-geodesic", terms, table, field_scales=(1.0, 1.0, 1.0))
+    return PolynomialSphereImmersion("totally-geodesic", terms, table)
 
 
 # ---------------------------------------------------------------------------

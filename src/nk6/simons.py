@@ -184,8 +184,8 @@ def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
     # |h|^2 as the sum of h^2 with no conjugate, from the frame continued to
     # the complex circle points: the holomorphic continuation of |h|^2
     def hsq(yy):
-        pk_c = geometry._frame_at(imm, yy, imm.tangent_fields(yy))
-        return geometry.second_fundamental_form(imm, yy, frame_packet=pk_c).norm_sq()
+        return geometry.second_fundamental_form(
+            imm, yy, frame_packet=geometry._frame_at(imm, yy)).norm_sq()
 
     half_lap = 0.5 * float(geometry.laplace_beltrami(imm, hsq, q, frame_packet=pk))
 

@@ -27,11 +27,11 @@ def test_criterion_1_structure_identity_suite(table):
         for k in ("antisymmetry", "complex_anticommutation",
                   "skew_adjointness", "product_expansion")
     }
-    fd = residuals["covariant_derivative"]
-    ok = max(algebraic.values()) < 1e-12 and fd < 1e-6
+    step = residuals["covariant_derivative"]
+    ok = max(algebraic.values()) < 1e-12 and step < 1e-12
     _line(1, ok,
           f"structure identities: algebraic max {max(algebraic.values()):.2e} "
-          f"(< 1e-12), covariant-derivative FD {fd:.2e} (< 1e-6)")
+          f"(< 1e-12), covariant derivative by complex step {step:.2e} (< 1e-12)")
 
 
 def test_criterion_2_berger_embedding_structure(dvv, table):

@@ -110,15 +110,18 @@ def test_unknown_tolerance_key_is_config_error(capsys):
     ("verify", "--model", "synthetic:a", "--tol", "closed_form_match=-1e-12"),
     ("integrate", "--rule", "8,8,8", "--tol", "volume=inf"),
     ("verify", "--model", "synthetic:a", "--tol", "closed_form_match=inf"),
+    ("verify", "--model", "synthetic:a", "--tol", "closed_form_match=abc"),
 ])
 def test_nan_or_negative_tolerance_is_config_error(capsys, argv):
     # a NaN tolerance compares false against every residual and an infinite
     # one passes every residual: refinement would never fail, and the report
-    # would hold a NaN or an Infinity, neither of which is JSON
+    # would hold a NaN or an Infinity, neither of which is JSON.  A value
+    # that is no number is refused with its key named too
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert repr(argv[-1].partition("=")[0]) in err
+    key, _, value = argv[-1].partition("=")
+    assert err == f"error: tolerance {key!r} must be finite and nonnegative, got {value!r}\n"
 
 
 def test_unknown_model_is_config_error(capsys):
@@ -244,7 +247,7 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
     assert moved.shape == (3, 4, 4)
     assert np.array_equal(moved.real, np.broadcast_to(pts[:4], moved.shape))
     step = np.einsum("nmf,fab,nb->mna", C, models.FIELD_MATS, pts[:4])
-    assert np.allclose(moved.imag / cli._COMPLEX_STEP, step, rtol=0, atol=1e-12)
+    assert np.allclose(moved.imag / cayley.COMPLEX_STEP, step, rtol=0, atol=1e-12)
     assert circles.shape == (3, 16, 4)
     assert np.allclose(np.mean(circles, axis=1), pts[0], rtol=0, atol=1e-12)
     assert len(calls) == 6
@@ -285,8 +288,8 @@ def test_derivative_oracles_share_no_christoffel_symbol_with_nabla_h(dvv, monkey
                 return seen[-1]
             return inner_lap(imm, logged, q, frame_packet=frame_packet)
 
-        def core(imm, y, rows):
-            pk = inner_core(imm, y, rows)
+        def core(imm, y):
+            pk = inner_core(imm, y)
             if np.iscomplexobj(y):
                 seen.extend([pk.e, pk.estar])
             return pk
@@ -499,6 +502,33 @@ def test_csv_format_stdout(capsys):
     assert out.startswith("eta,xi1,xi2")
 
 
+def test_report_csv_leads_with_the_verify_checks(capsys):
+    # report --format csv prints the check rows, then the analyze and
+    # integrate tables; on a synthetic model the checks alone, not JSON
+    code, out, _ = run_cli(
+        capsys, "report", "--model", "dvv", "--samples", "100", "--rule", "8,8,8",
+        "--random", "3", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "name,formula,max_residual,tolerance,passed"
+    analyze = lines.index(",".join(cli.ANALYZE_COLUMNS))
+    assert any(line.startswith("laplacian,") for line in lines[1:analyze])
+    assert lines[analyze + 4] == "eta,xi1,xi2,hsq,theta,integrand,sqrt_det_g"
+    code, out, _ = run_cli(capsys, "report", "--model", "synthetic:b", "--format", "csv")
+    assert code == 0
+    assert out.startswith("name,formula,max_residual,tolerance,passed\n")
+
+
+def test_verify_out_writes_the_checks_csv(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "verify", "--model", "synthetic:a", "--out", str(tmp_path))
+    assert code == 0
+    checks = [c["name"] for s in json.loads(out)["suites"] for c in s["checks"]]
+    rows = (tmp_path / "verify_checks.csv").read_text().splitlines()
+    assert rows[0] == "name,formula,max_residual,tolerance,passed"
+    assert [row.split(",")[0] for row in rows[1:]] == checks
+    assert (tmp_path / "verify_report.json").read_text() == out
+
+
 def test_integrate_csv_format_stdout(capsys):
     code, out, _ = run_cli(
         capsys, "integrate", "--model", "dvv", "--rule", "8,8,8", "--format", "csv")
@@ -547,14 +577,15 @@ def test_a_nan_coarse_volume_is_a_failure(capsys, monkeypatch):
 
 def test_failures_in_a_block_name_its_nodes(capsys, monkeypatch):
     # 4096 nodes in four blocks; rank-deficient frame rows at node 1500, in
-    # the second one, stop its frame
+    # the second one, stop its frame.  The rows are read at the points y of
+    # S^3, so the doctoring finds the node by its point y
     monkeypatch.setattr(simons, "_NODE_BLOCK", canonical._CHUNK)
-    bad = simons.QuadratureRule(16, 16, 16).nodes_weights()[0][1500]
+    bad = models.HopfChart().to_y(simons.QuadratureRule(16, 16, 16).nodes_weights()[0][1500])
     tangent_fields = models.PolynomialSphereImmersion.tangent_fields
 
-    def degenerate_at_bad(self, q):
-        rows = tangent_fields(self, q).copy()
-        rows[np.all(q == bad, axis=-1), 2] = rows[np.all(q == bad, axis=-1), 1]
+    def degenerate_at_bad(self, y):
+        rows = tangent_fields(self, y).copy()
+        rows[np.all(y == bad, axis=-1), 2] = rows[np.all(y == bad, axis=-1), 1]
         return rows
 
     with monkeypatch.context() as m:
@@ -592,6 +623,12 @@ def _flip_e3_at_first_point(pk):
 # every check that then fails).  h and nabla h vanish on the great sphere,
 # so there a doctored frame or h reaches no check that multiplies by them.
 DOCTORINGS = {
+    # the structure suite holds each of its identities to `algebraic`
+    "covariant_derivative": (
+        "synthetic:a", cayley, "nabla_g_fd", lambda g: g * (1 + 1e-9), {"covariant_derivative"}),
+    "lagrangian_frame_products": (
+        "synthetic:a", cayley, "lagrangian_frame", lambda e: e * (1 + 1e-11),
+        {"lagrangian_frame_products"}),
     "unit_image": (
         "dvv", models.PolynomialSphereImmersion, "jet",
         lambda jt: replace(jt, value=jt.value * (1 + 1e-11)), {"unit_image"}),

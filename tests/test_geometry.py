@@ -121,8 +121,9 @@ def test_frame_is_orthonormal_and_lagrangian(dvv):
 
 
 def _with_fields(imm, rows=None):
-    """The polynomial of `imm` without field scales: its frame starts from
-    the fields X_f, or from the constant X-basis components `rows`."""
+    """The polynomial of `imm` with the default field scales (1, 1, 1): its
+    frame starts from the fields X_f, or from the constant X-basis
+    components `rows`."""
     out = nk6.PolynomialSphereImmersion(imm.name, imm.terms, imm.table)
     if rows is not None:
         out.tangent_fields = lambda q: np.broadcast_to(rows, np.shape(q)[:-1] + (3, 3))
@@ -230,13 +231,30 @@ def test_frame_core_at_real_points_is_the_frame(dvv, geodesic):
     for imm in (dvv, geodesic, _with_fields(dvv)):
         q = random_chart_points(imm, 33, seed=4)
         want = nk6.frame(imm, q)
-        got = geometry._frame_at(imm, imm.chart.to_y(q), imm.tangent_fields(q))
+        got = geometry._frame_at(imm, imm.chart.to_y(q))
         for name in ("y", "e", "estar", "metric", "field_comps"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype == float and np.array_equal(a, b)
         for name in ("value", "d1", "d2"):
             assert np.array_equal(getattr(got.jet, name), getattr(want.jet, name))
         assert got.table is want.table
+
+
+def test_poly_model_frame_is_gram_schmidt_on_the_fields(dvv, tmp_path):
+    # a poly: file gives no field scales; its rows diag(1, 1, 1) give the
+    # frame that Gram-Schmidt on the fields X_f themselves gives, bit for bit
+    path = tmp_path / "berger.txt"
+    path.write_text("".join(f"{c + 1} {' '.join(map(str, e))} {w!r}\n" for c, e, w in dvv.terms))
+    imm = models.resolve_model(f"poly:{path}", dvv.table)
+    q = random_chart_points(imm, 33, seed=5)
+    pk = nk6.frame(imm, q)
+    jt = imm.jet(imm.chart.to_y(q), 2)
+    d1, metric = geometry._metric(jt.d1)
+    comps = geometry._gram_schmidt(np.broadcast_to(np.eye(3)[..., None], metric.shape), metric)
+    e = geometry._node_first(np.einsum("ian,acn->icn", comps, d1), (33,))
+    assert np.array_equal(pk.field_comps, geometry._node_first(comps, (33,)))
+    assert np.array_equal(pk.e, e)
+    assert np.array_equal(pk.estar, nk6.cross(jt.value[..., None, :], e, imm.table))
 
 
 def test_only_nabla_h_reads_the_christoffel_symbols():
@@ -460,7 +478,7 @@ def _hsq_field(imm):
     """|h|^2 as a field of points y, real or complex: the sum of h^2 from
     the frame at y, as the Laplacian identity check builds it."""
     def field(yy):
-        pk = geometry._frame_at(imm, yy, imm.tangent_fields(yy))
+        pk = geometry._frame_at(imm, yy)
         return nk6.second_fundamental_form(imm, yy, frame_packet=pk).norm_sq()
     return field
 

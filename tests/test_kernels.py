@@ -17,12 +17,10 @@ POLES = np.array([[0.0, 0.4, 2.2], [np.pi / 2, 5.1, 1.3]])
 
 def reference_frame(imm, q):
     """(metric, field_comps, e, estar) at the chart points q, node-first."""
-    q = np.asarray(q, dtype=float)
-    jt = imm.jet(imm.chart.to_y(q), 2)
+    y = imm.chart.to_y(np.asarray(q, dtype=float))
+    jt = imm.jet(y, 2)
     metric = np.einsum("...ac,...bc->...ab", jt.d1, jt.d1)
-    rows = imm.tangent_fields(q)
-    if rows is None:
-        rows = np.broadcast_to(np.eye(3), metric.shape)
+    rows = imm.tangent_fields(y)
     out = []
     for i in range(3):
         v = rows[..., i, :]

@@ -160,8 +160,8 @@ def test_hsq_field_is_holomorphic_on_the_laplacian_circles(dvv, monkeypatch):
             return circles[-1]
         return inner_lap(imm, logged, q, frame_packet=frame_packet)
 
-    def core(imm, y, rows):
-        pk = inner_core(imm, y, rows)
+    def core(imm, y):
+        pk = inner_core(imm, y)
         circles.append(pk.e)
         return pk
 
