@@ -196,13 +196,25 @@ def _coarse_cells():
 
 def _level0(hs):
     """Cubic coefficients c of each row, f at every level-0 vertex, |f| there
-    and the vertex where |f| is largest: two matmuls for the whole batch and
-    one |f| pass, which the seed, the spectral bound and the open-vertex
-    test of _enclose share."""
+    and its largest value: two matmuls for the whole batch and one |f|
+    pass, which the spectral bound and the open-vertex test of _enclose
+    share."""
     coef = hs.reshape(-1, 27) @ _fold(3)
     F = coef @ _coarse_cells()[1].T
     absF = np.abs(F)
-    return coef, F, absF, np.argmax(absF, axis=-1)
+    return coef, F, absF, absF.max(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _seed_grid():
+    """The seed vertices of maximize_theta: the level-0 vertices on every
+    second grid line of each face, 3 x 6 x 6 of the 363 and still off the
+    axes, with their cubic monomials transposed (10, 108)."""
+    vertex, mono = _coarse_cells()[:2]
+    n = _SPLIT + 1
+    i, j = np.divmod(np.arange(len(vertex)) % (n * n), n)
+    even = (i % 2 == 0) & (j % 2 == 0)
+    return vertex[even], np.ascontiguousarray(mono[even].T)
 
 
 def _forms(H, x):
@@ -213,16 +225,33 @@ def _forms(H, x):
     return A, v2, _dot(v2, x)
 
 
+def _plane_radius(H, T):
+    """rho >= max |f(w)| over unit w in the plane of t1 = T[:, 0] and
+    t2 = T[:, 1], for h as in _forms.  On w = cos(p) t1 + sin(p) t2,
+    f = a cos^3 + 3b cos^2 sin + 3c cos sin^2 + d sin^3 with a = f(t1),
+    b = h(t1,t1,t2), c = h(t1,t2,t2) and d = f(t2), which is the sum of the
+    harmonics 3/4 ((a + c) cos p + (b + d) sin p) and
+    1/4 ((a - 3c) cos 3p + (3b - d) sin 3p); rho adds their amplitudes."""
+    t1, t2 = T[:, 0], T[:, 1]
+    # p = h(., t1, t1) and q = h(., t2, t2)
+    p, q = (_dot(_dot(H, t[:, None]).reshape(3, 3, -1), t[:, None]) for t in (t1, t2))
+    a, b, c, d = _dot(p, t1), _dot(p, t2), _dot(q, t1), _dot(q, t2)
+    return (np.hypot(0.75 * (a + c), 0.75 * (b + d))
+            + np.hypot(0.25 * (a - 3.0 * c), 0.25 * (3.0 * b - d)))
+
+
 def _polish(hs, u, scale):
     """Safeguarded Newton ascent on the sphere from each row of u.
 
     A row stops once every component of its tangential gradient is at most
     1e-13 max(1, |h|); only the rows still moving are iterated, and each
     keeps h(u,.,.) from the step that moved it.  Returns the polished points,
-    f there, the tangential gradient norm g and mu, minus the largest
-    eigenvalue of the tangent Hessian (positive at a strict maximum), each
-    read where the row stopped.  Rows still moving after _MAX_NEWTON steps
-    are returned as they are; the enclosure then refuses to certify them.
+    f there, the tangential gradient norm g, mu, minus the largest
+    eigenvalue of the tangent Hessian (positive at a strict maximum), lmin,
+    the least h(u,w,w) over unit tangent w, and _plane_radius in the tangent
+    plane, each read where the row stopped.  Rows still moving after
+    _MAX_NEWTON steps are returned as they are; neither certificate then
+    accepts them.
 
     The rows are held as columns: h as one contiguous (3, 9, n) array and
     the points as (3, n), so that every quantity of a pass, from h(u,.,.)
@@ -233,7 +262,8 @@ def _polish(hs, u, scale):
     H = np.ascontiguousarray(hs.transpose(3, 2, 1, 0)).reshape(3, 9, n)
     out = u.T.copy()
     A, v2, f = _forms(H, out)
-    f_out, g_out, mu_out = f.copy(), np.empty_like(f), np.empty_like(f)
+    f_out = f.copy()
+    g_out, mu_out, lmin_out, rho_out = (np.empty_like(f) for _ in range(4))
     active, x, sc, big = np.arange(n), out, scale, np.maximum(scale, 1.0)
     for it in range(_MAX_NEWTON + 1):
         grad = 3.0 * (v2 - f * x)
@@ -250,9 +280,13 @@ def _polish(hs, u, scale):
         if not moving.all():
             done = ~moving
             gd = grad[:, done]
+            mean = 0.5 * (h11[done] + h22[done])
+            radius = np.hypot(0.5 * (h11[done] - h22[done]), h12[done])
             g_out[active[done]] = np.sqrt(_dot(gd, gd))
-            mu_out[active[done]] = -(0.5 * (h11[done] + h22[done])
-                                     + np.hypot(0.5 * (h11[done] - h22[done]), h12[done]))
+            mu_out[active[done]] = -(mean + radius)
+            # h(u,w,w) = (w.Hw + 3f)/6 on unit tangent w
+            lmin_out[active[done]] = (mean - radius + 3.0 * f[done]) / 6.0
+            rho_out[active[done]] = _plane_radius(H[:, :, done], Tc[:, :, done])
             if not moving.any():
                 break
             keep = np.flatnonzero(moving)
@@ -276,7 +310,33 @@ def _polish(hs, u, scale):
         x, A, v2, f = (np.where(up, new, old)
                        for new, old in ((unew, x), (A_new, A), (v2_new, v2), (f_new, f)))
         out[:, active], f_out[active] = x, f
-    return out.T, f_out, g_out, mu_out
+    return out.T, f_out, g_out, mu_out, lmin_out, rho_out
+
+
+# the constants of _dominant: max (1 - c)^(1/2) (1 + c)^(3/2) over [-1, 1],
+# at c = 1/2, and max 3d(1 - d^2) over [0, 1], at d = 1/sqrt(3)
+_CUBIC_PEAK = 3.0 * np.sqrt(3.0) / 4.0
+_SADDLE_PEAK = 2.0 / np.sqrt(3.0)
+
+
+def _dominant(scale, theta, g, mu, lmin, rho):
+    """Rows whose polished point u (_polish's outputs) carries the maximum of
+    f within tol = 1e-12 max(1, |h|): the closed-form certificate.
+
+    Write a unit vector v = c u + s w, w a unit vector orthogonal to u and
+    s = sqrt(1 - c^2) >= 0.  Then
+    f(v) = theta c^3 + c^2 s grad.w + 3 c s^2 h(u,w,w) + s^3 f(w), with
+    |grad.w| <= g, lmin <= h(u,w,w) <= lmax = (3 theta - mu)/6 and
+    |f(w)| <= rho.  For c >= 0, theta - f(v) + g is at least
+    (1 - c) (theta (1 - k) + mu k) - rho s^3, k = c (1 + c)/2 in [0, 1],
+    so at least (1 - c) (min(theta, mu) - _CUBIC_PEAK rho).  For c = -d < 0
+    it is at least theta - _SADDLE_PEAK max(-lmin, 0) - rho.  Both margins
+    at least tol and g <= tol give sup |f| = sup f <= theta + tol.
+    """
+    tol = 1e-12 * np.maximum(scale, 1.0)
+    return ((g <= tol)
+            & (np.minimum(theta, mu) - _CUBIC_PEAK * rho >= tol)
+            & (theta - _SADDLE_PEAK * np.maximum(-lmin, 0.0) - rho >= tol))
 
 
 def _ball_radius(f, g, mu, sigma, theta, tol):
@@ -322,12 +382,27 @@ def _spectral_bound(scale, top):
     return np.minimum(scale, top / (1.0 - _curvature_term(1.0, 1.0 / _SPLIT)))
 
 
+# a fixed generic direction that picks one maximizer among tied maxima
+_TIE_BREAK = np.array([5.0, -7.0, 11.0]) / np.sqrt(195.0)
+
+
+def _tie_break(theta, tol, found):
+    """Per node, among the polished points (node, u, f) of `found` with f
+    within tol of its theta, the u with the largest <u, _TIE_BREAK>: the
+    coordinates of tied maxima tie on symmetric forms, their projections on
+    a generic direction do not."""
+    node, u, f = (np.concatenate(x) for x in zip(*found))
+    key = np.where(f >= theta[node] - tol[node], u @ _TIE_BREAK, -np.inf)
+    return u[_best_per_node(node, key)]
+
+
 def _enclose(hs, scale, seed, level0):
     """Certify that theta is the maximum of f within 1e-12 max(1, |h|) per row.
 
-    `seed` is _polish's (u, f, g, mu) at one start per row and `level0` is
-    _level0(hs).  Let sigma = max |h(a,b,c)| over unit vectors
-    a, b, c, the spectral norm of h; for a symmetric form it equals max |f|
+    `seed` is _polish's output at one start per row, of which (u, f, g, mu)
+    are read, and `level0` is _level0(hs).  Let sigma = max |h(a,b,c)| over
+    unit vectors a, b, c, the spectral norm of h; for a symmetric form it
+    equals max |f|
     (S. Banach, Studia Math. 7, 1938).  Along unit-speed great circles
     |f''| = |6h(y,y',y') - 3f| <= 9 sigma, so on an arc of length L
     f lies within (9/8) sigma L^2 of the chord between its end values.  The
@@ -354,14 +429,17 @@ def _enclose(hs, scale, seed, level0):
     the largest |corner|, and every cell whose best corner beats theta,
     which raises theta; then the open cells are split in four, which
     evaluates f at the four edge midpoints and the centre of each.  Returns
-    the certified (u, theta); raises EnclosureError when cells stay open at
-    _MAX_DEPTH or more than _MAX_OPEN stay open on one row.
+    theta, the largest polished value, and u, the polished point chosen by
+    _tie_break among those within tolerance of theta, so that tied maxima
+    give the same u whatever order they were polished in.  Raises
+    EnclosureError when cells stay open at _MAX_DEPTH or more than
+    _MAX_OPEN stay open on one row; its `rows` are the failing rows of hs.
     """
-    u, theta, g, mu = seed
-    u, theta = u.copy(), theta.copy()
+    u, theta, g, mu = seed[:4]
+    theta = theta.copy()
     tol = 1e-12 * np.maximum(scale, 1.0)
-    coef, F, absF, best = level0
-    sigma = _spectral_bound(scale, absF[np.arange(len(best)), best])
+    coef, F, absF, fmax = level0
+    sigma = _spectral_bound(scale, fmax)
     seed_r = _ball_radius(theta, g, mu, sigma, theta, tol)
 
     vertex, _, cells, face0, point0, corner0 = _coarse_cells()
@@ -383,6 +461,7 @@ def _enclose(hs, scale, seed, level0):
     corner = np.take(F, node[:, None] * F.shape[1] + np.take(corner0, cell, axis=0))
     ball_u = np.repeat(u[:, None], _MAX_DEPTH + 2, axis=1)
     ball_r = np.where(np.arange(_MAX_DEPTH + 2) == 0, seed_r[:, None], -1.0)
+    found = [(np.arange(len(u)), u, theta.copy())]  # every polished (node, u, f)
 
     for depth in range(_MAX_DEPTH + 1):
         delta = np.sqrt(2.0) * half  # the gnomonic map shrinks distances
@@ -398,11 +477,9 @@ def _enclose(hs, scale, seed, level0):
             start = _unit(point[idx] + half * _CORNERS[face[idx], best[idx]])
             start *= np.where(fbest[idx] < 0, -1.0, 1.0)[:, None]
             pnode = node[idx]
-            pu, pf, pg, pmu = _polish(hs[pnode], start, scale[pnode])
-            # the best polished point of each row that beats its theta wins
-            win = _best_per_node(pnode, pf)
-            win = win[pf[win] > theta[pnode[win]]]
-            u[pnode[win]], theta[pnode[win]] = pu[win], pf[win]
+            pu, pf, pg, pmu = _polish(hs[pnode], start, scale[pnode])[:4]
+            np.maximum.at(theta, pnode, pf)
+            found.append((pnode, pu, pf))
             pr = _ball_radius(pf, pg, pmu, sigma[pnode], theta[pnode], tol[pnode])
             top = _best_per_node(pnode, pr)
             ball_u[pnode[top], depth + 1], ball_r[pnode[top], depth + 1] = pu[top], pr[top]
@@ -410,14 +487,17 @@ def _enclose(hs, scale, seed, level0):
         keep &= excess > tol[node]
         keep[keep] = ~_covered(c[keep], node[keep], ball_u, ball_r, delta, [depth + 1])
         if not keep.any():
-            return u, theta
+            return _tie_break(theta, tol, found), theta
         node, face, point, corner, excess = (x[keep] for x in (node, face, point, corner, excess))
         if depth == _MAX_DEPTH or np.bincount(node).max() > _MAX_OPEN:
-            raise EnclosureError(
+            err = EnclosureError(
                 f"Theta enclosure did not close on {np.unique(node).size} of "
-                f"{len(hs)} node(s) by depth {depth} ({len(node)} open cells): the "
-                f"worst open bound exceeds the polished maximum by {excess.max():.3e}"
+                f"{len(hs)} node(s) that the closed form left open, by depth {depth} "
+                f"({len(node)} open cells): the worst open bound exceeds the polished "
+                f"maximum by {excess.max():.3e}"
             )
+            err.rows = np.unique(node)
+            raise err
         # split every open cell into its four quadrants: f at the five new
         # points fills the 3 x 3 grid whose 2 x 2 windows are their corners
         new = _unit((point[:, None, :] + half * _NEW_OFFSETS[face]).reshape(-1, 3))
@@ -432,33 +512,48 @@ def _enclose(hs, scale, seed, level0):
         node, face = np.repeat(node, 4), np.repeat(face, 4)
 
 
+def _row_ranges(rows, limit=8):
+    """Sorted row indices as runs, '3, 7-9, 12', with ', ...' after `limit`."""
+    runs = [f"{r[0]}" if len(r) == 1 else f"{r[0]}-{r[-1]}"
+            for r in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1)]
+    return ", ".join(runs[:limit]) + (", ..." if len(runs) > limit else "")
+
+
 def maximize_theta(sff_like):
     """Certified global maximum of the cubic form over the unit tangent sphere.
 
-    Deterministic, in three steps on one fixed grid (three faces of a cube
+    Deterministic, in four steps on one fixed grid (three faces of a cube
     turned off the coordinate axes, split 10 x 10 and projected to the
     sphere, which they cover modulo u -> -u; the form is odd, so that half
     suffices):
 
-    1. Seed: f is evaluated at every grid vertex by one matmul against the
-       cubic monomials, and the best vertex of each node is kept.
+    1. Seed: f is evaluated at the grid vertices on every second grid line
+       (108 of the 363) by one matmul against the cubic monomials, and the
+       best vertex of each node is kept.
     2. Polish: safeguarded Newton iterations on the sphere drive the
        tangential gradient below 1e-13 max(1, |h|).
-    3. Enclose: branch and bound over the cells proves that no point beats
-       the polished value by more than 1e-12 max(1, |h|); a cell whose best
-       corner does beat it is polished in turn and raises it.  A cell is
-       bounded by its largest corner value plus a curvature term, or by a
-       ball around a polished point, valid however theta rises later: one
-       per node and depth, so tied maxima close with one polish each.  Both
-       use a bound on the spectral norm max |h(a,b,c)| read off the vertices,
-       which by Banach's theorem (Studia Math. 7, 1938) is max |f|; see _enclose.
+    3. Closed form: a row whose polished maximum dominates, by margins read
+       off its gradient, its tangent Hessian and the form on its tangent
+       plane, is certified without the grid (_dominant).  Every DVV node
+       is; tied or nearly tied maxima and a stalled Newton are not.
+    4. Enclose the other rows: branch and bound over the cells proves that
+       no point beats the polished value by more than 1e-12 max(1, |h|); a
+       cell whose best corner does beat it is polished in turn and raises
+       it.  A cell is bounded by its largest corner value plus a curvature
+       term, or by a ball around a polished point, valid however theta rises
+       later: one per node and depth, so tied maxima close with one polish
+       each, and the maximizer among them is chosen by a fixed direction.
+       Both use a bound on the spectral norm max |h(a,b,c)| read off the
+       vertices, which by Banach's theorem (Studia Math. 7, 1938) is
+       max |f|; see _enclose.
 
-    Returns (maximizer, theta) with f(maximizer) = theta; a vanishing form
-    yields (e1, 0).  Raises ValueError, naming the first row, on a form with
-    a non-finite entry.  Raises EnclosureError when the enclosure does not
-    close within its depth and cell caps, so no uncertified theta is
-    returned; its message ends with the rows of the failing chunk within the
-    batch.
+    Returns (maximizer, theta) with f(maximizer) = theta, or within
+    1e-12 max(1, |h|) of it where maxima tie; a vanishing form yields
+    (e1, 0).
+    Raises ValueError, naming the first row, on a form with a non-finite
+    entry.  Raises EnclosureError when the enclosure does not close within
+    its depth and cell caps, so no uncertified theta is returned; its
+    message ends with the failing rows within the batch.
     """
     h = _h_array(sff_like)
     batch = h.shape[:-3]
@@ -472,20 +567,28 @@ def maximize_theta(sff_like):
     u = np.zeros((len(hs), 3))
     u[:, 0] = 1.0
     theta = np.zeros(len(hs))
+    vertex, mono = _seed_grid()
     for lo in range(0, len(hs), _CHUNK):
         rows = np.arange(lo, min(lo + _CHUNK, len(hs)))
         rows = rows[scale[rows] >= 1e-15]
         if not rows.size:
             continue
         part, sc = hs[rows], scale[rows]
-        level0 = _level0(part)
-        F, best = level0[1], level0[3]
+        F = part.reshape(-1, 27) @ _fold(3) @ mono
+        best = np.argmax(np.abs(F), axis=-1)
         sign = np.where(F[np.arange(len(rows)), best] < 0, -1.0, 1.0)
-        seed = _polish(part, _coarse_cells()[0][best] * sign[:, None], sc)
+        seed = _polish(part, vertex[best] * sign[:, None], sc)
+        u[rows], theta[rows] = seed[:2]
+        grid = np.flatnonzero(~_dominant(sc, *seed[1:]))
+        if not grid.size:
+            continue
         try:
-            u[rows], theta[rows] = _enclose(part, sc, seed, level0)
+            u[rows[grid]], theta[rows[grid]] = _enclose(
+                part[grid], sc[grid], [x[grid] for x in seed], _level0(part[grid]))
         except EnclosureError as exc:
-            exc.args = (f"{exc} [rows {lo}-{min(lo + _CHUNK, len(hs)) - 1} of {len(hs)}]",)
+            failing = rows[grid[exc.rows]]
+            exc.args = (f"{exc} [row{'s' if len(failing) > 1 else ''} "
+                        f"{_row_ranges(failing)} of {len(hs)}]",)
             raise
     return u.reshape(batch + (3,)), theta.reshape(batch)
 

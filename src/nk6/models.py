@@ -64,8 +64,12 @@ class HopfChart:
     def to_y(self, q):
         q = np.asarray(q, dtype=float)
         c, s = np.cos(q), np.sin(q)
-        return np.stack([c[..., 0] * c[..., 1], c[..., 0] * s[..., 1],
-                         s[..., 0] * c[..., 2], s[..., 0] * s[..., 2]], axis=-1)
+        y = np.empty(q.shape[:-1] + (4,))
+        np.multiply(c[..., 0], c[..., 1], out=y[..., 0])
+        np.multiply(c[..., 0], s[..., 1], out=y[..., 1])
+        np.multiply(s[..., 0], c[..., 2], out=y[..., 2])
+        np.multiply(s[..., 0], s[..., 2], out=y[..., 3])
+        return y
 
     def from_y(self, y):
         """Chart points of unit y, the inverse of to_y (xi in [0, 2 pi))."""

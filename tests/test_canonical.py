@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nk6
-from nk6 import canonical
+from nk6 import canonical, cli
 
 S5 = np.sqrt(5.0)
 S10 = np.sqrt(10.0)
@@ -65,6 +65,20 @@ def grid_newton_theta(h):
         fnew = nk6.cubic_form(h, unew)
         u = np.where((fnew >= f - 1e-14 * np.maximum(scale, 1.0))[..., None], unew, u)
     return np.max(nk6.cubic_form(h, u), axis=-1)
+
+
+def rotations(n, seed=11):
+    R = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, 3, 3)))[0]
+    return R * np.sign(np.linalg.det(R))[:, None, None]
+
+
+def xyz_form():
+    """u1 u2 u3, the form of the xyz orbit up to scale: four tied maxima
+    (s1, s2, s3)/sqrt(3) with s1 s2 s3 = 1."""
+    h = np.zeros((3, 3, 3))
+    for i, j, k in itertools.permutations(range(3)):
+        h[i, j, k] = 1.0 / 6.0
+    return h
 
 
 def test_zero_form():
@@ -225,7 +239,12 @@ def test_dvv_enclosure_closes_on_the_coarse_cells(dvv, monkeypatch):
     pts = dvv.chart.random_points(64, np.random.default_rng(5))
     h = nk6.second_fundamental_form(dvv, pts).h
     monkeypatch.setattr(canonical, "_MAX_DEPTH", 0)
-    _, theta = nk6.maximize_theta(h)
+    u, theta = nk6.maximize_theta(h)
+    assert np.max(np.abs(theta - S5 / 2)) < 1e-12
+    # the closed form certifies these rows; the enclosure closes on them too
+    hs, scale = h.reshape(-1, 3, 3, 3), np.sqrt(np.sum(h**2, axis=(-3, -2, -1)))
+    seed = canonical._polish(hs, u, scale)
+    _, theta = canonical._enclose(hs, scale, seed, canonical._level0(hs))
     assert np.max(np.abs(theta - S5 / 2)) < 1e-12
 
 
@@ -244,19 +263,19 @@ def test_enclosure_refuses_the_dvv_ring_point():
     assert abs(abs(float(u[0, 0])) - 1.0) < 1e-8
 
 
-def test_larger_of_two_close_maxima_wins():
-    # u1 u2 u3 has four equal maxima (+-1, +-1, +-1)/sqrt(3); a cubic bump at
-    # v lifts that one by about 1e-3, far below the level-0 sampling error,
-    # and the rotation puts one of the others closest to a grid vertex
-    h = np.zeros((3, 3, 3))
-    for i, j, k in itertools.permutations(range(3)):
-        h[i, j, k] = 1.0 / 6.0
+def close_maxima_form():
+    """u1 u2 u3 has four equal maxima (+-1, +-1, +-1)/sqrt(3); a cubic bump
+    at v lifts that one by about 1e-3, far below the level-0 sampling error,
+    and the rotation puts one of the others closest to a grid vertex.
+    Returns the form and v."""
     v = np.ones(3) / np.sqrt(3.0)
-    h += 1e-3 * np.einsum("k,i,j->kij", v, v, v)
+    h = xyz_form() + 1e-3 * np.einsum("k,i,j->kij", v, v, v)
     R, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))
-    h = np.einsum("KIJ,Ka,Ib,Jc->abc", h, R, R, R)
-    v = R.T @ v
+    return np.einsum("KIJ,Ka,Ib,Jc->abc", h, R, R, R), R.T @ v
 
+
+def test_larger_of_two_close_maxima_wins():
+    h, v = close_maxima_form()
     hs, scale = h[None], np.sqrt(np.sum(h**2))[None]
     F = canonical._level0(hs)[1][0]
     best = np.argmax(np.abs(F))
@@ -321,6 +340,117 @@ def test_enclosure_error_names_its_rows_in_the_batch(monkeypatch):
     message = str(err.value)
     assert message.startswith("Theta enclosure did not close on 1024 of 1024 node")
     assert message.endswith(" [rows 1024-2047 of 2048]")
+    # rotated DVV forms pass the closed form; the u1 u2 u3 rows among them
+    # alone reach the enclosure, which at depth 0 fails on each of them
+    monkeypatch.undo()
+    monkeypatch.setattr(canonical, "_MAX_DEPTH", 0)
+    h = nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0), rotations(12, seed=4))
+    for rows, count, tail in (([5], "1 of 1", "[row 5 of 12]"),
+                              ([2, 5, 6, 11], "4 of 4", "[rows 2, 5-6, 11 of 12]")):
+        mixed = h.copy()
+        mixed[rows] = xyz_form()
+        with pytest.raises(canonical.EnclosureError) as err:
+            nk6.maximize_theta(mixed)
+        message = str(err.value)
+        assert message.startswith(f"Theta enclosure did not close on {count} node(s) that "
+                                  "the closed form left open, by depth 0")
+        assert message.endswith(" " + tail)
+
+
+def closed_form_rows(hs, monkeypatch):
+    """maximize_theta's (u, theta) on hs, none of whose rows vanish, and the
+    mask of the rows that its closed form certified."""
+    masks, dominant = [], canonical._dominant
+
+    def recorded(*args):
+        masks.append(dominant(*args))
+        return masks[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "_dominant", recorded)
+        u, theta = nk6.maximize_theta(hs)
+    return u, theta, np.concatenate(masks)
+
+
+def test_closed_form_is_sound_on_random_forms(monkeypatch):
+    # every row that the closed form certifies agrees with the grid-Newton
+    # oracle and with the grid enclosure seeded at its maximizer
+    rng = np.random.default_rng(41)
+    generic = rng.normal(size=(4096, 3, 3, 3))
+    generic = sum(np.transpose(generic, (0, *(1 + p for p in perm)))
+                  for perm in itertools.permutations(range(3))) / 6.0
+    normal = nk6.reconstruct_sff(rng.uniform(-1.0, 1.0, size=(4096, 4)), rotations(4096, 43))
+    hs = np.concatenate([generic, normal])
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+    u, theta, ok = closed_form_rows(hs, monkeypatch)
+    assert 0.1 < ok[:4096].mean() < 0.9 and 0.1 < ok[4096:].mean() < 0.9
+    hs, scale, u, theta = hs[ok], scale[ok], u[ok], theta[ok]
+    tol = 1e-12 * np.maximum(scale, 1.0)
+    oracle = np.concatenate([grid_newton_theta(hs[lo:lo + 512]) for lo in range(0, len(hs), 512)])
+    assert np.all(np.abs(theta - oracle) <= tol)
+    seed = canonical._polish(hs, u, scale)
+    _, enclosed = canonical._enclose(hs, scale, seed, canonical._level0(hs))
+    assert np.all(np.abs(theta - enclosed) <= tol)
+
+
+def test_closed_form_refuses_ties_and_stalls(monkeypatch):
+    # near-tied and tied maxima leave their rows to the grid enclosure,
+    # which certifies them
+    near, _ = close_maxima_form()
+    R = rotations(64)
+    for hs, want in ((near[None], grid_newton_theta(near[None])),
+                     (nk6.reconstruct_sff((S5 / 4, S5 / 4, S10 / 4, 0.0), R), S5 / 2),
+                     (nk6.reconstruct_sff((np.sqrt(5.0 / 3.0), 0.0, 0.0, 0.0), R),
+                      np.sqrt(5.0 / 3.0))):
+        _, theta, ok = closed_form_rows(hs, monkeypatch)
+        scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+        assert not ok.any()
+        assert np.all(np.abs(theta - want) <= 1e-12 * np.maximum(1.0, scale))
+    # so does a Newton that never moves: its seed, left where the coarse
+    # grid put it, is refused, and the enclosure polishes from there
+    seeds, polish = [], canonical._polish
+
+    def recorded(*args):
+        seeds.append(polish(*args))
+        return seeds[-1]
+
+    hs = nk6.reconstruct_sff((S5 / 4, S5 / 4, 0.0, 0.0), rotations(4))
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "_MAX_NEWTON", 0)
+        m.setattr(canonical, "_polish", recorded)
+        with pytest.raises(canonical.EnclosureError):
+            nk6.maximize_theta(hs)
+    assert not canonical._dominant(scale, *seeds[0][1:]).any()
+    _, theta = canonical._enclose(hs, scale, seeds[0], canonical._level0(hs))
+    assert np.all(np.abs(theta - S5 / 2) <= 1e-12 * np.maximum(1.0, scale))
+
+
+def test_dvv_integrate_needs_no_grid(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the level-0 grid was used")
+
+    monkeypatch.setattr(canonical, "_level0", refuse)
+    monkeypatch.setattr(canonical, "_enclose", refuse)
+    assert cli.main(["integrate", "--model", "dvv", "--rule", "8,8,8"]) == 0
+    assert '"classification": "DVV-type"' in capsys.readouterr().out
+
+
+def test_tied_maxima_give_one_maximizer():
+    # seeded at any of the four maxima of the xyz orbit's form, the
+    # enclosure returns the one with the largest <u, _TIE_BREAK>
+    R = rotations(64)
+    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+    maxima = np.einsum("nKa,sK->nsa", R, signs)  # f(R.) peaks at R^T s
+    hs = np.repeat(np.einsum("KIJ,nKa,nIb,nJc->nabc", xyz_form(), R, R, R), 4, axis=0)
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+    seed = canonical._polish(hs, maxima.reshape(-1, 3), scale)
+    assert np.max(np.abs(seed[0] - maxima.reshape(-1, 3))) < 1e-12
+    assert not canonical._dominant(scale, *seed[1:]).any()
+    u, theta = canonical._enclose(hs, scale, seed, canonical._level0(hs))
+    want = maxima[np.arange(64), np.argmax(maxima @ canonical._TIE_BREAK, axis=-1)]
+    assert np.max(np.abs(u.reshape(64, 4, 3) - want[:, None])) < 1e-12
+    assert np.all(np.abs(theta - 1.0 / np.sqrt(27.0)) <= 1e-15)
 
 
 def test_canonical_basis_reference_tuples(dvv):
@@ -575,7 +705,8 @@ def test_polish_batch_matches_rows_polished_alone(monkeypatch):
         passes.clear()
         alone.append(canonical._polish(hs[i:i + 1], u0[i:i + 1], scale[i:i + 1]))
         steps.append(len(passes) - 1)
-    for k in range(4):
+    assert len(batch) == 6  # u, f, g, mu, lmin, rho
+    for k in range(6):
         assert np.array_equal(batch[k], np.concatenate([a[k] for a in alone]))
     assert len(set(steps)) >= 4 and max(steps) == canonical._MAX_NEWTON
     u, f = batch[0], batch[1]

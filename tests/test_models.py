@@ -26,6 +26,21 @@ def test_embedding_pole_value(dvv):
     assert np.allclose(x, expected, atol=1e-15)
 
 
+def test_hopf_chart_round_trip(rng):
+    # to_y is the Hopf parametrization, entry for entry, on any batch shape,
+    # and from_y inverts it
+    chart = models.HopfChart()
+    for shape in [(), (7,), (2, 5)]:
+        q = np.stack([rng.uniform(0.05, 1.5, size=shape),
+                      *rng.uniform(0.0, 2 * np.pi, size=(2,) + shape)], axis=-1)
+        c, s = np.cos(q), np.sin(q)
+        y = chart.to_y(q)
+        assert y.shape == shape + (4,)
+        assert np.array_equal(y, np.stack([c[..., 0] * c[..., 1], c[..., 0] * s[..., 1],
+                                           s[..., 0] * c[..., 2], s[..., 0] * s[..., 2]], -1))
+        assert np.allclose(chart.from_y(y), q, atol=1e-12)
+
+
 def test_embedding_image_on_sphere(dvv, rng):
     y = rng.normal(size=(1000, 4))
     y /= np.linalg.norm(y, axis=-1, keepdims=True)
