@@ -232,10 +232,10 @@ def _plane_radius(H, T):
     b = h(t1,t1,t2), c = h(t1,t2,t2) and d = f(t2), which is the sum of the
     harmonics 3/4 ((a + c) cos p + (b + d) sin p) and
     1/4 ((a - 3c) cos 3p + (3b - d) sin 3p); rho adds their amplitudes."""
-    t1, t2 = T[:, 0], T[:, 1]
-    # p = h(., t1, t1) and q = h(., t2, t2)
-    p, q = (_dot(_dot(H, t[:, None]).reshape(3, 3, -1), t[:, None]) for t in (t1, t2))
-    a, b, c, d = _dot(p, t1), _dot(p, t2), _dot(q, t1), _dot(q, t2)
+    # P[i, a] = h(e_a, t_i, t_i), then M[i, j] = h(t_j, t_i, t_i)
+    G = _dot(H[:, None], T[:, :, None]).reshape(2, 3, 3, -1)
+    P = _dot(G.transpose(1, 0, 2, 3), T[:, :, None])
+    (a, b), (c, d) = _dot(P.transpose(1, 0, 2)[:, :, None], T[:, None])
     return (np.hypot(0.75 * (a + c), 0.75 * (b + d))
             + np.hypot(0.25 * (a - 3.0 * c), 0.25 * (3.0 * b - d)))
 
@@ -278,15 +278,16 @@ def _polish(hs, u, scale):
         moving = np.abs(grad).max(axis=0) > 1e-13 * big
         moving &= it < _MAX_NEWTON  # the pass after the last step only reads g and mu
         if not moving.all():
-            done = ~moving
-            gd = grad[:, done]
+            # the last pass reads every row still active without copying it
+            done = ~moving if moving.any() else slice(None)
+            gd, stop = grad[:, done], active[done]
             mean = 0.5 * (h11[done] + h22[done])
             radius = np.hypot(0.5 * (h11[done] - h22[done]), h12[done])
-            g_out[active[done]] = np.sqrt(_dot(gd, gd))
-            mu_out[active[done]] = -(mean + radius)
+            g_out[stop] = np.sqrt(_dot(gd, gd))
+            mu_out[stop] = -(mean + radius)
             # h(u,w,w) = (w.Hw + 3f)/6 on unit tangent w
-            lmin_out[active[done]] = (mean - radius + 3.0 * f[done]) / 6.0
-            rho_out[active[done]] = _plane_radius(H[:, :, done], Tc[:, :, done])
+            lmin_out[stop] = (mean - radius + 3.0 * f[done]) / 6.0
+            rho_out[stop] = _plane_radius(H[:, :, done], Tc[:, :, done])
             if not moving.any():
                 break
             keep = np.flatnonzero(moving)
@@ -402,10 +403,10 @@ def _enclose(hs, scale, seed, level0):
     `seed` is _polish's output at one start per row, of which (u, f, g, mu)
     are read, and `level0` is _level0(hs).  Let sigma = max |h(a,b,c)| over
     unit vectors a, b, c, the spectral norm of h; for a symmetric form it
-    equals max |f|
-    (S. Banach, Studia Math. 7, 1938).  Along unit-speed great circles
-    |f''| = |6h(y,y',y') - 3f| <= 9 sigma, so on an arc of length L
-    f lies within (9/8) sigma L^2 of the chord between its end values.  The
+    equals max |f| (S. Banach, Studia Math. 7, 1938).  Along unit-speed
+    great circles |f''| = |6h(y,y',y') - 3f| <= 9 sigma, so on an arc of
+    length L f lies within (9/8) sigma L^2 of the chord between its end
+    values.  The
     gnomonic map sends lines to great circles and shrinks lengths, so the
     edges of a cell of planar half-side `half`, and the lines through it
     parallel to them, are arcs of length at most 2 half.  Interpolating
@@ -512,11 +513,11 @@ def _enclose(hs, scale, seed, level0):
         node, face = np.repeat(node, 4), np.repeat(face, 4)
 
 
-def _row_ranges(rows, limit=8):
-    """Sorted row indices as runs, '3, 7-9, 12', with ', ...' after `limit`."""
+def _row_ranges(rows):
+    """Sorted row indices as runs, '3, 7-9, 12', with ', ...' after eight."""
     runs = [f"{r[0]}" if len(r) == 1 else f"{r[0]}-{r[-1]}"
             for r in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1)]
-    return ", ".join(runs[:limit]) + (", ..." if len(runs) > limit else "")
+    return ", ".join(runs[:8]) + (", ..." if len(runs) > 8 else "")
 
 
 def maximize_theta(sff_like):
