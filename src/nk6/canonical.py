@@ -397,13 +397,13 @@ def _tie_break(theta, tol, found):
     return u[_best_per_node(node, key)]
 
 
-def _enclose(hs, scale, seed, level0):
+def _enclose(hs, scale, seed):
     """Certify that theta is the maximum of f within 1e-12 max(1, |h|) per row.
 
     `seed` is _polish's output at one start per row, of which (u, f, g, mu)
-    are read, and `level0` is _level0(hs).  Let sigma = max |h(a,b,c)| over
-    unit vectors a, b, c, the spectral norm of h; for a symmetric form it
-    equals max |f| (S. Banach, Studia Math. 7, 1938).  Along unit-speed
+    are read.  Let sigma = max |h(a,b,c)| over unit vectors a, b, c, the
+    spectral norm of h; for a symmetric form it equals max |f| (S. Banach,
+    Studia Math. 7, 1938).  Along unit-speed
     great circles |f''| = |6h(y,y',y') - 3f| <= 9 sigma, so on an arc of
     length L f lies within (9/8) sigma L^2 of the chord between its end
     values.  The
@@ -439,7 +439,7 @@ def _enclose(hs, scale, seed, level0):
     u, theta, g, mu = seed[:4]
     theta = theta.copy()
     tol = 1e-12 * np.maximum(scale, 1.0)
-    coef, F, absF, fmax = level0
+    coef, F, absF, fmax = _level0(hs)
     sigma = _spectral_bound(scale, fmax)
     seed_r = _ball_radius(theta, g, mu, sigma, theta, tol)
 
@@ -585,7 +585,7 @@ def maximize_theta(sff_like):
             continue
         try:
             u[rows[grid]], theta[rows[grid]] = _enclose(
-                part[grid], sc[grid], [x[grid] for x in seed], _level0(part[grid]))
+                part[grid], sc[grid], [x[grid] for x in seed])
         except EnclosureError as exc:
             failing = rows[grid[exc.rows]]
             exc.args = (f"{exc} [row{'s' if len(failing) > 1 else ''} "

@@ -573,9 +573,13 @@ def _parse_points(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vals = [float(v) for v in chunk.split(",")]
+        try:
+            vals = [float(v) for v in chunk.split(",")]
+        except ValueError:
+            vals = []
         if len(vals) != 3:
-            raise argparse.ArgumentTypeError("each point must be 'eta,xi1,xi2'")
+            raise argparse.ArgumentTypeError(
+                f"each point must be 'eta,xi1,xi2' of three numbers, got {chunk!r}")
         pts.append(vals)
     if not pts:
         raise argparse.ArgumentTypeError("no points given")

@@ -5,8 +5,8 @@ points of S^3 (..., 4), and every derived quantity carries the same leading
 batch shape.  Immersion handles (see `models`) supply exact jets up to order
 3 along the invariant fields X_f y = FIELD_MATS[f] y of S^3, which vanish
 nowhere, so the geometry has no chart poles.  Covariant derivatives come
-from one jet at the points themselves, through the connection of the frame
-X_f in the induced metric, so h, nabla h and the metric terms of the
+from one jet at the points themselves, along the fields V_i = C_i.X equal
+to the frame vectors e_i there, so h, nabla h and the metric terms of the
 Laplacian are exact to roundoff.  Values alone are differentiated by
 Cauchy's integral formula on complex circles of the flows exp(z c.M) y: the
 immersion's in `fd_jet`, an independent oracle, and the scalar field handed
@@ -424,67 +424,53 @@ class NablaH:
         return float(np.max(np.abs(self.coeffs - swapped)))
 
 
-def _inv3(m):
-    """Inverse of 3 x 3 matrices (..., 3, 3), real or complex: the adjugate,
-    whose row i is the cross product of columns i + 1 and i + 2, over the
-    determinant `_det3`.  Raises LinAlgError where a determinant is exactly
-    0, as np.linalg.inv does."""
-    nxt, far = [1, 2, 0], [2, 0, 1]
-    c1, c2 = m[..., nxt], m[..., far]  # column i of c1 is column i + 1 of m
-    cross = c1[..., nxt, :] * c2[..., far, :] - c1[..., far, :] * c2[..., nxt, :]
-    adj = np.swapaxes(cross, -1, -2)
-    det = _det3(m.transpose((m.ndim - 2, m.ndim - 1, *range(m.ndim - 2))))
-    if (det == 0).any():
-        raise np.linalg.LinAlgError("Singular matrix")
-    return adj / det[..., None, None]
-
-
-def _christoffel(jt: ImmersionJet):
-    """Inverse induced metric g^{ab} and connection coefficients
-    gamma[..., a, b, d] = Gamma^d_ab = g^{de} <X_b X_a Psi, X_e Psi> of a jet
-    of order >= 2: the X_d-component of nabla_{X_b} X_a.  The frame X_f is
-    not holonomic, so Gamma^d_ab - Gamma^d_ba = 2 eps_bad."""
-    d1t = np.swapaxes(jt.d1, -1, -2)
-    ginv = _inv3(jt.d1 @ d1t)
-    gamma = (jt.d2 @ d1t[..., None, :, :]) @ ginv[..., None, :, :]
-    return ginv, gamma
+def _connection(pk: FramePacket, d2):
+    """Gamma[..., p, i, j] = <V_j V_i Psi, e_p> and h[..., k, i, j] =
+    <V_j V_i Psi, J e_k> from the jet block d2[a, b] = X_b X_a Psi, along
+    the fields V_i = C_i.X with C the packet's field_comps frozen at its
+    points.  V_i Psi = e_i is orthonormal there, so Gamma[:, i, j] are the
+    components of nabla_{V_j} V_i, the tangential part of V_j V_i Psi, and
+    no metric is inverted.  The fields do not commute, so
+    Gamma[p, i, j] - Gamma[p, j, i] = <[V_j, V_i] Psi, e_p>."""
+    batch, C = d2.shape[:-3], pk.field_comps
+    # <X_b X_a Psi, (e, J e)_s>, carried by C on b, then on a
+    proj = np.concatenate([pk.e, pk.estar], axis=-2) @ np.swapaxes(
+        d2.reshape(batch + (9, 7)), -1, -2)
+    proj = (proj.reshape(batch + (18, 3)) @ np.swapaxes(C, -1, -2)).reshape(batch + (6, 3, 3))
+    both = C[..., None, :, :] @ proj
+    return both[..., :3, :, :], both[..., 3:, :, :]
 
 
 def nabla_h(imm, q, frame_packet: FramePacket | None = None) -> NablaH:
     """Covariant derivative of h from one order-3 jet at the chart points q.
 
-    In the X basis, with sigma_ab,k = <X_b X_a Psi, J e_k> = <h(X_a, X_b), J e_k>,
+    Along the fields V_i = C_i.X, equal to e_i at q, with Gamma and h from
+    `_connection` and sums over p,
 
-        (nabla sigma)_abc,k = <X_c X_b X_a Psi, J e_k> - Gamma^d_ab sigma_dc,k
-                              - Gamma^d_ac sigma_db,k - Gamma^d_bc sigma_ad,k,
+        nh[k, i, j, m] = <V_m V_j V_i Psi, J e_k> - Gamma[p, i, j] h[k, p, m]
+                         - Gamma[p, i, m] h[k, p, j] - Gamma[p, j, m] h[k, i, p].
 
-    which the X-basis components C of the frame carry to
-    nh[k, i, j, m] = C_ia C_jb C_mc (nabla sigma)_abc,k.  The first two
-    terms are X_c of the R^7-valued field h(X_a, X_b) = X_b X_a Psi
-    - Gamma^d_ab X_d Psi + G_ab Psi paired with J e_k at q, so neither the
-    frame's derivative nor the normal connection enters; the last two are
-    h(nabla_{X_c} X_a, X_b) and h(X_a, nabla_{X_c} X_b), written out since
-    Gamma is not symmetric.  `frame_packet`, when given, is the frame at q,
-    as for second_fundamental_form.
+    The first two terms are V_m of the R^7-valued field h(V_i, V_j) =
+    V_j V_i Psi - Gamma[p, i, j] V_p Psi + <V_i Psi, V_j Psi> Psi paired
+    with J e_k at q, so neither the frame's derivative nor the normal
+    connection enters; the last two are h(nabla_{V_m} V_i, V_j) and
+    h(V_i, nabla_{V_m} V_j), written out since Gamma is not symmetric.
+    `frame_packet`, when given, is the frame at q, as for
+    second_fundamental_form.
     """
     pk = frame_packet if frame_packet is not None else frame(imm, q, validate=False)
     jt = imm.jet(pk.y, 3)
-    _, gamma = _christoffel(jt)
-    batch = pk.y.shape[:-1]
-    # third[k, a, b, c] = <X_c X_b X_a Psi, J e_k>, sigma[k, c, d] likewise
+    gamma, h = _connection(pk, jt.d2)
+    batch, C = pk.y.shape[:-1], pk.field_comps
+    # <X_c X_b X_a Psi, J e_k>, carried by C on c, then on b and a
     third = pk.estar @ np.swapaxes(jt.d3.reshape(batch + (27, 7)), -1, -2)
-    sigma = pk.estar @ np.swapaxes(jt.d2.reshape(batch + (9, 7)), -1, -2)
-    # x[k, a, b, c] = Gamma^d_ab sigma_cd,k; the other two connection terms
-    # are x[k, a, c, b] and x[k, b, c, a]
-    x = (gamma.reshape(batch + (1, 9, 3))
-         @ np.swapaxes(sigma.reshape(batch + (3, 3, 3)), -1, -2)).reshape(batch + (3, 3, 3, 3))
-    nsigma = (third.reshape(batch + (3, 3, 3, 3)) - x
-              - np.einsum("...kacb->...kabc", x) - np.einsum("...kbca->...kabc", x))
-    # nh[k, i, j, m] = C_ia C_jb C_mc nsigma[k, a, b, c]
-    C = pk.field_comps
-    inner = C[..., None, None, :, :] @ nsigma @ np.swapaxes(C, -1, -2)[..., None, None, :, :]
-    outer = C[..., None, :, :] @ inner.reshape(batch + (3, 3, 9))
-    return NablaH(coeffs=outer.reshape(batch + (3, 3, 3, 3)))
+    third = (third.reshape(batch + (27, 3)) @ np.swapaxes(C, -1, -2)).reshape(batch + (3, 3, 3, 3))
+    third = C[..., None, :, :] @ (C[..., None, None, :, :] @ third).reshape(batch + (3, 3, 9))
+    # x[k, i, j, m] = Gamma[p, i, j] h[k, p, m]; the other two connection
+    # terms are x[k, i, m, j] and x[k, j, m, i]
+    x = (np.moveaxis(gamma, -3, -1).reshape(batch + (1, 9, 3)) @ h).reshape(batch + (3, 3, 3, 3))
+    return NablaH(coeffs=third.reshape(x.shape) - x - np.einsum("...kimj->...kijm", x)
+                  - np.einsum("...kjmi->...kijm", x))
 
 
 # ---------------------------------------------------------------------------

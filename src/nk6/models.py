@@ -414,9 +414,12 @@ def load_polynomial_immersion(path, table: MulTable | None = None) -> Polynomial
         parts = line.split()
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 'component e1 e2 e3 e4 coeff'")
-        comp = int(parts[0])
-        expo = tuple(int(p) for p in parts[1:5])
-        coeff = float(parts[5])
+        try:
+            comp = int(parts[0])
+            expo = tuple(int(p) for p in parts[1:5])
+            coeff = float(parts[5])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
         if not 1 <= comp <= 7:
             raise ValueError(f"{path}:{lineno}: component must be in 1..7")
         if any(e < 0 for e in expo):

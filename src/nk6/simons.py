@@ -238,9 +238,12 @@ class QuadratureRule:
 
     @classmethod
     def parse(cls, text: str) -> "QuadratureRule":
-        parts = [int(p) for p in text.split(",")]
+        try:
+            parts = [int(p) for p in text.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 3:
-            raise ValueError("rule must be 'n_eta,n_xi1,n_xi2'")
+            raise ValueError(f"rule must be 'n_eta,n_xi1,n_xi2', got {text!r}")
         return cls(*parts)
 
     def counts(self):

@@ -244,7 +244,7 @@ def test_dvv_enclosure_closes_on_the_coarse_cells(dvv, monkeypatch):
     # the closed form certifies these rows; the enclosure closes on them too
     hs, scale = h.reshape(-1, 3, 3, 3), np.sqrt(np.sum(h**2, axis=(-3, -2, -1)))
     seed = canonical._polish(hs, u, scale)
-    _, theta = canonical._enclose(hs, scale, seed, canonical._level0(hs))
+    _, theta = canonical._enclose(hs, scale, seed)
     assert np.max(np.abs(theta - S5 / 2)) < 1e-12
 
 
@@ -258,7 +258,7 @@ def test_enclosure_refuses_the_dvv_ring_point():
     seed = canonical._polish(hs, ring, scale)
     u, f = seed[:2]
     assert np.allclose(u, ring) and abs(float(f[0]) - 0.5) < 1e-15
-    u, theta = canonical._enclose(hs, scale, seed, canonical._level0(hs))
+    u, theta = canonical._enclose(hs, scale, seed)
     assert abs(float(theta[0]) - S5 / 2) < 1e-12
     assert abs(abs(float(u[0, 0])) - 1.0) < 1e-8
 
@@ -396,7 +396,7 @@ def test_closed_form_is_sound_on_random_forms(monkeypatch):
     oracle = np.concatenate([grid_newton_theta(hs[lo:lo + 512]) for lo in range(0, len(hs), 512)])
     assert np.all(np.abs(theta - oracle) <= tol)
     seed = canonical._polish(hs, u, scale)
-    _, enclosed = canonical._enclose(hs, scale, seed, canonical._level0(hs))
+    _, enclosed = canonical._enclose(hs, scale, seed)
     assert np.all(np.abs(theta - enclosed) <= tol)
 
 
@@ -429,7 +429,7 @@ def test_closed_form_refuses_ties_and_stalls(monkeypatch):
         with pytest.raises(canonical.EnclosureError):
             nk6.maximize_theta(hs)
     assert not canonical._dominant(scale, *seeds[0][1:]).any()
-    _, theta = canonical._enclose(hs, scale, seeds[0], canonical._level0(hs))
+    _, theta = canonical._enclose(hs, scale, seeds[0])
     assert np.all(np.abs(theta - S5 / 2) <= 1e-12 * np.maximum(1.0, scale))
 
 
@@ -454,7 +454,7 @@ def test_tied_maxima_give_one_maximizer():
     seed = canonical._polish(hs, maxima.reshape(-1, 3), scale)
     assert np.max(np.abs(seed[0] - maxima.reshape(-1, 3))) < 1e-12
     assert not canonical._dominant(scale, *seed[1:]).any()
-    u, theta = canonical._enclose(hs, scale, seed, canonical._level0(hs))
+    u, theta = canonical._enclose(hs, scale, seed)
     want = maxima[np.arange(64), np.argmax(maxima @ canonical._TIE_BREAK, axis=-1)]
     assert np.max(np.abs(u.reshape(64, 4, 3) - want[:, None])) < 1e-12
     assert np.all(np.abs(theta - 1.0 / np.sqrt(27.0)) <= 1e-15)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 from dataclasses import replace
 
@@ -256,16 +257,17 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
 
 
 def test_nabla_h_ambient_catches_a_wrong_christoffel_term(capsys, monkeypatch):
-    # a 1e-7 error in the part of Gamma^d_ab symmetric in (a, b) leaves the
-    # torsion Gamma^d_ab - Gamma^d_ba = 2 eps_bad, and nabla h stays
-    # symmetric: codazzi cannot see the error, the ambient-field route can.
-    inner = geometry._christoffel
+    # a 1e-7 error in the part of Gamma[p, i, j] symmetric in (i, j) leaves
+    # the torsion Gamma[p, i, j] - Gamma[p, j, i] = <[V_j, V_i] Psi, e_p>, and
+    # nabla h stays symmetric: codazzi cannot see the error, the
+    # ambient-field route can.
+    inner = geometry._connection
 
-    def wrong(jt):
-        ginv, gamma = inner(jt)
-        return ginv, gamma + 0.5e-7 * (gamma + np.swapaxes(gamma, -2, -3))
+    def wrong(pk, d2):
+        gamma, h = inner(pk, d2)
+        return gamma + 0.5e-7 * (gamma + np.swapaxes(gamma, -1, -2)), h
 
-    monkeypatch.setattr(geometry, "_christoffel", wrong)
+    monkeypatch.setattr(geometry, "_connection", wrong)
     code, out, _ = run_cli(capsys, "verify", "--model", "dvv")
     checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
     assert code == 1
@@ -280,7 +282,7 @@ def test_derivative_oracles_share_no_christoffel_symbol_with_nabla_h(dvv, monkey
     def oracle_inputs(doctored):
         seen = []
         inner_lap, inner_core = geometry.laplace_beltrami, geometry._frame_at
-        inner_sff, inner_christoffel = geometry.second_fundamental_form, geometry._christoffel
+        inner_sff, inner_connection = geometry.second_fundamental_form, geometry._connection
 
         def laplace_beltrami(imm, field, q, frame_packet=None):
             def logged(yy):
@@ -300,16 +302,16 @@ def test_derivative_oracles_share_no_christoffel_symbol_with_nabla_h(dvv, monkey
                 seen.append(out.h)
             return out
 
-        def wrong(jt):
-            ginv, gamma = inner_christoffel(jt)
-            return ginv, (1.0 + 1e-3) * gamma
+        def wrong(pk, d2):
+            gamma, h = inner_connection(pk, d2)
+            return (1.0 + 1e-3) * gamma, h
 
         with monkeypatch.context() as m:
             m.setattr(geometry, "laplace_beltrami", laplace_beltrami)
             m.setattr(geometry, "_frame_at", core)
             m.setattr(geometry, "second_fundamental_form", sff)
             if doctored:
-                m.setattr(geometry, "_christoffel", wrong)
+                m.setattr(geometry, "_connection", wrong)
             suites = cli.cmd_verify(cli.RunConfig(command="verify"), dvv.table, dvv)
         checks = {c["name"]: c["passed"] for s in suites for c in s["checks"]}
         return seen, checks
@@ -327,13 +329,13 @@ def test_derivative_oracles_share_no_christoffel_symbol_with_nabla_h(dvv, monkey
 def test_verify_reports_a_large_nabla_h_error(capsys, monkeypatch):
     # at 1 + 1e-3 the nabla h identities are far off; the Laplacian identity
     # check must not stop verify, so the report names the failed checks
-    inner = geometry._christoffel
+    inner = geometry._connection
 
-    def wrong(jt):
-        ginv, gamma = inner(jt)
-        return ginv, (1.0 + 1e-3) * gamma
+    def wrong(pk, d2):
+        gamma, h = inner(pk, d2)
+        return (1.0 + 1e-3) * gamma, h
 
-    monkeypatch.setattr(geometry, "_christoffel", wrong)
+    monkeypatch.setattr(geometry, "_connection", wrong)
     code, out, _ = run_cli(capsys, "verify", "--model", "dvv")
     checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
     assert code == 1
@@ -379,6 +381,39 @@ def test_a_non_finite_coefficient_is_refused(capsys, tmp_path, geodesic):
         code, out, err = run_cli(capsys, *args, "--model", f"poly:{path}")
         assert code == 2 and out == ""
         assert err == f"error: {path}:{len(rows)}: coefficient must be finite\n"
+
+
+@pytest.mark.parametrize("field, entry", [(0, "x"), (3, "2.0"), (5, "1.5e")])
+def test_a_non_numeric_poly_entry_is_named(capsys, tmp_path, geodesic, field, entry):
+    # int() and float() named the bad literal, not the file and line it is on
+    rows = [f"{c + 1} {' '.join(map(str, e))} {co!r}" for c, e, co in geodesic.terms]
+    parts = rows[1].split()
+    parts[field] = entry
+    rows[1] = " ".join(parts)
+    path = tmp_path / "typo.txt"
+    path.write_text("\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "analyze", "--model", f"poly:{path}")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:2: non-numeric entry\n"
+
+
+@pytest.mark.parametrize("rule", ["8,8,x", "8,8", "8,8,8,8"])
+def test_a_malformed_rule_names_its_form(capsys, rule):
+    code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", rule)
+    assert code == 2 and out == ""
+    assert err == f"error: rule must be 'n_eta,n_xi1,n_xi2', got {rule!r}\n"
+
+
+@pytest.mark.parametrize("points", ["1,2,x", "0.5,0.5", "0.5,0.5,0.5;1,2,x"])
+def test_a_malformed_point_names_its_form(capsys, points):
+    with pytest.raises(argparse.ArgumentTypeError, match="each point must be 'eta,xi1,xi2'"):
+        cli._parse_points(points)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--model", "dvv", "--points", points])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "each point must be 'eta,xi1,xi2'" in err
+    assert repr(points.split(";")[-1]) in err
 
 
 def test_analyze_rejects_synthetic(capsys):

@@ -10,6 +10,7 @@ import pytest
 import nk6
 from nk6 import canonical, cli, geometry, models
 from conftest import random_chart_points
+from test_kernels import POLES, _models
 
 S5 = np.sqrt(5.0)
 HSQ_DVV = 25 / 8
@@ -270,16 +271,16 @@ def test_only_nabla_h_reads_the_christoffel_symbols():
             self.scope.pop()
 
         def visit_Name(self, node):
-            if node.id == "_christoffel":
+            if node.id == "_connection":
                 self.found.add(".".join(self.scope))
 
         def visit_Attribute(self, node):
-            if node.attr == "_christoffel":
+            if node.attr == "_connection":
                 self.found.add(".".join(self.scope))
             self.generic_visit(node)
 
         def visit_Constant(self, node):
-            if node.value == "_christoffel":
+            if node.value == "_connection":
                 self.found.add(".".join(self.scope))
 
     found = set()
@@ -367,39 +368,45 @@ def test_nabla_h_norm_value(dvv):
     assert np.max(np.abs(nh.norm_sq() - 0.75 * HSQ_DVV)) < 1e-6
 
 
-def test_nabla_h_matches_ambient_field_oracle(dvv):
+def test_nabla_h_matches_ambient_field_oracle(dvv, geodesic):
     # independent route: differentiate the R^7-valued field h(e_i, e_j) =
     # sum_l h[l,i,j] Je_l directly, project onto the normal space, and remove
-    # the tangential-connection terms; no normal-connection bookkeeping at all
-    q = np.array([0.66, 2.1, 0.8])
-    pk = nk6.frame(dvv, q)
-    sff = nk6.second_fundamental_form(dvv, q, frame_packet=pk)
-    nh = nk6.nabla_h(dvv, q)
+    # the tangential-connection terms; no normal-connection bookkeeping at all.
+    # On the kernel tests' four frames, the rotated one's C not diagonal, at
+    # a generic point and both chart poles; by central differences along the
+    # flows of X_a, and by verify's complex step along V_m to roundoff.
+    q = np.concatenate([[[0.66, 2.1, 0.8]], POLES])
     step = 2e-5
+    for imm in _models(dvv, geodesic):
+        pk = nk6.frame(imm, q)
+        sff = nk6.second_fundamental_form(imm, q, frame_packet=pk)
+        nh = nk6.nabla_h(imm, q)
+        assert cli._nabla_h_ambient_residual(imm, pk, sff, nh) < 1e-13
 
-    def packet_at(qq):
-        p = nk6.frame(dvv, qq, validate=False)
-        return p, nk6.second_fundamental_form(dvv, qq, frame_packet=p)
+        def packet_at(y):
+            p = nk6.frame(imm, imm.chart.from_y(y), validate=False)
+            return p, nk6.second_fundamental_form(imm, None, frame_packet=p)
 
-    oracle = np.zeros((3, 3, 3, 3))
-    for m in range(3):
-        cm = pk.field_comps[m]
-        dH = np.zeros((3, 3, 7))
-        de = np.zeros((3, 7))
-        for a in range(3):
-            # the flow of X_a through y, at times +-step
-            move = np.sin(step) * models.FIELD_MATS[a] @ pk.y
-            pp, sp = packet_at(dvv.chart.from_y(np.cos(step) * pk.y + move))
-            pmk, sm = packet_at(dvv.chart.from_y(np.cos(step) * pk.y - move))
-            dH += cm[a] * (np.einsum("lij,lc->ijc", sp.h, pp.estar)
-                           - np.einsum("lij,lc->ijc", sm.h, pmk.estar)) / (2 * step)
-            de += cm[a] * (pp.e - pmk.e) / (2 * step)
-        proj = np.einsum("ijc,kc->kij", dH, pk.estar)
-        gamma = np.einsum("ic,jc->ij", de, pk.e)
-        corr = (np.einsum("il,klj->kij", gamma, sff.h)
-                + np.einsum("jl,kil->kij", gamma, sff.h))
-        oracle[:, :, :, m] = proj - corr
-    assert np.max(np.abs(oracle - nh.coeffs)) < 1e-7
+        oracle = np.zeros(nh.coeffs.shape)
+        for m in range(3):
+            cm = pk.field_comps[:, m]
+            dH = np.zeros((len(q), 3, 3, 7))
+            de = np.zeros((len(q), 3, 7))
+            for a in range(3):
+                # the flow of X_a through y, at times +-step
+                move = np.sin(step) * pk.y @ models.FIELD_MATS[a].T
+                pp, sp = packet_at(np.cos(step) * pk.y + move)
+                pmk, sm = packet_at(np.cos(step) * pk.y - move)
+                dH += cm[:, a, None, None, None] * (
+                    np.einsum("nlij,nlc->nijc", sp.h, pp.estar)
+                    - np.einsum("nlij,nlc->nijc", sm.h, pmk.estar)) / (2 * step)
+                de += cm[:, a, None, None] * (pp.e - pmk.e) / (2 * step)
+            proj = np.einsum("nijc,nkc->nkij", dH, pk.estar)
+            gamma = np.einsum("nic,njc->nij", de, pk.e)
+            corr = (np.einsum("nil,nklj->nkij", gamma, sff.h)
+                    + np.einsum("njl,nkil->nkij", gamma, sff.h))
+            oracle[..., m] = proj - corr
+        assert np.max(np.abs(oracle - nh.coeffs)) < 1e-7, imm.name
 
 
 def test_nabla_h_vanishes_on_totally_geodesic(geodesic):
@@ -527,37 +534,27 @@ def test_laplace_beltrami_evaluates_one_stacked_circle_call(counted_dvv):
     assert np.array_equal(nk6.laplace_beltrami(counted_dvv, field, q, frame_packet=pk), lap)
     assert counted_dvv.jet_calls == []
     # Lap y_0 = g^{ab} (X_b X_a - Gamma^d_ab X_d) y_0, with X_f y = M_f y
-    ginv, gamma = geometry._christoffel(pk.jet)
+    ginv = np.linalg.inv(pk.metric)
+    d1t = np.swapaxes(pk.jet.d1, -1, -2)
+    # gamma[..., a, b, d] = Gamma^d_ab = g^{de} <X_b X_a Psi, X_e Psi>
+    gamma = (pk.jet.d2 @ d1t[..., None, :, :]) @ ginv[..., None, :, :]
     xy = np.einsum("fab,...b->...fa", models.FIELD_MATS, pk.y)[..., 0]
     xxy = np.einsum("fab,gbc,...c->...gfa", models.FIELD_MATS, models.FIELD_MATS, pk.y)[..., 0]
     want = np.einsum("...ab,...ab->...", ginv, xxy - np.einsum("...abd,...d->...ab", gamma, xy))
     assert np.max(np.abs(lap - want)) < 1e-11 * np.max(np.abs(want))
 
 
-def test_closed_form_inverse_matches_numpy():
+def test_closed_form_determinant_matches_numpy():
     # Gram matrices, as metrics are, and complex perturbations of them, as on
-    # the Laplacian's complex circle points
+    # the Laplacian's complex circle points, on the node-last layout (3, 3, ...)
     rng = np.random.default_rng(17)
     d1 = rng.normal(size=(64, 3, 7))
     real = d1 @ np.swapaxes(d1, -1, -2)
     complex_ = real + 0.3j * rng.normal(size=real.shape)
     for m in (real, complex_, real[0]):
-        want = np.linalg.inv(m)
-        got = geometry._inv3(m)
-        assert got.dtype == want.dtype
-        rel = np.max(np.abs(got - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
-        assert np.max(rel) < 1e-13
-        # the shared determinant, on the node-last layout (3, 3, ...)
         det = geometry._det3(np.moveaxis(m, (-2, -1), (0, 1)))
         assert det.shape == m.shape[:-2]
         assert np.max(np.abs(det / np.linalg.det(m) - 1.0)) < 1e-13
-    # one exactly singular matrix in the batch: row 2 is twice row 1
-    singular = real.copy()
-    singular[5] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]]
-    with pytest.raises(np.linalg.LinAlgError):
-        geometry._inv3(singular)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(singular)
 
 
 def test_laplacian_of_the_immersion_is_minus_three_times_it(dvv, geodesic):
