@@ -56,6 +56,12 @@ def _dot(a, b):
     return p[0] + p[1] + p[2]
 
 
+def _cross(a, b):
+    """a x b over a leading axis of length 3, column by column as in _dot."""
+    nxt, far = [1, 2, 0], [2, 0, 1]  # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}
+    return a[nxt] * b[far] - a[far] * b[nxt]
+
+
 def _tangent_basis(u):
     """Orthonormal t1, t2 with (u, t1, t2) positively oriented, for unit u
     with its components on the leading axis, (3,) or (3, n), returned as
@@ -72,8 +78,7 @@ def _tangent_basis(u):
     t1[1] += second
     t1[2] += ~(first | second)
     t1 /= np.sqrt(_dot(t1, t1))
-    nxt, far = [1, 2, 0], [2, 0, 1]  # (u x t1)_i = u_{i+1} t1_{i+2} - u_{i+2} t1_{i+1}
-    t2[...] = u[nxt] * t1[far] - u[far] * t1[nxt]
+    t2[...] = _cross(u, t1)
     return T
 
 
@@ -85,7 +90,7 @@ _SPLIT = 10            # level-0 cells per edge of each cube face
 _MAX_DEPTH = 12        # quadtree depth at which an open enclosure fails
 _MAX_OPEN = 512        # open cells per node at which an enclosure fails
 _MAX_NEWTON = 60
-_CHUNK = 1024          # nodes per pass: bounds the level-0 and open-cell arrays
+_CHUNK = 1024          # rows per seed matmul and per enclosure: bounds their arrays
 
 
 class EnclosureError(RuntimeError):
@@ -240,6 +245,20 @@ def _plane_radius(H, T):
             + np.hypot(0.25 * (a - 3.0 * c), 0.25 * (3.0 * b - d)))
 
 
+def _newton_step(A, f, x, grad, big):
+    """Newton's step on the sphere at x (3, n), from A and f of _forms and the
+    gradient, of which g = (x x grad) x x keeps the part tangent to x.  With
+    w = x x g, |w| = |g|, and M = 6A - 3f I it is -|g|^2 (W g - B w) / (G W - B^2),
+    G = g.Mg, B = w.Mg, W = w.Mw; unsafe where |GW - B^2| <= 1e-14 big^2 |g|^4."""
+    w = _cross(x, grad)
+    g = _cross(w, x)  # a roundoff along x would enter |g|^2 squared
+    Mg, Mw = (6.0 * _dot(A, v[:, None]) - 3.0 * f * v for v in (g, w))
+    G, B, W, gg = _dot(g, Mg), _dot(w, Mg), _dot(w, Mw), _dot(w, w)
+    det = G * W - B * B
+    safe = np.abs(det) > 1e-14 * big**2 * gg**2
+    return -gg / np.where(safe, det, 1.0) * (W * g - B * w), safe
+
+
 def _polish(hs, u, scale):
     """Safeguarded Newton ascent on the sphere from each row of u.
 
@@ -249,14 +268,14 @@ def _polish(hs, u, scale):
     f there, the tangential gradient norm g, mu, minus the largest
     eigenvalue of the tangent Hessian (positive at a strict maximum), lmin,
     the least h(u,w,w) over unit tangent w, and _plane_radius in the tangent
-    plane, each read where the row stopped.  Rows still moving after
-    _MAX_NEWTON steps are returned as they are; neither certificate then
-    accepts them.
+    plane, each read where the row stopped, the only pass that builds a
+    tangent basis.  Rows still moving after _MAX_NEWTON steps are returned
+    as they are; neither certificate then accepts them.
 
     The rows are held as columns: h as one contiguous (3, 9, n) array and
     the points as (3, n), so that every quantity of a pass, from h(u,.,.)
-    to the 2 x 2 tangent Hessian and the step, is a few products and sums
-    of whole length-n rows, and no row's value depends on the others.
+    to the _newton_step, is a few products and sums of whole length-n rows,
+    and no row's value depends on the others.
     """
     n = len(u)
     H = np.ascontiguousarray(hs.transpose(3, 2, 1, 0)).reshape(3, 9, n)
@@ -267,41 +286,30 @@ def _polish(hs, u, scale):
     active, x, sc, big = np.arange(n), out, scale, np.maximum(scale, 1.0)
     for it in range(_MAX_NEWTON + 1):
         grad = 3.0 * (v2 - f * x)
-        Tc = _tangent_basis(x).transpose(1, 0, 2)  # Tc[a, i] = (t_i)_a
-        # tangent Hessian H_ij = 6 h(t_i, t_j, x) - 3 f delta_ij, from
-        # AT[j, a] = h(e_a, t_j, x)
-        AT = _dot(A[:, None], Tc[:, :, None])
-        hess = _dot(Tc[:, :, None], AT.transpose(1, 0, 2)[:, None])
-        h11 = 6.0 * hess[0, 0] - 3.0 * f
-        h12 = 6.0 * hess[0, 1]
-        h22 = 6.0 * hess[1, 1] - 3.0 * f
         moving = np.abs(grad).max(axis=0) > 1e-13 * big
         moving &= it < _MAX_NEWTON  # the pass after the last step only reads g and mu
         if not moving.all():
             # the last pass reads every row still active without copying it
             done = ~moving if moving.any() else slice(None)
-            gd, stop = grad[:, done], active[done]
-            mean = 0.5 * (h11[done] + h22[done])
-            radius = np.hypot(0.5 * (h11[done] - h22[done]), h12[done])
-            g_out[stop] = np.sqrt(_dot(gd, gd))
-            mu_out[stop] = -(mean + radius)
+            stop, fd, gd = active[done], f[done], grad[:, done]
+            Tc = _tangent_basis(x[:, done]).transpose(1, 0, 2)
+            # Hessian 6 h(t_i, t_j, x) - 3 f delta_ij, Tc[a, i] = (t_i)_a, AT[j, a] = h(e_a, t_j, x)
+            AT = _dot(A[:, None, :, done], Tc[:, :, None])
+            hess = _dot(Tc[:, :, None], AT.transpose(1, 0, 2)[:, None])
+            h11, h22 = 6.0 * hess[0, 0] - 3.0 * fd, 6.0 * hess[1, 1] - 3.0 * fd
+            mean, radius = 0.5 * (h11 + h22), np.hypot(0.5 * (h11 - h22), 6.0 * hess[0, 1])
+            g_out[stop], mu_out[stop] = np.sqrt(_dot(gd, gd)), -(mean + radius)
             # h(u,w,w) = (w.Hw + 3f)/6 on unit tangent w
-            lmin_out[stop] = (mean - radius + 3.0 * f[done]) / 6.0
-            rho_out[stop] = _plane_radius(H[:, :, done], Tc[:, :, done])
+            lmin_out[stop] = (mean - radius + 3.0 * fd) / 6.0
+            rho_out[stop] = _plane_radius(H[:, :, done], Tc)
             if not moving.any():
                 break
             keep = np.flatnonzero(moving)
-            active, H, x, sc, big, A, v2, f, grad, Tc, h11, h12, h22 = (
-                np.take(y, keep, axis=-1)
-                for y in (active, H, x, sc, big, A, v2, f, grad, Tc, h11, h12, h22))
-        g1, g2 = _dot(Tc, grad[:, None])
-        det = h11 * h22 - h12 * h12
-        safe = np.abs(det) > 1e-14 * big**2
-        det = np.where(safe, det, 1.0)
-        s1 = (h12 * g2 - h22 * g1) / det
-        s2 = (h12 * g1 - h11 * g2) / det
+            active, H, x, sc, big, A, v2, f, grad = (
+                np.take(y, keep, axis=-1) for y in (active, H, x, sc, big, A, v2, f, grad))
+        s, safe = _newton_step(A, f, x, grad, big)
         # fall back to a short ascent step where the tangent Hessian degenerates
-        step = np.where(safe, s1 * Tc[:, 0] + s2 * Tc[:, 1], grad / np.maximum(sc, 1e-30) * 0.05)
+        step = np.where(safe, s, grad / np.maximum(sc, 1e-30) * 0.05)
         norm = np.sqrt(_dot(step, step))
         step = np.where(norm > 0.2, step * (0.2 / np.maximum(norm, 1e-30)), step)
         unew = x + step
@@ -528,25 +536,25 @@ def maximize_theta(sff_like):
     sphere, which they cover modulo u -> -u; the form is odd, so that half
     suffices):
 
-    1. Seed: f is evaluated at the grid vertices on every second grid line
-       (108 of the 363) by one matmul against the cubic monomials, and the
-       best vertex of each node is kept.
-    2. Polish: safeguarded Newton iterations on the sphere drive the
-       tangential gradient below 1e-13 max(1, |h|).
+    1. Seed: per _CHUNK rows, one matmul against the cubic monomials gives f
+       at the grid vertices on every second grid line (108 of the 363), and
+       the best vertex of each node is kept.
+    2. Polish: one _polish of all the rows, whose arrays grow with them,
+       drives each tangential gradient below 1e-13 max(1, |h|).
     3. Closed form: a row whose polished maximum dominates, by margins read
        off its gradient, its tangent Hessian and the form on its tangent
        plane, is certified without the grid (_dominant).  Every DVV node
        is; tied or nearly tied maxima and a stalled Newton are not.
-    4. Enclose the other rows: branch and bound over the cells proves that
-       no point beats the polished value by more than 1e-12 max(1, |h|); a
-       cell whose best corner does beat it is polished in turn and raises
-       it.  A cell is bounded by its largest corner value plus a curvature
-       term, or by a ball around a polished point, valid however theta rises
-       later: one per node and depth, so tied maxima close with one polish
-       each, and the maximizer among them is chosen by a fixed direction.
-       Both use a bound on the spectral norm max |h(a,b,c)| read off the
-       vertices, which by Banach's theorem (Studia Math. 7, 1938) is
-       max |f|; see _enclose.
+    4. Enclose the other rows, _CHUNK slice by slice: branch and bound over
+       the cells proves that no point beats the polished value by more than
+       1e-12 max(1, |h|); a cell whose best corner does beat it is polished
+       in turn and raises it.  A cell is bounded by its largest corner value
+       plus a curvature term, or by a ball around a polished point, valid
+       however theta rises later: one per node and depth, so tied maxima
+       close with one polish each, and the maximizer among them is chosen
+       by a fixed direction.  Both use a bound on the spectral norm
+       max |h(a,b,c)| read off the vertices, which by Banach's theorem
+       (Studia Math. 7, 1938) is max |f|; see _enclose.
 
     Returns (maximizer, theta) with f(maximizer) = theta, or within
     1e-12 max(1, |h|) of it where maxima tie; a vanishing form yields
@@ -565,31 +573,29 @@ def maximize_theta(sff_like):
                          "has a non-finite entry")
     hs = (h.reshape(-1, 27) @ _symmetrizer()).reshape(-1, 3, 3, 3)
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
-    u = np.zeros((len(hs), 3))
-    u[:, 0] = 1.0
-    theta = np.zeros(len(hs))
+    u, theta = np.tile([1.0, 0.0, 0.0], (len(hs), 1)), np.zeros(len(hs))
+    rows = np.flatnonzero(scale >= 1e-15)
+    if not rows.size:
+        return u.reshape(batch + (3,)), theta.reshape(batch)
+    hs, sc = hs[rows], scale[rows]
+    # the positions in `rows` of each _CHUNK slice of the input
+    parts = np.split(np.arange(len(rows)), np.searchsorted(rows, range(_CHUNK, len(u), _CHUNK)))
     vertex, mono = _seed_grid()
-    for lo in range(0, len(hs), _CHUNK):
-        rows = np.arange(lo, min(lo + _CHUNK, len(hs)))
-        rows = rows[scale[rows] >= 1e-15]
-        if not rows.size:
-            continue
-        part, sc = hs[rows], scale[rows]
-        F = part.reshape(-1, 27) @ _fold(3) @ mono
+    start = np.empty((len(rows), 3))
+    for part in parts:
+        F = hs[part].reshape(-1, 27) @ _fold(3) @ mono
         best = np.argmax(np.abs(F), axis=-1)
-        sign = np.where(F[np.arange(len(rows)), best] < 0, -1.0, 1.0)
-        seed = _polish(part, vertex[best] * sign[:, None], sc)
-        u[rows], theta[rows] = seed[:2]
-        grid = np.flatnonzero(~_dominant(sc, *seed[1:]))
-        if not grid.size:
-            continue
+        start[part] = vertex[best] * np.where(F[np.arange(len(part)), best] < 0, -1.0, 1.0)[:, None]
+    seed = _polish(hs, start, sc)
+    u[rows], theta[rows] = seed[:2]
+    refused = ~_dominant(sc, *seed[1:])
+    for grid in (part[refused[part]] for part in parts if refused[part].any()):
         try:
-            u[rows[grid]], theta[rows[grid]] = _enclose(
-                part[grid], sc[grid], [x[grid] for x in seed])
+            u[rows[grid]], theta[rows[grid]] = _enclose(hs[grid], sc[grid], [x[grid] for x in seed])
         except EnclosureError as exc:
             failing = rows[grid[exc.rows]]
             exc.args = (f"{exc} [row{'s' if len(failing) > 1 else ''} "
-                        f"{_row_ranges(failing)} of {len(hs)}]",)
+                        f"{_row_ranges(failing)} of {len(u)}]",)
             raise
     return u.reshape(batch + (3,)), theta.reshape(batch)
 

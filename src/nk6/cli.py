@@ -647,6 +647,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(len(argv) - 1)):  # so that "-1,8,8" is not read as an option
+        if argv[i] in ("--rule", "--points"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = vars(build_parser().parse_args(argv))
     try:
         if "rule" in args:

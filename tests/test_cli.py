@@ -452,6 +452,13 @@ def test_integrate_refuses_a_rule_the_volume_check_cannot_coarsen(capsys):
     assert "at least 3 nodes per axis" in err
 
 
+def test_a_rule_with_a_leading_minus_reaches_its_parser(capsys):
+    # argparse would take "-1,8,8" for an option and print its own usage error
+    code, out, err = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "-1,8,8")
+    assert code == 2 and out == ""
+    assert err == "error: quadrature rule needs at least 2 nodes per axis\n"
+
+
 def test_integrate_geodesic_classification(capsys):
     code, out, _ = run_cli(
         capsys, "integrate", "--model", "totally-geodesic", "--rule", "8,8,8")
@@ -480,6 +487,12 @@ def test_analyze_rejects_points_outside_the_chart(capsys):
     code, out, err = run_cli(capsys, "analyze", "--model", "dvv", "--points", "2.0,1.0,1.0")
     assert code == 2 and out == ""
     assert "outside domain" in err
+
+
+def test_a_point_with_a_leading_minus_reaches_its_parser(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--model", "dvv", "--points", "-0.1,1,1")
+    assert code == 2 and out == ""
+    assert "outside domain" in err and "expected one argument" not in err
 
 
 @pytest.mark.parametrize("point", ["nan,0.3,0.4", "0.5,inf,0.4"])
