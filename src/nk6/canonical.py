@@ -90,7 +90,7 @@ _SPLIT = 10            # level-0 cells per edge of each cube face
 _MAX_DEPTH = 12        # quadtree depth at which an open enclosure fails
 _MAX_OPEN = 512        # open cells per node at which an enclosure fails
 _MAX_NEWTON = 60
-_CHUNK = 1024          # rows per seed matmul and per enclosure: bounds their arrays
+_CHUNK = 1024          # rows per seed matmul and per enclosure, whose arrays it bounds
 
 
 class EnclosureError(RuntimeError):
@@ -539,8 +539,9 @@ def maximize_theta(sff_like):
     1. Seed: per _CHUNK rows, one matmul against the cubic monomials gives f
        at the grid vertices on every second grid line (108 of the 363), and
        the best vertex of each node is kept.
-    2. Polish: one _polish of all the rows, whose arrays grow with them,
-       drives each tangential gradient below 1e-13 max(1, |h|).
+    2. Polish: one _polish of all the rows drives each tangential gradient
+       below 1e-13 max(1, |h|); its arrays grow with the rows of the call,
+       which integrate caps at simons._NODE_BLOCK.
     3. Closed form: a row whose polished maximum dominates, by margins read
        off its gradient, its tangent Hessian and the form on its tangent
        plane, is certified without the grid (_dominant).  Every DVV node
@@ -556,9 +557,8 @@ def maximize_theta(sff_like):
        max |h(a,b,c)| read off the vertices, which by Banach's theorem
        (Studia Math. 7, 1938) is max |f|; see _enclose.
 
-    Returns (maximizer, theta) with f(maximizer) = theta, or within
-    1e-12 max(1, |h|) of it where maxima tie; a vanishing form yields
-    (e1, 0).
+    Returns (maximizer, theta) with f(maximizer) = theta, or within 1e-12
+    max(1, |h|) of it where maxima tie; a vanishing form yields (e1, 0).
     Raises ValueError, naming the first row, on a form with a non-finite
     entry.  Raises EnclosureError when the enclosure does not close within
     its depth and cell caps, so no uncertified theta is returned; its

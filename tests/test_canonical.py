@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nk6
-from nk6 import canonical, cli
+from nk6 import canonical, cli, simons
 
 S5 = np.sqrt(5.0)
 S10 = np.sqrt(10.0)
@@ -70,6 +70,14 @@ def grid_newton_theta(h):
 def rotations(n, seed=11):
     R = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, 3, 3)))[0]
     return R * np.sign(np.linalg.det(R))[:, None, None]
+
+
+def random_symmetric_forms(rng, n):
+    """n symmetric forms, each the mean over the index orders of a normal
+    (3, 3, 3) sample."""
+    g = rng.normal(size=(n, 3, 3, 3))
+    return sum(np.transpose(g, (0, *(1 + p for p in perm)))
+               for perm in itertools.permutations(range(3))) / 6.0
 
 
 def xyz_form():
@@ -374,16 +382,20 @@ def closed_form_rows(hs, monkeypatch):
 
 def test_closed_form_is_sound_on_random_forms(monkeypatch):
     # every row that the closed form certifies agrees with the grid-Newton
-    # oracle and with the grid enclosure seeded at its maximizer
+    # oracle and with the grid enclosure seeded at its maximizer: random
+    # symmetric and normal forms, rotations of both orbit forms (tied
+    # maxima), and each orbit form plus eps times a random symmetric form
     rng = np.random.default_rng(41)
-    generic = rng.normal(size=(4096, 3, 3, 3))
-    generic = sum(np.transpose(generic, (0, *(1 + p for p in perm)))
-                  for perm in itertools.permutations(range(3))) / 6.0
+    generic = random_symmetric_forms(rng, 4096)
     normal = nk6.reconstruct_sff(rng.uniform(-1.0, 1.0, size=(4096, 4)), rotations(4096, 43))
-    hs = np.concatenate([generic, normal])
+    orbits = [nk6.reconstruct_sff(form, rotations(512, seed)) for form, seed in
+              (((S5 / 4, S5 / 4, S10 / 4, 0.0), 5), ((np.sqrt(5.0 / 3.0), 0.0, 0.0, 0.0), 6))]
+    hs = np.concatenate([generic, normal, *orbits]
+                        + [h + eps * random_symmetric_forms(rng, len(h))
+                           for h in orbits for eps in (1e-4, 1e-8)])
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
     u, theta, ok = closed_form_rows(hs, monkeypatch)
-    assert 0.1 < ok[:4096].mean() < 0.9 and 0.1 < ok[4096:].mean() < 0.9
+    assert 0.1 < ok[:4096].mean() < 0.9 and 0.1 < ok[4096:8192].mean() < 0.9
     tol = 1e-12 * np.maximum(scale, 1.0)
     # nor does it accept a lower local maximum: polished from random starts,
     # hundreds of rows per start stop at one, and each is refused
@@ -719,6 +731,59 @@ def test_polish_batch_matches_rows_polished_alone(monkeypatch):
     u, f = batch[0], batch[1]
     assert steps[-2] == 0 and np.array_equal(u[-2], u0[-2])  # the ring point never moves
     assert np.allclose(u[-3], [1.0, 0.0, 0.0], atol=1e-12) and abs(f[-3] - 1.0) < 1e-15
+
+
+def tangent_newton_oracle(x, A, f, grad):
+    """Newton's step on the sphere at the unit rows x (n, 3), given A[b, a] =
+    h(e_a, e_b, x), f and the gradient (3, n), by the 2 x 2 solve in an
+    orthonormal tangent basis: t1 the coordinate axis farthest from x made
+    orthogonal to it, t2 = x x t1.  Returns the steps (n, 3) and cond(K)."""
+    axis = np.eye(3)[np.argmin(np.abs(x), axis=-1)]
+    t1 = axis - np.einsum("na,na->n", axis, x)[:, None] * x
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
+    T = np.stack([t1, np.cross(x, t1)], axis=1)
+    K = T @ (6.0 * A.transpose(2, 0, 1) - 3.0 * f[:, None, None] * np.eye(3)) @ T.transpose(0, 2, 1)
+    s = np.linalg.solve(K, -np.einsum("nia,an->ni", T, grad)[..., None])[..., 0]
+    return np.einsum("ni,nia->na", s, T), np.linalg.cond(K)
+
+
+def test_newton_step_in_closed_form_matches_the_tangent_solve():
+    # the step in the basis (g, x x g) is the tangent-basis 2 x 2 solve, at
+    # random points and near the maximum, where |g| is about 1e-9
+    rng = np.random.default_rng(53)
+    hs = random_symmetric_forms(rng, 2048)
+    big = np.maximum(np.sqrt(np.sum(hs**2, axis=(-3, -2, -1))), 1.0)
+    top, _ = nk6.maximize_theta(hs)
+    for x, (glo, ghi) in ((rng.normal(size=(2048, 3)), (1e-2, 1e2)),
+                          (top + 1e-9 * rng.normal(size=(2048, 3)), (1e-11, 1e-7))):
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        A = np.einsum("nabc,nc->ban", hs, x)
+        v2 = np.einsum("ban,nb->an", A, x)
+        f = np.einsum("an,na->n", v2, x)
+        grad = 3.0 * (v2 - f * x.T)
+        assert glo < np.linalg.norm(grad, axis=0).min() <= np.linalg.norm(grad, axis=0).max() < ghi
+        step, safe = canonical._newton_step(A, f, np.ascontiguousarray(x.T), grad, big)
+        want, cond = tangent_newton_oracle(x, A, f, grad)
+        assert safe.all() and cond.max() > 10.0
+        rel = np.linalg.norm(step.T - want, axis=-1) / np.linalg.norm(want, axis=-1)
+        assert rel.max() <= 1e-12
+
+
+def test_dvv_block_takes_one_polish_of_three_newton_steps(dvv, monkeypatch):
+    # integrate's 8192-node block: one _polish for every row, all of them
+    # at their maxima after three Newton steps, one _forms call each after
+    # the start's
+    q = simons.QuadratureRule(32, 32, 32).nodes_weights()[0][:simons._NODE_BLOCK]
+    h = nk6.second_fundamental_form(dvv, q).h
+    calls = []
+    for name in ("_polish", "_forms"):
+        def counted(*args, _inner=getattr(canonical, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(canonical, name, counted)
+    _, theta = nk6.maximize_theta(h)
+    assert calls == ["_polish"] + ["_forms"] * 4
+    assert np.max(np.abs(theta - S5 / 2)) < 1e-13
 
 
 def test_maximize_theta_over_chunks_matches_rows_alone():
