@@ -56,10 +56,13 @@ def _dot(a, b):
     return p[0] + p[1] + p[2]
 
 
+_NXT, _FAR = np.array([1, 2, 0]), np.array([2, 0, 1])  # numpy converts a list per use
+
+
 def _cross(a, b):
-    """a x b over a leading axis of length 3, column by column as in _dot."""
-    nxt, far = [1, 2, 0], [2, 0, 1]  # (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}
-    return a[nxt] * b[far] - a[far] * b[nxt]
+    """a x b over a leading axis of length 3, column by column as in _dot:
+    (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}."""
+    return a[_NXT] * b[_FAR] - a[_FAR] * b[_NXT]
 
 
 def _tangent_basis(u):
@@ -90,7 +93,12 @@ _SPLIT = 10            # level-0 cells per edge of each cube face
 _MAX_DEPTH = 12        # quadtree depth at which an open enclosure fails
 _MAX_OPEN = 512        # open cells per node at which an enclosure fails
 _MAX_NEWTON = 60
-_CHUNK = 1024          # rows per seed matmul and per enclosure, whose arrays it bounds
+# rows per seed matmul and per enclosure; slices beat whole blocks on one
+# BLAS thread: seeding a DVV 8192-row block with one matmul took 12.8 against
+# 10.6 ms (medians of 8 alternating runs, slower in all 8), and one enclosure
+# of 8192 rotated xyz-orbit forms took 871 against 678 ms and peaked at 344
+# against 46 MB (tracemalloc)
+_CHUNK = 1024
 
 
 class EnclosureError(RuntimeError):
@@ -567,13 +575,13 @@ def maximize_theta(sff_like):
     h = _h_array(sff_like)
     batch = h.shape[:-3]
     # min and max need no temporary the size of h; a NaN anywhere makes them NaN
-    if not np.isfinite([h.min(initial=0.0), h.max(initial=0.0)]).all():
+    if not (np.isfinite(h.min(initial=0.0)) and np.isfinite(h.max(initial=0.0))):
         bad = np.flatnonzero(~np.isfinite(h.reshape(-1, 27)).all(axis=-1))
         raise ValueError(f"second fundamental form row {bad[0]} of {h.size // 27} "
                          "has a non-finite entry")
     hs = (h.reshape(-1, 27) @ _symmetrizer()).reshape(-1, 3, 3, 3)
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
-    u, theta = np.tile([1.0, 0.0, 0.0], (len(hs), 1)), np.zeros(len(hs))
+    u, theta = np.eye(1, 3).repeat(len(hs), axis=0), np.zeros(len(hs))
     rows = np.flatnonzero(scale >= 1e-15)
     if not rows.size:
         return u.reshape(batch + (3,)), theta.reshape(batch)
@@ -606,7 +614,8 @@ def maximize_theta(sff_like):
 
 @dataclass(frozen=True)
 class CanonicalData:
-    """Normal-form invariants and the basis realizing them (rows e1, e2, e3)."""
+    """Normal-form invariants and the bases realizing them (rows e1, e2, e3)
+    with the batch shape of `canonical_basis`'s input: floats for one tensor."""
 
     basis: np.ndarray
     lambda1: float
@@ -629,8 +638,8 @@ class CanonicalData:
         |mu_i| <= theta; nonpositive slack means all constraints hold.
         """
         l1, l2, m1, m2 = self.tuple()
-        return max(-(l1 + l2), -(3 * l1 + l2), -(3 * l2 + l1), abs(m1) - (l1 + l2),
-                   abs(m2) - (l1 + l2))
+        return np.max([-(l1 + l2), -(3 * l1 + l2), -(3 * l2 + l1), np.abs(m1) - (l1 + l2),
+                       np.abs(m2) - (l1 + l2)], axis=0)
 
 
 def _as_tuple4(source):
@@ -669,7 +678,8 @@ def reconstruct_sff(source, basis=None):
     With `basis` (rows e1, e2, e3 in some ambient frame) the tensor is
     expressed back in that ambient frame.
     """
-    t = np.stack(np.broadcast_arrays(*_as_tuple4(source)), axis=-1)
+    t = (source if isinstance(source, np.ndarray) and source.shape[-1:] == (4,)
+         else np.stack(np.broadcast_arrays(*_as_tuple4(source)), axis=-1))
     h = (t @ _normal_form_map()).reshape(t.shape[:-1] + (3, 3, 3))
     if basis is None:
         return h
@@ -678,59 +688,67 @@ def reconstruct_sff(source, basis=None):
 
 
 def canonical_basis(sff_like) -> CanonicalData:
-    """Extract the normal form of a single second fundamental form.
+    """Extract the normal form of second fundamental forms h (..., 3, 3, 3).
 
     e1 maximizes the cubic form; e2, e3 diagonalize the shape operator of
     J e1 restricted to the orthogonal complement (eigenvalues -lambda1 and
     -lambda2 with lambda1 >= lambda2).  When that restriction is umbilic the
     pair is rotated so that mu2 = 0 and mu1 >= 0; remaining sign freedom is
-    fixed by making mu1 and mu2 nonnegative.  Raises ReconstructionError when
-    the reassembled tensor misses the input by more than 1e-8 max(1, |h|).
+    fixed by making mu1 and mu2 nonnegative.  A form with |h| < 1e-14 gives
+    the zero tuple in the identity basis.  Every step runs on the whole
+    batch: e1 comes from one maximize_theta call, and each row's values are
+    its own, equal to roundoff to those of the row alone (numpy rounds
+    products over a batch and over one row differently).  Raises
+    ReconstructionError, naming the failing rows, when the reassembled
+    tensor misses the input by more than 1e-8 max(1, |h|).
     """
     h = _h_array(sff_like)
-    if h.ndim != 3:
-        raise ValueError("canonical_basis expects a single (3,3,3) tensor")
-    scale = float(np.sqrt(np.sum(h**2)))
-    if scale < 1e-14:
-        return CanonicalData(basis=np.eye(3), lambda1=0.0, lambda2=0.0, mu1=0.0, mu2=0.0)
+    batch, hs = h.shape[:-3], h.reshape(-1, 3, 3, 3)
+    scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
+    big = np.maximum(scale, 1.0)[:, None]
+    e1, _ = maximize_theta(hs)
+    # T[n] = (t1, t2), contiguous so that each 2 x 3 product is one matmul
+    T = np.ascontiguousarray(_tangent_basis(e1.T).transpose(2, 0, 1))
+    w, vecs = np.linalg.eigh(T @ np.einsum("nkij,nk->nij", hs, e1) @ T.transpose(0, 2, 1))
+    # E[n, c] = vecs[n, 0, c] t1 + vecs[n, 1, c] t2: e2 for c = 0, e3 for c = 1
+    E = vecs[:, 0, :, None] * T[:, :1] + vecs[:, 1, :, None] * T[:, 1:]
+    rows = E.reshape(-1, 3)  # deterministic eigenvector sign
+    lead = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=-1)]
+    np.negative(E, out=E, where=lead.reshape(-1, 2, 1) < 0)
 
-    e1, _ = maximize_theta(h)
-    T = _tangent_basis(e1)
-    t1, t2 = T
-    w, vecs = np.linalg.eigh(T @ np.einsum("kij,k->ij", h, e1) @ T.T)
-    e2 = vecs[0, 0] * t1 + vecs[1, 0] * t2
-    e3 = vecs[0, 1] * t1 + vecs[1, 1] * t2
-    for ev in (e2, e3):  # deterministic eigenvector sign
-        if ev[np.argmax(np.abs(ev))] < 0:
-            ev *= -1.0
+    def mu(E):  # h(e2, e2, e2) and h(e3, e2, e2), each as cubic_form sums it
+        return np.einsum("nkij,nck,ni,nj->nc", hs, E, E[:, 0], E[:, 0])
 
-    def mu(e2, e3):
-        return float(cubic_form(h, e2)), float(np.einsum("kij,k,i,j->", h, e3, e2, e2))
-
-    if abs(w[0] - w[1]) < 1e-8 * max(1.0, scale):
-        m1, m2 = mu(e2, e3)
-        ang = np.arctan2(m2, m1) / 3.0
-        e2, e3 = (
-            np.cos(ang) * e2 + np.sin(ang) * e3,
-            -np.sin(ang) * e2 + np.cos(ang) * e3,
-        )
-    m1, m2 = mu(e2, e3)
+    umbilic = np.abs(w[:, :1] - w[:, 1:]) < 1e-8 * big
+    if umbilic.any():
+        m = mu(E)
+        ang = (np.arctan2(m[:, 1], m[:, 0]) / 3.0)[:, None, None]
+        # (e2, e3) -> (cos e2 + sin e3, -sin e2 + cos e3)
+        turned = np.cos(ang) * E + np.sin(ang) * E[:, ::-1] * [[1.0], [-1.0]]
+        E = turned if umbilic.all() else np.where(umbilic[..., None], turned, E)
     # mu1 is odd in e2 and even in e3, mu2 the reverse, so a flip negates
     # one of them exactly
-    if m1 < -1e-12 * max(1.0, scale):
-        e2, m1 = -e2, -m1
-    if m2 < -1e-12 * max(1.0, scale):
-        e3, m2 = -e3, -m2
+    m = mu(E)
+    flip = m < -1e-12 * big
+    if flip.any():
+        np.negative(E, out=E, where=flip[..., None])
+        np.negative(m, out=m, where=flip)
 
-    basis = np.stack([e1, e2, e3])
-    tup = (float(-w[0]), float(-w[1]), m1, m2)
-    residual = float(np.sqrt(np.sum((h - reconstruct_sff(tup, basis)) ** 2)))
-    if residual > 1e-8 * max(1.0, scale):
+    basis, tup = np.concatenate([e1[:, None], E], axis=1), np.concatenate([-w, m], axis=-1)
+    zero = scale < 1e-14
+    if zero.any():
+        basis[zero], tup[zero] = np.eye(3), 0.0
+    residual = np.sqrt(np.sum((hs - reconstruct_sff(tup, basis)) ** 2, axis=(-3, -2, -1)))
+    bad = np.flatnonzero(residual > 1e-8 * big[:, 0])
+    if bad.size:
         raise ReconstructionError(
-            f"normal form failed to reproduce the input tensor "
-            f"(residual {residual:.3e}, scale {scale:.3e})"
-        )
-    return CanonicalData(basis, *tup, reconstruction_residual=residual)
+            f"normal form misses the input tensor by more than 1e-8 max(1, |h|), "
+            f"by up to {residual[bad].max():.3e} "
+            f"[row{'s' if bad.size > 1 else ''} {_row_ranges(bad)} of {len(hs)}]")
+    if not batch:
+        return CanonicalData(basis[0], *tup[0].tolist(), float(residual[0]))
+    return CanonicalData(basis.reshape(batch + (3, 3)), *(v.reshape(batch) for v in tup.T),
+                         residual.reshape(batch))
 
 
 # ---------------------------------------------------------------------------

@@ -80,30 +80,15 @@ class RunConfig:
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
     def to_dict(self):
-        return {
-            "command": self.command,
-            "model": self.model,
-            "table": self.table,
-            "seed": self.seed,
-            "samples": self.samples,
-            "rule": list(self.rule.counts()),
-            "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
-            "format": self.fmt,
-            "points": self.points,
-            "random_points": self.random_points,
-        }
+        echo = {f.name: getattr(self, f.name) for f in dc_fields(self)
+                if f.name not in ("out", "fmt")}
+        return dict(echo, rule=list(self.rule.counts()), format=self.fmt,
+                    tolerances=dict(sorted(self.tolerances.items())))
 
 
 def _check(name, formula, residual, tolerance, **extra):
-    row = {
-        "name": name,
-        "formula": formula,
-        "max_residual": float(residual),
-        "tolerance": float(tolerance),
-        "passed": bool(residual <= tolerance),
-    }
-    row.update(extra)
-    return row
+    return {"name": name, "formula": formula, "max_residual": float(residual),
+            "tolerance": float(tolerance), "passed": bool(residual <= tolerance), **extra}
 
 
 def _suite(name, checks):
@@ -111,9 +96,7 @@ def _suite(name, checks):
 
 
 def _resolve_table(cfg: RunConfig):
-    if cfg.table == "auto":
-        return models.default_table()
-    return cayley.load_table(cfg.table)
+    return models.default_table() if cfg.table == "auto" else cayley.load_table(cfg.table)
 
 
 # ---------------------------------------------------------------------------
@@ -398,76 +381,78 @@ ANALYZE_COLUMNS = (
 )
 
 
-def analyze_point(imm, q):
-    """One analysis row; pinching-threshold flags are annotations only."""
-    q = np.asarray(q, dtype=float)
+# chart points per block of `cmd_analyze`.  A block holds about 67 KB a point,
+# most of it j_parallel_defect's (n, 4099) values and their absolute value:
+# 20000 DVV points peak at 29.8, 34.1 and 42.7 MB in blocks of 64, 128 and 256
+_ANALYZE_BLOCK = 64
+
+
+def _analyze_rows(imm, q):
+    """The analysis rows of the chart points q (n, 3), each layer called once
+    on the whole batch; pinching-threshold flags are annotations only."""
     pk = geometry.frame(imm, q)
     sff = geometry.second_fundamental_form(imm, q, frame_packet=pk)
-    hsq = float(sff.norm_sq())
     cd = canonical.canonical_basis(sff.h)
     cp = geometry.curvature_from_sff(sff)
-    ric_eigs = cp.ricci_eigenvalues()
-    tau = float(cp.tau)
-    k_min, k_max = (float(v) for v in cp.sectional_range())
+    ric = cp.ricci_eigenvalues()
+    # CurvaturePacket.sectional_range, from the same eigenvalues
+    k_min, k_max = cp.tau / 2 - ric[:, -1], cp.tau / 2 - ric[:, 0]
     k_tol = DEFAULT_TOLERANCES["sectional_values"]
     nh = geometry.nabla_h(imm, q)
     packet = simons.t_tensor(nh, simons.f_tensor(sff, pk), sff)
-    return {
-        "eta": float(q[0]), "xi1": float(q[1]), "xi2": float(q[2]),
-        "hsq": hsq, "theta": float(cd.theta),
-        "lambda1": cd.lambda1, "lambda2": cd.lambda2, "mu1": cd.mu1, "mu2": cd.mu2,
-        "K_min": k_min, "K_max": k_max,
-        "ric_min": float(ric_eigs[0]), "ric_max": float(ric_eigs[-1]),
-        "tau": tau,
-        "nabla_h_sq": float(packet.nabla_h_sq), "t_sq": float(packet.t_sq),
-        "j_parallel_defect": float(simons.j_parallel_defect(nh)),
-        "flag_K_above_1_16": bool(k_min > 1 / 16 + k_tol),
-        "flag_K_below_21_16": bool(k_max < 21 / 16 - k_tol),
-        "flag_ric_ge_3_4": bool(ric_eigs[0] >= 3 / 4),
-        "flag_hsq_lt_5_2": bool(hsq < 5 / 2),
-        "error": "",
-    }
+    columns = (
+        q[:, 0], q[:, 1], q[:, 2], cp.hsq, cd.theta, cd.lambda1, cd.lambda2, cd.mu1, cd.mu2,
+        k_min, k_max, ric[:, 0], ric[:, -1], cp.tau, packet.nabla_h_sq, packet.t_sq,
+        simons.j_parallel_defect(nh),
+        k_min > 1 / 16 + k_tol, k_max < 21 / 16 - k_tol, ric[:, 0] >= 3 / 4, cp.hsq < 5 / 2,
+    )
+    return [dict(zip(ANALYZE_COLUMNS, row + ("",)))
+            for row in zip(*(c.tolist() for c in columns))]
+
+
+def analyze_point(imm, q):
+    """The row of one chart point q: _analyze_rows on a one-row block, equal
+    to q's row in a larger block to roundoff (numpy rounds a one-row product
+    and a batch differently).  nabla_h frames q again, as bench/test_bench.py
+    asserts the chain nabla_h -> frame and three jet calls per row."""
+    return _analyze_rows(imm, np.asarray(q, dtype=float)[None])[0]
 
 
 def cmd_analyze(cfg: RunConfig, model):
+    """Analysis rows of the configured points, _ANALYZE_BLOCK at a time.  A
+    block with a degenerate frame is analyzed again point by point, and the
+    row of a degenerate point carries the error and no numbers."""
     if isinstance(model, models.SyntheticH):
         raise ConfigError("analyze needs a model with chart jets; synthetic data has none")
-    if cfg.points:
-        pts = [np.asarray(p, dtype=float) for p in cfg.points]
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        pts = list(model.chart.random_points(cfg.random_points, rng))
+    pts = (np.array(cfg.points, dtype=float) if cfg.points
+           else model.chart.random_points(cfg.random_points, np.random.default_rng(cfg.seed)))
     rows = []
-    for q in pts:
+    for lo in range(0, len(pts), _ANALYZE_BLOCK):
         try:
-            rows.append(analyze_point(model, q))
-        except geometry.ChartDegeneracyError as exc:
-            row = {k: float("nan") for k in ANALYZE_COLUMNS if not k.startswith("flag")}
-            row.update({
-                "eta": float(q[0]), "xi1": float(q[1]), "xi2": float(q[2]),
-                "flag_K_above_1_16": False, "flag_K_below_21_16": False,
-                "flag_ric_ge_3_4": False, "flag_hsq_lt_5_2": False,
-                "error": str(exc),
-            })
-            rows.append(row)
+            rows += _analyze_rows(model, pts[lo:lo + _ANALYZE_BLOCK])
+        except geometry.ChartDegeneracyError:
+            for q in pts[lo:lo + _ANALYZE_BLOCK]:
+                try:
+                    rows.append(analyze_point(model, q))
+                except geometry.ChartDegeneracyError as exc:
+                    row = {k: False if k.startswith("flag") else None for k in ANALYZE_COLUMNS}
+                    row.update(eta=float(q[0]), xi1=float(q[1]), xi2=float(q[2]), error=str(exc))
+                    rows.append(row)
     return rows
+
+
+def _csv_cell(v):
+    """A float to 17 digits, None (a number an error row lacks) as nan, a
+    bool as 0 or 1."""
+    if v is None or isinstance(v, float):
+        return "nan" if v is None else f"{v:.17g}"
+    return str(int(v)) if isinstance(v, bool) else str(v)
 
 
 def _rows_to_csv(rows, columns):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        out = []
-        for col in columns:
-            v = row[col]
-            if isinstance(v, float):
-                out.append(f"{v:.17g}")
-            elif isinstance(v, bool):
-                out.append(str(int(v)))
-            else:
-                out.append(str(v))
-        writer.writerow(out)
+    csv.writer(buf, lineterminator="\n").writerows(
+        [columns, *([_csv_cell(row[col]) for col in columns] for row in rows)])
     return buf.getvalue()
 
 
@@ -569,10 +554,7 @@ def run(cfg: RunConfig) -> int:
 
 def _parse_points(text):
     pts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         try:
             vals = [float(v) for v in chunk.split(",")]
         except ValueError:

@@ -651,6 +651,55 @@ def test_reconstruction_error_on_asymmetric_input():
         nk6.canonical_basis(bad)
 
 
+def mixed_normal_form_batch(dvv, rng):
+    """Rotated random normal forms, DVV forms at random points, rotated
+    umbilic forms (lambda1 = lambda2, mu2 = 0), zero rows and rows below
+    |h| = 1e-14, interleaved."""
+    R = np.linalg.qr(rng.normal(size=(90, 3, 3)))[0]
+    generic = nk6.reconstruct_sff(rng.uniform(-1.0, 1.0, size=(30, 4)), R[:30])
+    lam, m1 = rng.uniform(-1.0, 1.0, size=(2, 30))
+    umbilic = nk6.reconstruct_sff(np.stack([lam, lam, m1, 0 * m1], axis=-1), R[30:60])
+    berger = nk6.second_fundamental_form(dvv, dvv.chart.random_points(30, rng)).h
+    tiny = np.concatenate([np.zeros((3, 3, 3, 3)), 1e-16 * generic[:3]])
+    forms = np.concatenate([generic, umbilic, berger, tiny])
+    return forms[rng.permutation(len(forms))]
+
+
+def test_canonical_basis_one_row_batch_is_the_tensor_bitwise(dvv, rng):
+    for h in mixed_normal_form_batch(dvv, rng)[:40]:
+        one, row = nk6.canonical_basis(h), nk6.canonical_basis(h[None])
+        assert all(isinstance(v, float) for v in one.tuple()) and one.basis.shape == (3, 3)
+        assert np.array_equal(np.array(one.tuple()), np.stack(row.tuple(), axis=-1)[0])
+        assert np.array_equal(one.basis, row.basis[0])
+
+
+def test_canonical_basis_batch_rows_match_each_tensor(dvv, rng):
+    forms = mixed_normal_form_batch(dvv, rng).reshape(8, 12, 3, 3, 3)
+    cd = nk6.canonical_basis(forms)
+    assert cd.basis.shape == (8, 12, 3, 3) and cd.lambda1.shape == (8, 12)
+    big = np.maximum(1.0, np.sqrt(np.sum(forms**2, axis=(-3, -2, -1))))
+    alone = np.array([nk6.canonical_basis(h).tuple() for h in forms.reshape(-1, 3, 3, 3)])
+    dev = np.abs(np.stack(cd.tuple(), axis=-1) - alone.reshape(8, 12, 4)).max(axis=-1)
+    assert np.all(dev <= 1e-12 * big)
+    # where maxima or eigenvalues tie, the basis need not be the lone row's,
+    # but it reproduces the row
+    rebuilt = nk6.reconstruct_sff(cd.tuple(), cd.basis)
+    assert np.all(np.sqrt(np.sum((rebuilt - forms) ** 2, axis=(-3, -2, -1))) <= 1e-8 * big)
+    assert np.all(cd.reconstruction_residual <= 1e-8 * big)
+    assert np.all(cd.constraint_slack() <= 1e-8 * big)
+    # rows below |h| = 1e-14 read the zero tuple in the identity basis
+    zero = np.sqrt(np.sum(forms**2, axis=(-3, -2, -1))) < 1e-14
+    assert zero.sum() == 6 and np.array_equal(cd.basis[zero], np.broadcast_to(np.eye(3), (6, 3, 3)))
+    assert not np.any(np.stack(cd.tuple(), axis=-1)[zero])
+
+
+def test_reconstruction_error_names_the_failing_row(dvv, rng):
+    forms = mixed_normal_form_batch(dvv, rng)[:7]
+    forms[4, 0, 1, 2] += 1.0  # not a symmetric cubic tensor
+    with pytest.raises(canonical.ReconstructionError, match=r"\[row 4 of 7\]$"):
+        nk6.canonical_basis(forms)
+
+
 def random_symmetric_trace_free(rng):
     h = rng.normal(size=(3, 3, 3))
     h = sum(np.transpose(h, p) for p in

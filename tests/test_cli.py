@@ -151,16 +151,27 @@ def test_analyze_points_and_csv(capsys, tmp_path):
     assert len(csv_text) == 3
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
 def test_analyze_flags_degenerate_point(capsys, tmp_path):
     # the Hopf map S^3 -> S^2 lies on the six-sphere but is immersed nowhere
     path = tmp_path / "hopf.txt"
     path.write_text("1 2 0 0 0 1\n1 0 2 0 0 1\n1 0 0 2 0 -1\n1 0 0 0 2 -1\n"
                     "2 1 0 1 0 2\n2 0 1 0 1 2\n3 0 1 1 0 2\n3 1 0 0 1 -2\n")
     code, out, _ = run_cli(
-        capsys, "analyze", "--model", f"poly:{path}", "--points", "0.6,1.0,2.0")
+        capsys, "analyze", "--model", f"poly:{path}", "--points", "0.6,1.0,2.0",
+        "--out", str(tmp_path / "out"))
     assert code == 0
-    row = json.loads(out)["rows"][0]
+    # the numbers the row does not have are null in the JSON, nan in the CSV
+    row = json.loads(out, parse_constant=_refuse_constant)["rows"][0]
     assert row["error"].startswith("tangent frame is rank deficient")
+    assert (row["eta"], row["xi1"], row["xi2"]) == (0.6, 1.0, 2.0)
+    assert row["hsq"] is None and row["j_parallel_defect"] is None
+    assert row["flag_hsq_lt_5_2"] is False
+    csv_row = (tmp_path / "out" / "analyze_points.csv").read_text().splitlines()[1]
+    assert csv_row.startswith("0.59999999999999998,1,2,nan,nan,")
 
 
 def test_analyze_frames_the_chart_poles(capsys):
@@ -183,6 +194,45 @@ def test_analyze_point_maximizes_theta_once(dvv, monkeypatch):
     row = cli.analyze_point(dvv, np.array([0.7, 0.9, 1.7]))
     assert len(calls) == 1
     assert abs(row["theta"] - np.sqrt(5.0) / 2) < 1e-12
+
+
+def test_analyze_rows_match_the_rows_of_each_point(dvv):
+    # 150 points in blocks of 64, 64 and 22; numpy rounds a block's products
+    # and one point's differently, in the last bits only
+    cfg = cli.RunConfig(command="analyze", random_points=150, seed=3)
+    rows = cli.cmd_analyze(cfg, dvv)
+    pts = dvv.chart.random_points(150, np.random.default_rng(3))
+    assert len(rows) == 150 and cli._ANALYZE_BLOCK < 150
+    for row, q in zip(rows, pts):
+        alone = cli.analyze_point(dvv, q)
+        assert list(row) == list(alone) == list(cli.ANALYZE_COLUMNS)
+        for key, value in row.items():
+            if isinstance(value, float):
+                assert abs(value - alone[key]) <= 1e-13, key
+            else:
+                assert value == alone[key], key
+
+
+def test_a_degenerate_point_errs_only_its_own_row(dvv, monkeypatch):
+    # rank-deficient frame rows at the middle point stop its block's frame;
+    # the block is analyzed again point by point
+    pts = [[0.6, 1.0, 2.0], [0.9, 0.3, 4.0], [0.3, 2.0, 5.0]]
+    bad = models.HopfChart().to_y(np.array(pts[1]))
+    tangent_fields = models.PolynomialSphereImmersion.tangent_fields
+
+    def degenerate_at_bad(self, y):
+        rows = tangent_fields(self, y).copy()
+        rows[np.all(y == bad, axis=-1), 2] = rows[np.all(y == bad, axis=-1), 1]
+        return rows
+
+    with monkeypatch.context() as m:
+        m.setattr(models.PolynomialSphereImmersion, "tangent_fields", degenerate_at_bad)
+        rows = cli.cmd_analyze(cli.RunConfig(command="analyze", points=pts), dvv)
+    assert [row["error"] for row in rows[::2]] == ["", ""]
+    assert rows[1]["error"].startswith("tangent frame is rank deficient")
+    assert [rows[1][k] for k in ("eta", "xi1", "xi2", "hsq", "flag_K_above_1_16")] == [
+        0.9, 0.3, 4.0, None, False]
+    assert rows[::2] == [cli.analyze_point(dvv, q) for q in pts[::2]]
 
 
 def test_pinching_flags_ignore_roundoff(dvv, geodesic):
@@ -750,3 +800,57 @@ def test_each_verify_check_fails_on_its_doctoring(capsys, monkeypatch, check):
     checks = [c for s in json.loads(out)["suites"] for c in s["checks"]]
     assert code == 1
     assert {c["name"] for c in checks if not c["passed"]} == failing
+
+
+def _on_call(inner, call, doctor):
+    """`inner` with `doctor` applied to the result of its call number `call`
+    (from 0) only."""
+    calls = []
+
+    def doctored(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        calls.append(None)
+        return doctor(out) if len(calls) == call + 1 else out
+    return doctored
+
+
+def _nan_at_node(hsq, node=7):
+    hsq = np.array(hsq)
+    hsq[node] = np.nan
+    return hsq
+
+
+# case -> (owner, function, call, doctoring of that call's result), with
+# the half of (classification, exit code) it moves today.  With 1024-node
+# blocks, integrate on a 16^3 rule evaluates each of its four blocks once
+# through _density_and_sff, SFF.norm_sq and maximize_theta, in block order,
+# and calls _volume once, for the coarse rule.
+INTEGRATE_DOCTORINGS = {
+    # exit 1, no classification: the sups of |h|^2 and the integrand are NaN
+    "nan_hsq_at_one_node": (geometry.SFF, "norm_sq", 1, _nan_at_node),
+    # classification strict: the integrand moves by about 1e-2
+    "theta_raised_on_one_block": (
+        canonical, "maximize_theta", 2, lambda ut: (ut[0], ut[1] + 1e-3)),
+    # exit 1, no classification: the volume moves by 5.7e-5 under refinement
+    "density_scaled_on_one_block": (
+        simons, "_density_and_sff", 3, lambda ds: (ds[0] * (1 + 1e-3), ds[1])),
+    # exit 1, no classification: the volume moves by 1e-5 under refinement
+    "coarse_volume_scaled": (simons, "_volume", 0, lambda v: v * (1 + 1e-5)),
+}
+
+
+@pytest.mark.parametrize("case", [None, *INTEGRATE_DOCTORINGS])
+def test_each_integrate_certificate_fails_on_its_doctoring(capsys, monkeypatch, case):
+    # the pair must move off (DVV-type, 0); a doctoring may move either half
+    monkeypatch.setattr(simons, "_NODE_BLOCK", 1024)
+    if case is not None:
+        owner, name, call, doctor = INTEGRATE_DOCTORINGS[case]
+        monkeypatch.setattr(owner, name, _on_call(getattr(owner, name), call, doctor))
+    code, out, _ = run_cli(capsys, "integrate", "--model", "dvv", "--rule", "16,16,16")
+    classification = json.loads(out)["inequality"]["classification"] if out else None
+    moved = [half for half, got, undoctored in (("classification", classification, "DVV-type"),
+                                                 ("exit code", code, 0)) if got != undoctored]
+    if case is None:
+        assert moved == []
+    else:
+        assert moved, f"{case} left (classification, exit code) at (DVV-type, 0)"
