@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +32,8 @@ __all__ = [
     "frame_products",
     "almost_complex",
     "g_tensor",
-    "tangent_project",
-    "check_sphere_point",
-    "check_tangent",
     "random_tangent",
     "lagrangian_frame",
-    "geodesic",
-    "parallel_transport",
     "g_tensor_fd",
     "nabla_g_fd",
     "verify_nk_identities",
@@ -65,30 +61,22 @@ class TableError(ValueError):
     """Raised when structure constants fail the cross-product axioms."""
 
 
-def _dense_from_triples(triples):
-    f = np.zeros((7, 7, 7))
-    for (i, j, k), s in triples:
-        even = ((i, j, k), (j, k, i), (k, i, j))
-        odd = ((j, i, k), (i, k, j), (k, j, i))
-        for a, b, c in even:
-            f[a - 1, b - 1, c - 1] = s
-        for a, b, c in odd:
-            f[a - 1, b - 1, c - 1] = -s
-    return f
+def _fill(f, triple, s, where=""):
+    """Set f_ijk = s for the 1-based triple (i, j, k): s at its three even
+    index orders, -s at the three odd ones.  A triple already set to the
+    other sign is refused, the message prefixed by `where`."""
+    i, j, k = (int(t) - 1 for t in triple)
+    if f[i, j, k] == -s:
+        key = tuple(sorted(int(t) for t in triple))
+        raise TableError(f"{where}conflicting sign for triple {key}")
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        f[a, b, c], f[b, a, c] = s, -s
 
 
-def _canonical_triples(triples):
-    out = []
-    for (i, j, k), s in triples:
-        arr = [i, j, k]
-        sign = 1
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if arr[a] > arr[b]:
-                    arr[a], arr[b] = arr[b], arr[a]
-                    sign = -sign
-        out.append(((arr[0], arr[1], arr[2]), s * sign))
-    return tuple(sorted(out))
+def _frozen(table):
+    table.validate()
+    table.f.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -96,34 +84,38 @@ class MulTable:
     """Validated, immutable structure constants of the R^7 cross product."""
 
     f: np.ndarray = field(repr=False)
-    triples: tuple = ()
     source: str = "builtin"
 
     @classmethod
     def from_triples(cls, triples, source="builtin") -> "MulTable":
-        triples = _canonical_triples(triples)
-        table = cls(f=_dense_from_triples(triples), triples=triples, source=source)
-        table.validate()
-        table.f.setflags(write=False)
-        return table
+        f = np.zeros((7, 7, 7))
+        for triple, s in triples:
+            _fill(f, triple, s)
+        return _frozen(cls(f=f, source=source))
+
+    @property
+    def triples(self) -> tuple:
+        """((i, j, k), f_ijk) for every nonzero constant with 1-based
+        i < j < k, in lexicographic order."""
+        return tuple(((i + 1, j + 1, k + 1), int(self.f[i, j, k]))
+                     for i, j, k in combinations(range(7), 3) if self.f[i, j, k])
 
     def validate(self) -> None:
         """Total antisymmetry plus the cross-product axiom, checked exactly.
 
-        |u x v|^2 = |u|^2 |v|^2 - <u,v>^2 is biquadratic in (u, v), so
-        verifying it on every basis vector and every two-element sum of
-        basis vectors decides the identity.
+        The transpositions of the first two and of the last two indices
+        generate every index order, so antisymmetry under those two is total
+        antisymmetry.  |u x v|^2 = |u|^2 |v|^2 - <u,v>^2 is biquadratic in
+        (u, v), so verifying it on every basis vector and every two-element
+        sum of basis vectors decides the identity.
         """
         f = self.f
         if f.shape != (7, 7, 7):
             raise TableError("structure constants must be a 7x7x7 array")
         if not np.all(np.isin(f, (-1.0, 0.0, 1.0))):
             raise TableError("structure constants must lie in {-1, 0, +1}")
-        for perm, sign in ((
-            (0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-            ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
-        ):
-            if not np.array_equal(np.transpose(f, perm), sign * f):
+        for perm in ((1, 0, 2), (0, 2, 1)):
+            if not np.array_equal(np.transpose(f, perm), -f):
                 raise TableError("structure constants are not totally antisymmetric")
         eye = np.eye(7)
         test = np.concatenate(
@@ -156,10 +148,10 @@ def load_table(path) -> MulTable:
 
     Each non-comment line reads "i j k s" with 1-based indices and
     s in {+1, -1}, listing f_ijk = s once per line with i < j; every
-    unlisted triple is zero.
+    unlisted triple is zero.  The lines fill one array, and a triple
+    listed again with the other sign is refused.
     """
-    triples = []
-    seen = {}
+    f = np.zeros((7, 7, 7))
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -176,15 +168,10 @@ def load_table(path) -> MulTable:
             raise TableError(f"{path}:{lineno}: indices must be distinct, in 1..7")
         if s not in (1, -1):
             raise TableError(f"{path}:{lineno}: sign must be +1 or -1")
-        key = tuple(sorted((i, j, k)))
-        canon = _canonical_triples([((i, j, k), s)])[0]
-        if key in seen and seen[key] != canon[1]:
-            raise TableError(f"{path}:{lineno}: conflicting sign for triple {key}")
-        seen[key] = canon[1]
-        triples.append(((i, j, k), s))
-    if not triples:
+        _fill(f, (i, j, k), s, where=f"{path}:{lineno}: ")
+    if not f.any():
         raise TableError(f"{path}: no triples found")
-    return MulTable.from_triples(triples, source=str(path))
+    return _frozen(MulTable(f=f, source=str(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +204,12 @@ def frame_products(table: MulTable, a, b, c):
     return pairs @ np.swapaxes(c, -1, -2)[..., None, :, :]
 
 
-def tangent_project(x, v):
+def _tangent_project(x, v):
     """Project v onto the tangent space of the sphere at x."""
     return v - np.sum(v * x, axis=-1, keepdims=True) * x
 
 
-def check_sphere_point(x, tol=TOL_UNIT):
+def _check_sphere_point(x, tol=TOL_UNIT):
     x = np.asarray(x, dtype=float)
     err = np.max(np.abs(np.sum(x * x, axis=-1) - 1.0))
     if err > tol:
@@ -230,7 +217,7 @@ def check_sphere_point(x, tol=TOL_UNIT):
     return x
 
 
-def check_tangent(x, u, tol=1e-10):
+def _check_tangent(x, u, tol=1e-10):
     u = np.asarray(u, dtype=float)
     err = np.max(np.abs(np.sum(x * u, axis=-1)))
     if err > tol:
@@ -241,8 +228,8 @@ def check_tangent(x, u, tol=1e-10):
 def almost_complex(x, u, table: MulTable, check=True):
     """J_x u = x cross u for u tangent at x."""
     if check:
-        x = check_sphere_point(x)
-        u = check_tangent(x, u)
+        x = _check_sphere_point(x)
+        u = _check_tangent(x, u)
     return cross(x, u, table)
 
 
@@ -254,24 +241,24 @@ def g_tensor(x, X, Y, table: MulTable, check=True):
     it has no conjugate, so it takes complex points and vectors too.
     """
     if check:
-        x = check_sphere_point(x)
-        X = check_tangent(x, X)
-        Y = check_tangent(x, Y)
-    return tangent_project(x, cross(X, Y, table))
+        x = _check_sphere_point(x)
+        X = _check_tangent(x, X)
+        Y = _check_tangent(x, Y)
+    return _tangent_project(x, cross(X, Y, table))
 
 
 # ---------------------------------------------------------------------------
 # sphere transport and complex-step oracles
 # ---------------------------------------------------------------------------
 
-def geodesic(x, X, t):
+def _geodesic(x, X, t):
     """Unit-speed great circle through x with initial unit velocity X, at
     real or complex times t."""
     t = np.asarray(t)[..., None]
     return np.cos(t) * x + np.sin(t) * X
 
 
-def parallel_transport(x, X, t, v):
+def _parallel_transport(x, X, t, v):
     """Parallel transport of tangent v along the geodesic (x, X) to time t.
 
     X must be a unit tangent; the component of v along X rotates with the
@@ -296,8 +283,8 @@ def _transported_derivative(f, x, X, *vectors):
     """
     speed = np.linalg.norm(X, axis=-1, keepdims=True)
     Xu, t = X / speed, 1j * COMPLEX_STEP
-    moved = f(geodesic(x, Xu, t), *(parallel_transport(x, Xu, t, v) for v in vectors))
-    return tangent_project(x, moved.imag / COMPLEX_STEP) * speed
+    moved = f(_geodesic(x, Xu, t), *(_parallel_transport(x, Xu, t, v) for v in vectors))
+    return _tangent_project(x, moved.imag / COMPLEX_STEP) * speed
 
 
 def g_tensor_fd(x, X, Y, table: MulTable):
@@ -321,7 +308,7 @@ def nabla_g_fd(x, X, Y, Z, table: MulTable):
 
 
 def random_tangent(x, rng):
-    return tangent_project(x, rng.normal(size=x.shape))
+    return _tangent_project(x, rng.normal(size=x.shape))
 
 
 def lagrangian_frame(x, table: MulTable, rng):
@@ -330,7 +317,7 @@ def lagrangian_frame(x, table: MulTable, rng):
     of the tangent space and exists at every point: each e_i is a random
     vector with x and the earlier e_j, J e_j projected out, and since J is an
     isometry on the tangent space those five vectors are orthonormal."""
-    x = check_sphere_point(x)
+    x = _check_sphere_point(x)
     frame, span = [], [x]
     for _ in range(3):
         v = rng.normal(size=x.shape)

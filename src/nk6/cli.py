@@ -381,9 +381,9 @@ ANALYZE_COLUMNS = (
 )
 
 
-# chart points per block of `cmd_analyze`.  A block holds about 67 KB a point,
-# most of it j_parallel_defect's (n, 4099) values and their absolute value:
-# 20000 DVV points peak at 29.8, 34.1 and 42.7 MB in blocks of 64, 128 and 256
+# chart points per block of `cmd_analyze`.  A block holds about 34 KB a point,
+# most of it j_parallel_defect's (n, 4099) values: 20000 DVV points peak at
+# 27.7, 29.9 and 34.3 MB (tracemalloc) in blocks of 64, 128 and 256
 _ANALYZE_BLOCK = 64
 
 
@@ -450,9 +450,11 @@ def _csv_cell(v):
 
 
 def _rows_to_csv(rows, columns):
+    """CSV text: the header `columns`, then `rows`, each a sequence of
+    cells in column order."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
-        [columns, *([_csv_cell(row[col]) for col in columns] for row in rows)])
+        [columns, *([_csv_cell(v) for v in row] for row in rows)])
     return buf.getvalue()
 
 
@@ -507,13 +509,6 @@ def _emit(cfg: RunConfig, document, csv_blobs):
             (cfg.out / name).write_text(blob)
 
 
-def _samples_csv(report):
-    return _rows_to_csv(
-        [dict(zip(report.CSV_COLUMNS, row)) for row in report.samples.tolist()],
-        report.CSV_COLUMNS,
-    )
-
-
 def run(cfg: RunConfig) -> int:
     """Run one command and emit its document; `report` is verify, then
     analyze and integrate on models with chart jets."""
@@ -532,18 +527,19 @@ def run(cfg: RunConfig) -> int:
     if cfg.command in ("verify", "report"):
         suites = cmd_verify(cfg, table, model)
         document.update(suites=suites, summary=_summary(suites))
+        cols = ("name", "formula", "max_residual", "tolerance", "passed")
         csv_blobs["verify_checks.csv"] = lambda: _rows_to_csv(
-            [c for s in suites for c in s["checks"]],
-            ("name", "formula", "max_residual", "tolerance", "passed"),
-        )
+            [[c[k] for k in cols] for s in suites for c in s["checks"]], cols)
     if cfg.command == "analyze" or full_report:
         rows = cmd_analyze(cfg, model)
         document["rows"] = rows
-        csv_blobs["analyze_points.csv"] = lambda: _rows_to_csv(rows, ANALYZE_COLUMNS)
+        csv_blobs["analyze_points.csv"] = lambda: _rows_to_csv(
+            [[row[k] for k in ANALYZE_COLUMNS] for row in rows], ANALYZE_COLUMNS)
     if cfg.command == "integrate" or full_report:
         inequality = cmd_integrate(cfg, model)
         document["inequality"] = inequality.to_dict()
-        csv_blobs["integrand_samples.csv"] = lambda: _samples_csv(inequality)
+        csv_blobs["integrand_samples.csv"] = lambda: _rows_to_csv(
+            inequality.samples.tolist(), inequality.CSV_COLUMNS)
     _emit(cfg, document, csv_blobs)
     return 1 if "summary" in document and not document["summary"]["passed"] else 0
 
@@ -644,11 +640,11 @@ def main(argv=None) -> int:
             if value < least:
                 raise ConfigError(f"{flag} must be at least {least}")
         return run(cfg)
-    except (ConfigError, cayley.TableError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (simons.ResolutionError, canonical.EnclosureError,
-            geometry.ChartDegeneracyError) as exc:
+            canonical.ReconstructionError, geometry.ChartDegeneracyError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -139,7 +139,9 @@ def j_parallel_defect(nh: NablaH):
     fold, quartics = _half_sphere_quartics()
     coeffs = np.asarray(nh.coeffs)
     vals = (coeffs.reshape(coeffs.shape[:-4] + (81,)) @ fold) @ quartics
-    return np.max(np.abs(vals), axis=-1)
+    # max |v| as the larger of max v and -min v, with no (n, 4099) copy;
+    # abs only clears the sign of a zero
+    return np.abs(np.maximum(vals.max(axis=-1), -vals.min(axis=-1)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,72 @@ def test_table_file_rejects_malformed(tmp_path):
         cayley.load_table(path)
 
 
+# e1 x e2 = -e3 written as each of three index orders of the triple
+OTHER_SIGN = [((1, 2, 3), -1), ((2, 1, 3), 1), ((3, 2, 1), 1)]
+
+
+@pytest.mark.parametrize("other", OTHER_SIGN)
+@pytest.mark.parametrize("first", [False, True])
+def test_from_triples_refuses_a_triple_with_both_signs(other, first):
+    triples = cayley.CAYLEY_DICKSON_TRIPLES
+    triples = (other,) + triples if first else triples + (other,)
+    with pytest.raises(cayley.TableError, match=r"^conflicting sign for triple \(1, 2, 3\)$"):
+        cayley.MulTable.from_triples(triples)
+
+
+@pytest.mark.parametrize("other", OTHER_SIGN)
+def test_table_file_names_the_line_of_a_conflicting_sign(tmp_path, other):
+    path = tmp_path / "conflict.table"
+    (i, j, k), s = other
+    rows = [f"{i} {j} {k} {s:+d}" for (i, j, k), s in cayley.CAYLEY_DICKSON_TRIPLES]
+    path.write_text("\n".join(rows[:3] + ["# again", f"{i} {j} {k} {s:+d}"] + rows[3:]))
+    with pytest.raises(cayley.TableError) as exc:
+        cayley.load_table(path)
+    assert str(exc.value) == f"{path}:5: conflicting sign for triple (1, 2, 3)"
+
+
+def test_a_triple_repeated_with_its_own_sign_is_accepted(tmp_path):
+    again = ((2, 3, 1), 1)  # e2 x e3 = e1, an even order of (1, 2, 3)
+    cd = cayley.cayley_dickson_table()
+    table = cayley.MulTable.from_triples(cayley.CAYLEY_DICKSON_TRIPLES + (again,))
+    assert np.array_equal(table.f, cd.f) and table.triples == cd.triples
+    path = tmp_path / "again.table"
+    path.write_text("".join(f"{i} {j} {k} {s}\n" for (i, j, k), s
+                            in cayley.CAYLEY_DICKSON_TRIPLES + (again,)))
+    assert np.array_equal(cayley.load_table(path).f, cd.f)
+
+
+# sorted 1-based triples with their signs, as the two-encoding table kept them
+@pytest.mark.parametrize("table, described", [
+    (cayley.cayley_dickson_table(), "cayley-dickson: e1xe2=e3, e1xe4=e5, e1xe6=-e7, "
+     "e2xe4=e6, e2xe5=e7, e3xe4=e7, e3xe5=-e6"),
+    (relabeled_table(1), "relabeled-1: e1xe2=-e6, e1xe3=-e4, e1xe5=-e7, "
+     "e2xe3=e7, e2xe4=e5, e3xe5=e6, e4xe6=e7"),
+    (relabeled_table(2), "relabeled-2: e1xe2=-e6, e1xe3=-e5, e1xe4=-e7, "
+     "e2xe3=e4, e2xe5=-e7, e3xe6=e7, e4xe5=e6"),
+])
+def test_triples_and_description_are_read_off_the_array(table, described):
+    assert table.describe() == f"MulTable[{described}]"
+    rows = described.split(": ", 1)[1].split(", ")
+    assert table.triples == tuple(
+        ((int(r[1]), int(r[4]), int(r[-1])), -1 if "-" in r else 1) for r in rows)
+    for (i, j, k), s in table.triples:
+        assert table.f[i - 1, j - 1, k - 1] == s
+    assert np.count_nonzero(table.f) == 6 * len(table.triples)
+
+
+def test_validate_refuses_a_hand_built_array():
+    f = cayley.cayley_dickson_table().f.copy()
+    cayley.MulTable(f=f).validate()
+    f[1, 0, 2] = f[0, 1, 2]  # e2 x e1 = e1 x e2
+    with pytest.raises(cayley.TableError, match="not totally antisymmetric"):
+        cayley.MulTable(f=f).validate()
+    f[1, 0, 2] = -f[0, 1, 2]
+    f[0, 1, 2] = 2.0
+    with pytest.raises(cayley.TableError, match=r"must lie in \{-1, 0, \+1\}"):
+        cayley.MulTable(f=f).validate()
+
+
 def test_almost_complex_squares_to_minus_identity(rng):
     table = cayley.cayley_dickson_table()
     x = rng.normal(size=(200, 7))

@@ -673,6 +673,15 @@ def test_a_nan_coarse_volume_is_a_failure(capsys, monkeypatch):
     assert err.startswith("failure: volume changed by nan (relative) under refinement")
 
 
+def test_a_normal_form_that_misses_h_is_a_failure(capsys, monkeypatch):
+    # a reconstruction off by 1e-6 fails the normal form's own check
+    reconstruct_sff = canonical.reconstruct_sff
+    monkeypatch.setattr(canonical, "reconstruct_sff", lambda *a: reconstruct_sff(*a) + 1e-6)
+    code, out, err = run_cli(capsys, "analyze", "--model", "dvv", "--points", "0.6,1.0,2.0")
+    assert code == 1 and out == ""
+    assert err.startswith("failure: normal form misses")
+
+
 def test_failures_in_a_block_name_its_nodes(capsys, monkeypatch):
     # 4096 nodes in four blocks; rank-deficient frame rows at node 1500, in
     # the second one, stop its frame.  The rows are read at the points y of

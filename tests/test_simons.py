@@ -321,7 +321,7 @@ def test_integrate_report_serialization(dvv):
     doc = report.to_dict()
     assert doc["schema_version"] == "1"
     assert doc["classification"] == "DVV-type"
-    rows = cli._samples_csv(report).splitlines()
+    rows = cli._rows_to_csv(report.samples.tolist(), report.CSV_COLUMNS).splitlines()
     assert rows[0] == ",".join(report.CSV_COLUMNS)
     assert len(rows) == 8 * 8 * 8 + 1
 
