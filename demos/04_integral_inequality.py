@@ -23,9 +23,9 @@ for name in ("dvv", "totally-geodesic"):
     print(f"model {name}:")
     print(f"  volume            = {report.volume:.12f}")
     print(f"  integral          = {report.integral:.3e}")
-    print(f"  integrand sup     = {report.integrand_sup:.3e}")
-    print(f"  |h|^2 range       = [{report.hsq_min:.3e}, {report.hsq_max:.3e}]")
-    print(f"  Theta range       = [{report.theta_min:.6f}, {report.theta_max:.6f}]")
+    print(f"  integrand sup     = {report.integrand_sup_norm:.3e}")
+    print(f"  |h|^2 range       = [{report.hsq_range[0]:.3e}, {report.hsq_range[1]:.3e}]")
+    print(f"  Theta range       = [{report.theta_range[0]:.6f}, {report.theta_range[1]:.6f}]")
     print(f"  classification    = {report.classification}")
     print(f"  refinement delta  = {report.volume_refinement_delta:.3e}")
     print()

@@ -32,7 +32,8 @@ __all__ = [
 
 
 class ReconstructionError(RuntimeError):
-    """The extracted normal form does not reproduce the input tensor."""
+    """The extracted normal form does not reproduce the input tensor;
+    `data` holds the CanonicalData of the whole batch that was refused."""
 
 
 def _h_array(sff_like):
@@ -618,15 +619,12 @@ class CanonicalData:
     with the batch shape of `canonical_basis`'s input: floats for one tensor."""
 
     basis: np.ndarray
+    theta: float  # maximize_theta's certified maximum, attained at e1
     lambda1: float
     lambda2: float
     mu1: float
     mu2: float
     reconstruction_residual: float = 0.0
-
-    @property
-    def theta(self):
-        return self.lambda1 + self.lambda2
 
     def tuple(self):
         return (self.lambda1, self.lambda2, self.mu1, self.mu2)
@@ -696,17 +694,18 @@ def canonical_basis(sff_like) -> CanonicalData:
     pair is rotated so that mu2 = 0 and mu1 >= 0; remaining sign freedom is
     fixed by making mu1 and mu2 nonnegative.  A form with |h| < 1e-14 gives
     the zero tuple in the identity basis.  Every step runs on the whole
-    batch: e1 comes from one maximize_theta call, and each row's values are
-    its own, equal to roundoff to those of the row alone (numpy rounds
-    products over a batch and over one row differently).  Raises
-    ReconstructionError, naming the failing rows, when the reassembled
-    tensor misses the input by more than 1e-8 max(1, |h|).
+    batch: e1 and theta come from one maximize_theta call, theta bitwise
+    its certified Theta, and each row's values are its own, equal to
+    roundoff to those of the row alone (numpy rounds products over a batch
+    and over one row differently).  Raises ReconstructionError, naming the
+    failing rows, when the reassembled tensor misses the input by more than
+    1e-8 max(1, |h|); the error's `data` holds the refused CanonicalData.
     """
     h = _h_array(sff_like)
     batch, hs = h.shape[:-3], h.reshape(-1, 3, 3, 3)
     scale = np.sqrt(np.sum(hs**2, axis=(-3, -2, -1)))
     big = np.maximum(scale, 1.0)[:, None]
-    e1, _ = maximize_theta(hs)
+    e1, theta = maximize_theta(hs)
     # T[n] = (t1, t2), contiguous so that each 2 x 3 product is one matmul
     T = np.ascontiguousarray(_tangent_basis(e1.T).transpose(2, 0, 1))
     w, vecs = np.linalg.eigh(T @ np.einsum("nkij,nk->nij", hs, e1) @ T.transpose(0, 2, 1))
@@ -739,16 +738,18 @@ def canonical_basis(sff_like) -> CanonicalData:
     if zero.any():
         basis[zero], tup[zero] = np.eye(3), 0.0
     residual = np.sqrt(np.sum((hs - reconstruct_sff(tup, basis)) ** 2, axis=(-3, -2, -1)))
+    # [()] reads a 0-d array as its float: floats for one tensor
+    data = CanonicalData(basis.reshape(batch + (3, 3)),
+                         *(v.reshape(batch)[()] for v in (theta, *tup.T, residual)))
     bad = np.flatnonzero(residual > 1e-8 * big[:, 0])
     if bad.size:
-        raise ReconstructionError(
+        err = ReconstructionError(
             f"normal form misses the input tensor by more than 1e-8 max(1, |h|), "
             f"by up to {residual[bad].max():.3e} "
             f"[row{'s' if bad.size > 1 else ''} {_row_ranges(bad)} of {len(hs)}]")
-    if not batch:
-        return CanonicalData(basis[0], *tup[0].tolist(), float(residual[0]))
-    return CanonicalData(basis.reshape(batch + (3, 3)), *(v.reshape(batch) for v in tup.T),
-                         residual.reshape(batch))
+        err.data = data
+        raise err
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +791,7 @@ def closed_forms(source) -> ClosedForms:
     direct matrix computation arbitrates this normalization (the regrouping
     identity below fails for any other reading).  The remainder satisfies
 
-        q_closed = 3 hsq^2 - (9/2) theta^2 hsq - r_residual
+        q_closed = 3 hsq^2 - (9/2) (lambda1 + lambda2)^2 hsq - r_residual
 
     identically, and each remainder term is a nonnegative polynomial.
     """
@@ -803,8 +804,8 @@ def closed_forms(source) -> ClosedForms:
     term_shear = 3 * (l1 - l2) ** 2 * (2 * l1 * l1 + 2 * l2 * l2 - 3 * l1 * l2)
     term_mix = 12 * (5 * l1 * l1 + 5 * l2 * l2 + 4 * l1 * l2) * m
     r_residual = term_mu4 + term_shear + term_mix
-    theta_sq = (l1 + l2) ** 2
-    q_regrouped = 3 * hsq * hsq - 4.5 * theta_sq * hsq - r_residual
+    h111_sq = (l1 + l2) ** 2
+    q_regrouped = 3 * hsq * hsq - 4.5 * h111_sq * hsq - r_residual
     return ClosedForms(
         hsq=hsq,
         q_closed=q_closed,

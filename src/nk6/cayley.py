@@ -79,9 +79,10 @@ def _frozen(table):
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MulTable:
-    """Validated, immutable structure constants of the R^7 cross product."""
+    """Validated, immutable structure constants of the R^7 cross product;
+    tables compare and hash by identity."""
 
     f: np.ndarray = field(repr=False)
     source: str = "builtin"

@@ -111,8 +111,8 @@ def _structure_suite(table, cfg):
 
 
 def _rows(packet, index):
-    """An array, a frame, jet, SFF, curvature or nabla h packet, or a tuple
-    of these, at the points `index` selects: a slice, or an int for one."""
+    """An array, a frame, jet, SFF, curvature, nabla h, T or normal-form packet,
+    or a tuple of these, at the points `index` selects: a slice, or an int for one."""
     if isinstance(packet, np.ndarray):
         return packet[index]
     if isinstance(packet, tuple):
@@ -154,7 +154,7 @@ def _nabla_h_ambient_residual(imm, pk, sff, nh):
 
 
 def _immersion_suite(imm, cfg):
-    """The suite, and its samples: points, frame, h, curvature, nabla h of the first 24."""
+    """The suite, and its samples: points, frame, h, curvature, nabla h and T of the first 24."""
     checks = []
     pts = imm.chart.random_points(min(cfg.samples, 200), np.random.default_rng(cfg.seed))
     pk = geometry.frame(imm, pts, validate=False)
@@ -242,13 +242,14 @@ def _immersion_suite(imm, cfg):
     checks.append(_check(
         "gradient_bound", "|nabla h|^2 >= (3/4) |h|^2",
         max(0.0, -slack), cfg.tol("gradient_bound")))
-    return _suite("immersion_invariants", checks), (pts, pk, sff, cp, nh)
+    return _suite("immersion_invariants", checks), (pts, pk, sff, cp, nh, packet)
 
 
 def _dvv_suite(imm, cfg, samples):
-    """Berger-sphere values on the first 50 samples; the Laplacian at the first."""
+    """Berger-sphere values on the first 50 samples, the Laplacian at the
+    first; a normal form that misses h (a broken frame) fails its rows."""
     checks = []
-    _, pk, sff, cp, nh = _rows(samples, slice(50))
+    _, pk, sff, cp, nh, _ = _rows(samples, slice(50))
     target = np.diag([4 / 9, 8 / 3, 8 / 3])
     checks.append(_check(
         "metric_values", "pullback metric is diag(4/9, 8/3, 8/3) in the X-frame",
@@ -269,13 +270,15 @@ def _dvv_suite(imm, cfg, samples):
     checks.append(_check(
         "hsq_value", "|h|^2 = 25/8",
         float(np.max(np.abs(hsq - 25 / 8))), cfg.tol("hsq_value")))
-    _, theta = canonical.maximize_theta(sff.h)
+    try:
+        cd = canonical.canonical_basis(sff.h)
+    except canonical.ReconstructionError as exc:
+        cd = exc.data
     checks.append(_check(
         "theta_value", "Theta = sqrt(5)/2",
-        float(np.max(np.abs(theta - s5 / 2))), cfg.tol("theta_value")))
+        float(np.max(np.abs(cd.theta - s5 / 2))), cfg.tol("theta_value")))
 
-    cd = canonical.canonical_basis(sff.h[0])
-    dev = np.max(np.abs(np.array(cd.tuple()) - np.array([s5 / 4, s5 / 4, 0.0, 0.0])))
+    dev = np.max(np.abs(np.stack(cd.tuple(), axis=-1) - [s5 / 4, s5 / 4, 0.0, 0.0]))
     checks.append(_check(
         "normal_form", "normal form is (sqrt(5)/4, sqrt(5)/4, 0, 0)",
         float(dev), cfg.tol("normal_form")))
@@ -290,8 +293,8 @@ def _dvv_suite(imm, cfg, samples):
         "gauss_scalar", "tau = 23/8 = 6 - |h|^2",
         float(np.max(np.abs(cp.tau - 23 / 8))), cfg.tol("gauss_scalar")))
 
-    q0, pk0, sff0, _, nh0 = _rows(samples, 0)
-    lap = simons.laplacian_identity(imm, q0, pk0, sff0, nh0, cd)
+    q0, pk0, sff0, _, _, packet0 = _rows(samples, 0)
+    lap = simons.laplacian_identity(imm, q0, pk0, sff0, packet0, _rows(cd, 0))
     checks.append(_check(
         "laplacian", "(1/2) Lap |h|^2 = |nabla h|^2 + 3 |h|^2 - Q",
         lap.residual_pipeline, cfg.tol("laplacian")))
@@ -311,7 +314,7 @@ def _dvv_suite(imm, cfg, samples):
 def _geodesic_suite(cfg, samples):
     """Great-sphere values on the first 50 samples."""
     checks = []
-    _, _, sff, cp, _ = _rows(samples, slice(50))
+    _, _, sff, cp, _, _ = _rows(samples, slice(50))
     checks.append(_check(
         "h_values", "h = 0 on a totally geodesic model",
         float(np.max(np.abs(sff.h))), cfg.tol("h_values")))

@@ -19,7 +19,7 @@ chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -173,16 +173,14 @@ def laplacian_identity_check(imm, q) -> LaplacianIdentityReport:
         raise ValueError("laplacian_identity_check expects a single chart point")
     pk = geometry.frame(imm, q)
     sff = geometry.second_fundamental_form(imm, q, frame_packet=pk)
-    nh = geometry.nabla_h(imm, q, frame_packet=pk)
-    return laplacian_identity(imm, q, pk, sff, nh, canonical.canonical_basis(sff.h))
+    packet = t_tensor(geometry.nabla_h(imm, q, frame_packet=pk), f_tensor(sff, pk), sff)
+    return laplacian_identity(imm, q, pk, sff, packet, canonical.canonical_basis(sff.h))
 
 
-def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, nh: NablaH,
+def laplacian_identity(imm, q, pk: FramePacket, sff: SFF, packet: TTensorPacket,
                        cd: canonical.CanonicalData) -> LaplacianIdentityReport:
     """Both routes of laplacian_identity_check at one chart point q, from
-    the frame, h, nabla h and normal form already evaluated there."""
-    packet = t_tensor(nh, f_tensor(sff, pk), sff)
-
+    the frame, h, T packet and normal form already evaluated there."""
     # |h|^2 as the sum of h^2 with no conjugate, from the frame continued to
     # the complex circle points: the holomorphic continuation of |h|^2
     def hsq(yy):
@@ -286,15 +284,14 @@ class InequalityReport:
 
     model: str
     rule: tuple
+    rule_exactness_degree: tuple
     integral: float
     volume: float
     integrand_min: float
     integrand_max: float
-    integrand_sup: float
-    hsq_min: float
-    hsq_max: float
-    theta_min: float
-    theta_max: float
+    integrand_sup_norm: float
+    hsq_range: tuple          # (min, max)
+    theta_range: tuple        # (min, max)
     classification: str
     volume_refinement_delta: float
     samples: np.ndarray = field(repr=False, default=None)  # columns per CSV_COLUMNS
@@ -302,21 +299,9 @@ class InequalityReport:
     CSV_COLUMNS = ("eta", "xi1", "xi2", "hsq", "theta", "integrand", "sqrt_det_g")
 
     def to_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "rule": list(self.rule),
-            "rule_exactness_degree": list(QuadratureRule(*self.rule).exactness_degree()),
-            "integral": self.integral,
-            "volume": self.volume,
-            "integrand_min": self.integrand_min,
-            "integrand_max": self.integrand_max,
-            "integrand_sup_norm": self.integrand_sup,
-            "hsq_range": [self.hsq_min, self.hsq_max],
-            "theta_range": [self.theta_min, self.theta_max],
-            "classification": self.classification,
-            "volume_refinement_delta": self.volume_refinement_delta,
-        }
+        """The report's keys: its fields but the samples, and the schema."""
+        return {"schema_version": SCHEMA_VERSION,
+                **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}}
 
 
 def _classify(hsq_sup, integrand_sup, tol_equality):
@@ -421,15 +406,14 @@ def integrate_inequality(
     return InequalityReport(
         model=imm.name,
         rule=rule.counts(),
+        rule_exactness_degree=rule.exactness_degree(),
         integral=integral,
         volume=volume,
         integrand_min=float(np.min(integrand)),
         integrand_max=float(np.max(integrand)),
-        integrand_sup=sup,
-        hsq_min=float(np.min(hsq)),
-        hsq_max=float(np.max(hsq)),
-        theta_min=float(np.min(theta)),
-        theta_max=float(np.max(theta)),
+        integrand_sup_norm=sup,
+        hsq_range=(float(np.min(hsq)), float(np.max(hsq))),
+        theta_range=(float(np.min(theta)), float(np.max(theta))),
         classification=_classify(float(np.max(hsq)), sup, tol_equality),
         volume_refinement_delta=delta,
         samples=samples,

@@ -184,15 +184,15 @@ def test_criterion_8_integral_certification(dvv, geodesic):
     refine_rel = abs(report.volume - coarse_vol) / vol_target
 
     geo = nk6.integrate_inequality(geodesic, nk6.QuadratureRule(16, 16, 16))
-    ok = (abs(report.integral) < 1e-8 and report.integrand_sup < 1e-10
+    ok = (abs(report.integral) < 1e-8 and report.integrand_sup_norm < 1e-10
           and report.classification == "DVV-type"
-          and abs(geo.integral) < 1e-8 and geo.hsq_max < 1e-12
+          and abs(geo.integral) < 1e-8 and geo.hsq_range[1] < 1e-12
           and geo.classification == "geodesic"
           and vol_rel < 1e-6 and refine_rel < 1e-8)
     _line(8, ok,
           f"integral inequality: Berger integral {report.integral:.2e} (< 1e-8), "
-          f"integrand sup {report.integrand_sup:.2e} (< 1e-10), geodesic integral "
-          f"{geo.integral:.2e} with |h|^2 sup {geo.hsq_max:.2e}, volume rel dev "
+          f"integrand sup {report.integrand_sup_norm:.2e} (< 1e-10), geodesic integral "
+          f"{geo.integral:.2e} with |h|^2 sup {geo.hsq_range[1]:.2e}, volume rel dev "
           f"{vol_rel:.2e} (< 1e-6), 24->32 refinement {refine_rel:.2e} (< 1e-8)")
 
 

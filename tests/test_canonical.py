@@ -112,6 +112,20 @@ def test_maximize_theta_refuses_non_finite_forms():
     assert np.array_equal(u, [[1.0, 0.0, 0.0]] * 2) and np.array_equal(theta, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("call", [nk6.maximize_theta, nk6.canonical_basis])
+def test_a_tensor_not_ending_in_3_3_3_is_refused(call):
+    with pytest.raises(ValueError, match=r"must end in \(3,3,3\)"):
+        call(np.zeros((4, 3, 3)))
+
+
+@pytest.mark.parametrize("source", [(1.0, 2.0, 3.0), np.zeros((2, 5)), [1.0] * 6])
+def test_a_normal_form_source_of_the_wrong_length_is_refused(source):
+    with pytest.raises(ValueError, match=r"\(lambda1, lambda2, mu1, mu2\) tuple"):
+        nk6.reconstruct_sff(source)
+    with pytest.raises(ValueError, match=r"\(lambda1, lambda2, mu1, mu2\) tuple"):
+        nk6.closed_forms(source)
+
+
 def test_maximize_theta_on_reference_model(dvv):
     sff = nk6.second_fundamental_form(dvv, np.array([0.55, 1.4, 2.8]))
     u, theta = nk6.maximize_theta(sff.h)
@@ -698,6 +712,34 @@ def test_reconstruction_error_names_the_failing_row(dvv, rng):
     forms[4, 0, 1, 2] += 1.0  # not a symmetric cubic tensor
     with pytest.raises(canonical.ReconstructionError, match=r"\[row 4 of 7\]$"):
         nk6.canonical_basis(forms)
+
+
+def test_canonical_basis_theta_is_the_certified_theta_bitwise(dvv, monkeypatch):
+    # the normal form keeps the Theta of the maximize_theta call that gives
+    # e1, for a batch and for one tensor: DVV nodes, rotated normal forms,
+    # rotated orbit forms (tied maxima, which take the enclosure) and zero rows
+    rng = np.random.default_rng(53)
+    forms = np.concatenate([
+        nk6.second_fundamental_form(dvv, dvv.chart.random_points(16, rng)).h,
+        nk6.reconstruct_sff(rng.uniform(-1.0, 1.0, size=(16, 4)), rotations(16, 7)),
+        nk6.reconstruct_sff((S5 / 4, S5 / 4, S10 / 4, 0.0), rotations(16, 5)),
+        nk6.reconstruct_sff((np.sqrt(5.0 / 3.0), 0.0, 0.0, 0.0), rotations(16, 6)),
+        np.zeros((4, 3, 3, 3))])
+    enclosed = []
+    enclose = canonical._enclose
+    monkeypatch.setattr(canonical, "_enclose",
+                        lambda hs, *a: enclosed.append(len(hs)) or enclose(hs, *a))
+
+    def enclosed_rows(h):  # and canonical_basis's Theta is maximize_theta's
+        enclosed.clear()
+        theta = nk6.canonical_basis(h).theta
+        assert np.asarray(theta).tobytes() == nk6.maximize_theta(h)[1].tobytes()
+        return enclosed[0] if enclosed else 0
+
+    assert enclosed_rows(forms.reshape(4, 17, 3, 3, 3)) >= 32
+    assert [enclosed_rows(h) for h in forms[32:64]] == [1] * 32
+    for h in np.concatenate([forms[:32], forms[64:]]):
+        enclosed_rows(h)
 
 
 def random_symmetric_trace_free(rng):

@@ -58,6 +58,42 @@ def test_table_file_rejects_malformed(tmp_path):
         cayley.load_table(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 2 x +1\n", "non-numeric entry"),
+    ("1 1 3 +1\n", "indices must be distinct, in 1..7"),
+    ("1 2 8 +1\n", "indices must be distinct, in 1..7"),
+    ("1 2 3 0\n", "sign must be +1 or -1"),
+    ("1 2 3 2\n", "sign must be +1 or -1"),
+])
+def test_table_file_names_the_line_of_a_bad_entry(tmp_path, text, message):
+    path = tmp_path / "bad.table"
+    path.write_text("# one row\n" + text)
+    with pytest.raises(cayley.TableError) as exc:
+        cayley.load_table(path)
+    assert str(exc.value) == f"{path}:2: {message}"
+
+
+def test_table_file_with_no_triples_is_refused(tmp_path):
+    path = tmp_path / "empty.table"
+    path.write_text("# comments only\n\n")
+    with pytest.raises(cayley.TableError) as exc:
+        cayley.load_table(path)
+    assert str(exc.value) == f"{path}: no triples found"
+
+
+def test_validate_refuses_an_array_of_the_wrong_shape():
+    with pytest.raises(cayley.TableError, match="must be a 7x7x7 array"):
+        cayley.MulTable(f=np.zeros((7, 7))).validate()
+
+
+def test_tables_compare_and_hash_by_identity():
+    cd = cayley.cayley_dickson_table()
+    same = relabeled_table(0)  # equal constants, another table
+    assert (cd == cd) is True and (cd == same) is False and (cd != same) is True
+    names = {cd: "cayley-dickson", same: "relabeled-0"}
+    assert names[cd] == "cayley-dickson" and names[same] == "relabeled-0"
+
+
 # e1 x e2 = -e3 written as each of three index orders of the triple
 OTHER_SIGN = [((1, 2, 3), -1), ((2, 1, 3), 1), ((3, 2, 1), 1)]
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nk6 import canonical, cayley, cli, geometry, models, simons
-from conftest import random_chart_points
+from conftest import random_chart_points, relabeled_table
 
 
 def run_cli(capsys, *argv):
@@ -271,7 +271,17 @@ def test_verify_evaluates_each_node_set_once(counted_dvv, monkeypatch):
         return inner_sff(imm, q, frame_packet=frame_packet)
 
     monkeypatch.setattr(geometry, "second_fundamental_form", sff)
+    # Theta, F and T once each: the Berger suite's one normal form gives
+    # Theta, and the Laplacian reads its row of the T packet
+    passes = {}
+    for module, name in ((canonical, "maximize_theta"), (simons, "f_tensor"),
+                         (simons, "t_tensor")):
+        def tally(*args, _inner=getattr(module, name), _name=name, **kwargs):
+            passes[_name] = passes.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, tally)
     suites = cli.cmd_verify(cli.RunConfig(command="verify"), counted_dvv.table, counted_dvv)
+    assert passes == {"maximize_theta": 1, "f_tensor": 1, "t_tensor": 1}
     assert [s["name"] for s in suites][-1] == "berger_sphere_reference"
     assert all(check["passed"] for s in suites for check in s["checks"])
     calls = counted_dvv.jet_calls
@@ -464,6 +474,30 @@ def test_a_malformed_point_names_its_form(capsys, points):
     err = capsys.readouterr().err
     assert "each point must be 'eta,xi1,xi2'" in err
     assert repr(points.split(";")[-1]) in err
+
+
+def test_a_tolerance_without_a_value_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--tol", "closed_form_match")
+    assert code == 2 and out == ""
+    assert err == "error: --tol expects KEY=VALUE, got 'closed_form_match'\n"
+
+
+def test_points_with_no_point_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--model", "dvv", "--points", ";"])
+    assert exc.value.code == 2
+    assert "no points given" in capsys.readouterr().err
+
+
+def test_integrate_rejects_synthetic(capsys):
+    code, out, err = run_cli(capsys, "integrate", "--model", "synthetic:a")
+    assert code == 2 and out == ""
+    assert err == "error: integrate needs a compact immersed model\n"
+
+
+def test_run_refuses_an_unknown_command():
+    with pytest.raises(cli.ConfigError, match="unknown command 'plot'"):
+        cli.run(cli.RunConfig(command="plot"))
 
 
 def test_analyze_rejects_synthetic(capsys):
@@ -674,12 +708,32 @@ def test_a_nan_coarse_volume_is_a_failure(capsys, monkeypatch):
 
 
 def test_a_normal_form_that_misses_h_is_a_failure(capsys, monkeypatch):
-    # a reconstruction off by 1e-6 fails the normal form's own check
+    # a reconstruction off by 1e-6 fails the normal form's own check; only
+    # the Berger suite turns the refusal into failed rows
     reconstruct_sff = canonical.reconstruct_sff
     monkeypatch.setattr(canonical, "reconstruct_sff", lambda *a: reconstruct_sff(*a) + 1e-6)
-    code, out, err = run_cli(capsys, "analyze", "--model", "dvv", "--points", "0.6,1.0,2.0")
-    assert code == 1 and out == ""
-    assert err.startswith("failure: normal form misses")
+    for argv in (("analyze", "--model", "dvv", "--points", "0.6,1.0,2.0"),
+                 ("verify", "--model", "synthetic:b")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("failure: normal form misses")
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_verify_reports_a_table_that_breaks_the_dvv_frame(capsys, tmp_path, seed):
+    # DVV's frame is Lagrangian only for its own table: on a relabeled one
+    # the normal form misses h at the Berger points, and the report shows
+    # which checks fail instead of stopping at the normal form
+    path = tmp_path / "relabeled.table"
+    path.write_text("".join(f"{i} {j} {k} {s:+d}\n"
+                            for (i, j, k), s in relabeled_table(seed).triples))
+    code, out, err = run_cli(capsys, "verify", "--model", "dvv", "--table", str(path))
+    assert code == 1 and err == ""
+    assert "NaN" not in out and "Infinity" not in out
+    doc = json.loads(out)
+    failing = {c["name"] for s in doc["suites"] for c in s["checks"] if not c["passed"]}
+    assert {"lagrangian", "h_values", "normal_form", "theta_value"} <= failing
+    assert doc["summary"]["failures"] > 0 and doc["config"]["table"] == str(path)
 
 
 def test_failures_in_a_block_name_its_nodes(capsys, monkeypatch):

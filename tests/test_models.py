@@ -251,6 +251,34 @@ def test_polynomial_immersion_rejects_off_sphere(tmp_path, table):
         nk6.load_polynomial_immersion(path, table)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 1 0 0 0\n", "expected 'component e1 e2 e3 e4 coeff'"),
+    ("0 1 0 0 0 1.0\n", "component must be in 1..7"),
+    ("8 1 0 0 0 1.0\n", "component must be in 1..7"),
+    ("1 1 -1 0 0 1.0\n", "exponents must be nonnegative"),
+])
+def test_polynomial_file_names_the_line_of_a_bad_row(tmp_path, table, text, message):
+    path = tmp_path / "bad.poly"
+    path.write_text("# one row\n" + text)
+    with pytest.raises(ValueError) as exc:
+        nk6.load_polynomial_immersion(path, table)
+    assert str(exc.value) == f"{path}:2: {message}"
+
+
+def test_polynomial_file_with_no_rows_is_refused(tmp_path, table):
+    path = tmp_path / "empty.poly"
+    path.write_text("# comments only\n")
+    with pytest.raises(ValueError) as exc:
+        nk6.load_polynomial_immersion(path, table)
+    assert str(exc.value) == f"{path}: no coefficient rows found"
+
+
+@pytest.mark.parametrize("weights", [{"w1": 0.0}, {"w23": -1.0}])
+def test_berger_weights_must_be_positive(weights):
+    with pytest.raises(ValueError, match="Berger weights must be positive"):
+        nk6.BergerSpec(**weights)
+
+
 def test_resolve_model_names(table):
     assert nk6.resolve_model("dvv", table).name == "dvv"
     assert nk6.resolve_model("totally-geodesic", table).name == "totally-geodesic"

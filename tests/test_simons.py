@@ -1,6 +1,7 @@
 """Decomposition tensors, the Laplacian identity and the certified integral."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -180,6 +181,24 @@ def test_hsq_field_is_holomorphic_on_the_laplacian_circles(dvv, monkeypatch):
             assert np.max(np.abs(top)) / scale < nk6.geometry._LAPLACE_TAIL
 
 
+def test_laplacian_identity_check_takes_one_point(dvv):
+    with pytest.raises(ValueError, match="expects a single chart point"):
+        simons.laplacian_identity_check(dvv, random_chart_points(dvv, 2, seed=21))
+
+
+def test_laplacian_identity_check_reads_the_certified_theta(dvv, monkeypatch):
+    # the regrouped route reads Theta off the normal form, which keeps the
+    # maximizer's value: doctoring that value moves residual_algebra alone
+    q = np.array([0.8, 0.25, 2.2])
+    ref = simons.laplacian_identity_check(dvv, q)
+    maximize = canonical.maximize_theta
+    monkeypatch.setattr(canonical, "maximize_theta",
+                        lambda h: (maximize(h)[0], maximize(h)[1] + 1e-3))
+    rep = simons.laplacian_identity_check(dvv, q)
+    assert rep.residual_algebra > 1e-3 > ref.residual_algebra
+    assert rep.residual_pipeline == ref.residual_pipeline
+
+
 def test_laplacian_identity_on_totally_geodesic(geodesic):
     rep = nk6.laplacian_identity_check(geodesic, np.array([0.7, 1.0, 1.0]))
     assert abs(rep.half_laplacian) < 1e-8
@@ -234,11 +253,11 @@ def test_quadrature_volume_exactness(dvv):
 def test_integrate_inequality_reference_model(dvv):
     report = nk6.integrate_inequality(dvv, nk6.QuadratureRule(16, 16, 16))
     assert abs(report.integral) < 1e-8
-    assert report.integrand_sup < 1e-10
+    assert report.integrand_sup_norm < 1e-10
     assert report.classification == "DVV-type"
     assert abs(report.volume - 32 * np.pi**2 / 9) / report.volume < 1e-6
-    assert abs(report.hsq_min - HSQ) < 1e-10 and abs(report.hsq_max - HSQ) < 1e-10
-    assert abs(report.theta_min - S5 / 2) < 1e-9
+    assert np.max(np.abs(np.subtract(report.hsq_range, HSQ))) < 1e-10
+    assert abs(report.theta_range[0] - S5 / 2) < 1e-9
 
 
 def test_classify_reaches_every_branch():
@@ -300,7 +319,7 @@ def test_integrate_inequality_memory_is_flat_in_the_rule(dvv):
 def test_integrate_inequality_totally_geodesic(geodesic):
     report = nk6.integrate_inequality(geodesic, nk6.QuadratureRule(12, 12, 12))
     assert report.integral == 0.0
-    assert report.hsq_max < 1e-15
+    assert report.hsq_range[1] < 1e-15
     assert report.classification == "geodesic"
     assert abs(report.volume - 2 * np.pi**2) / report.volume < 1e-12
 
@@ -319,6 +338,8 @@ def test_a_nan_term_stops_the_frame_and_the_certificate(geodesic):
 def test_integrate_report_serialization(dvv):
     report = nk6.integrate_inequality(dvv, nk6.QuadratureRule(8, 8, 8))
     doc = report.to_dict()
+    # each key is a field, named once; the samples go to the CSV
+    assert set(doc) == {f.name for f in fields(report)} - {"samples"} | {"schema_version"}
     assert doc["schema_version"] == "1"
     assert doc["classification"] == "DVV-type"
     rows = cli._rows_to_csv(report.samples.tolist(), report.CSV_COLUMNS).splitlines()
@@ -330,8 +351,8 @@ def test_jets_keep_their_accuracy_at_the_chart_poles(dvv):
     # 256 Gauss nodes put the outermost eta within 3.5e-5 of each pole, where
     # sin eta or cos eta is tiny: the integrand must stay at roundoff
     report = nk6.integrate_inequality(dvv, nk6.QuadratureRule(256, 4, 4))
-    assert report.integrand_sup < 1e-10
-    assert abs(report.hsq_min - HSQ) < 1e-10 and abs(report.hsq_max - HSQ) < 1e-10
+    assert report.integrand_sup_norm < 1e-10
+    assert np.max(np.abs(np.subtract(report.hsq_range, HSQ))) < 1e-10
 
 
 def test_integrate_rejects_nonconvergent_rule(dvv):
